@@ -149,14 +149,36 @@ def build_rbf_grid(state_box, counts, width_rule: float, io_dim: int,
 
 def polynomial_basis(state_dim: int, degree: int, io_dim: int, beta_scale: float = 1.0,
                      alpha_scale: float = 1.0) -> BasisSet:
-    """Monomial features of total degree <= ``degree`` (constant included)."""
+    """Monomial features of total degree <= ``degree`` (constant included).
+
+    Each monomial is gathered from the columns of ``[x, 1]``: at degree <= 1
+    a feature is one column, so the features are exactly ``x_i`` and ``1``;
+    at higher degrees it is the product of ``degree`` gathered columns, the
+    constant column padding lower-degree monomials.
+    """
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
     exponents = [e for e in product(range(degree + 1), repeat=state_dim) if sum(e) <= degree]
-    exponents = np.array(sorted(exponents, key=lambda e: (sum(e), e)), dtype=float)
+    exponents = sorted(exponents, key=lambda e: (sum(e), e))
+    width = max(degree, 1)
+    # column indices into [x, 1] of each monomial's factors
+    factors = np.array([[i for i, p in enumerate(e) for _ in range(p)]
+                        + [state_dim] * (width - sum(e)) for e in exponents])
 
-    def feature_fn(x):
-        return np.prod(x[..., None, :] ** exponents, axis=-1)
+    def with_ones(x):
+        xa = np.empty(x.shape[:-1] + (state_dim + 1,))
+        xa[..., :state_dim] = x
+        xa[..., state_dim] = 1.0
+        return xa
+
+    if width == 1:
+        index = factors[:, 0]
+
+        def feature_fn(x):
+            return with_ones(x)[..., index]
+    else:
+        def feature_fn(x):
+            return np.prod(with_ones(x)[..., factors], axis=-1)
 
     return BasisSet(kind="polynomial", state_dim=int(state_dim), io_dim=int(io_dim),
                     n_scalar=len(exponents), feature_fn=feature_fn,

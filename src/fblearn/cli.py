@@ -28,7 +28,7 @@ import yaml
 
 from .analysis import fit_exponential_bound, interp_matrix_series, pe_check, transition_norm_grid
 from .config import ExperimentConfig, load_config
-from .errors import ConfigError, FblearnError
+from .errors import ConfigError, DivergenceError, FblearnError, SingularMatrixError
 from .learning import AdaptRunRecord, run_episode
 from .scenarios import Scenario, build_scenario, make_baseline, policy_config
 from .studies import bias_study, concentration_study, regressor_series
@@ -162,12 +162,11 @@ def cmd_compare(config: ExperimentConfig, args) -> int:
 
 
 def cmd_mc(config: ExperimentConfig, args) -> int:
-    if config.scenario == "double_pendulum":
-        print("mc needs a scenario with a known true parameter vector; the double "
-              "pendulum has none. Use scenario inspan_synthetic or linear_test.",
-              file=sys.stderr)
-        return EXIT_UNSUPPORTED
     scenario = build_scenario(config)
+    if scenario.theta_star is None:
+        print(f"mc needs a scenario with a known true parameter vector; {config.scenario} "
+              "has none. Use scenario inspan_synthetic or linear_test.", file=sys.stderr)
+        return EXIT_UNSUPPORTED
     trials = args.trials if args.trials else config.trials
     start = time.perf_counter()
     report = concentration_study(
@@ -290,6 +289,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return EXIT_CONFIG
+    except (DivergenceError, SingularMatrixError) as exc:
+        print(f"run diverged: {exc}", file=sys.stderr)
+        return EXIT_DIVERGED
     except FileNotFoundError as exc:
         print(f"config file not found: {exc.filename}", file=sys.stderr)
         return EXIT_CONFIG

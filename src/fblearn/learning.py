@@ -6,10 +6,12 @@ interval, measure the tracking error at the next sample, score the interval
 with the one-step reward, form the score-function gradient estimate
 (optionally baselined), and take a gradient step on the parameters.
 
-Randomness discipline: every step draws from its own substream derived from
-the master seed and the step index, so runs with learning enabled and
+Randomness discipline: step ``k`` of the run seeded by ``seed`` draws from
+its own substream ``step_rng(seed, k)``, so runs with learning enabled and
 disabled see the identical noise sequence and paired comparisons are exact.
-Replaying a seed reproduces a run bit for bit.
+Replaying a seed reproduces a run bit for bit.  The runners compute the
+whole horizon's substream draws in bulk (``step_normals``), bit for bit
+equal to building each ``step_rng`` in turn; a test pins that mapping.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import BasisSet, controller_jacobian, eval_learned_controller
-from .errors import DimensionError, DivergenceError
+from .errors import DimensionError, DivergenceError, SingularMatrixError
 from .linearize import GainMatrix, ReferenceModel, tracking_error
 from .plants import PlantModel, _rk4, eval_dynamics, linearizing_terms
 from .reference import ReferenceSample, SinusoidSum, sample_reference
@@ -30,6 +32,90 @@ Array = np.ndarray
 def step_rng(seed: int, k: int) -> np.random.Generator:
     """Independent generator for step ``k`` of the run seeded by ``seed``."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, k)))
+
+
+# numpy.random.SeedSequence's hashing constants (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+# PCG64's 128-bit LCG multiplier, used by its seeding step pcg_setseq_128_srandom_r
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hash(value, hash_const: int, mult: int):
+    """One SeedSequence hashing round; returns the hashed value and the next constant.
+
+    Works on Python ints and on ``uint64`` arrays holding 32-bit words.
+    """
+    value = value ^ hash_const
+    hash_const = (hash_const * mult) & _MASK32
+    value = (value * hash_const) & _MASK32
+    return value ^ (value >> _XSHIFT), hash_const
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two 32-bit words (ints or ``uint64`` arrays)."""
+    value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return value ^ (value >> _XSHIFT)
+
+
+def step_normals(seed: int, horizon: int, q: int) -> Array:
+    """Standard normals of steps ``0 .. horizon - 1`` of the run seeded by ``seed``.
+
+    Row ``k`` equals ``step_rng(seed, k).standard_normal(q)`` bit for bit.
+    Instead of building a ``SeedSequence`` per step, NumPy's entropy mixing
+    runs once for all steps: for ``0 <= seed < 2**128`` the entropy is the
+    seed's four 32-bit words followed by the spawn key ``(0, k)``, and only
+    the last word depends on ``k``.  PCG64's seeding step then gives each
+    step's 128-bit state and increment, which are set on one reused
+    generator.  Any other seed takes the per-step path.
+    """
+    out = np.empty((horizon, q))
+    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2 ** 128
+            and horizon <= 2 ** 32):
+        for k in range(horizon):
+            out[k] = step_rng(seed, k).standard_normal(q)
+        return out
+
+    # SeedSequence.mix_entropy over [seed words, 0, k]: the pool is fixed by
+    # the seed words and the 0; the step index k enters last
+    hash_const = _INIT_A
+    pool = []
+    for i in range(4):
+        value, hash_const = _hash((int(seed) >> (32 * i)) & _MASK32, hash_const, _MULT_A)
+        pool.append(value)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                value, hash_const = _hash(pool[src], hash_const, _MULT_A)
+                pool[dst] = _mix(pool[dst], value)
+    for word in (0, np.arange(horizon, dtype=np.uint64)):
+        for dst in range(4):
+            value, hash_const = _hash(word, hash_const, _MULT_A)
+            pool[dst] = _mix(pool[dst], value)
+
+    # SeedSequence.generate_state(4, uint64): eight 32-bit words, little-endian pairs
+    hash_const = _INIT_B
+    words = []
+    for i in range(8):
+        value, hash_const = _hash(pool[i % 4], hash_const, _MULT_B)
+        words.append(value)
+    s_hi, s_lo, i_hi, i_lo = ((words[2 * j] | (words[2 * j + 1] << 32)).tolist()
+                              for j in range(4))
+
+    bit_gen = np.random.PCG64(0)
+    gen = np.random.Generator(bit_gen)
+    state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
+    for k in range(horizon):
+        inc = ((((i_hi[k] << 64) | i_lo[k]) << 1) | 1) & _MASK128
+        initstate = (s_hi[k] << 64) | s_lo[k]
+        state["state"] = {"state": ((inc + initstate) * _PCG_MULT + inc) & _MASK128, "inc": inc}
+        bit_gen.state = state
+        gen.standard_normal(out=out[k])
+    return out
 
 
 def derive_seed(seed: int, *key: int) -> int:
@@ -114,9 +200,23 @@ def draw_noise(cfg: PolicyConfig, q: int, rng: np.random.Generator) -> Array:
     """
     if cfg.sigma2 == 0.0:
         return np.zeros(q)
+    return _scale_and_clip(cfg, rng.standard_normal(q))
+
+
+def draw_noise_series(cfg: PolicyConfig, q: int, seed: int, horizon: int) -> Array:
+    """Row ``k`` is ``draw_noise(cfg, q, step_rng(seed, k))``, drawn in bulk.
+
+    With ``sigma2 == 0`` no generator is built at all.
+    """
+    if cfg.sigma2 == 0.0:
+        return np.zeros((horizon, q))
+    return _scale_and_clip(cfg, step_normals(seed, horizon, q))
+
+
+def _scale_and_clip(cfg: PolicyConfig, z: Array) -> Array:
     sigma = np.sqrt(cfg.sigma2)
     bound = cfg.noise_clip * sigma
-    return np.clip(sigma * rng.standard_normal(q), -bound, bound)
+    return np.clip(sigma * z, -bound, bound)
 
 
 def sample_policy(bases: BasisSet, theta: Array, nominal: PlantModel, x: Array,
@@ -268,8 +368,9 @@ def run_episode(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0:
     * ``theta_star`` - when given, the parameter error ``phi = theta -
       theta_star`` is recorded alongside the parameters.
 
-    Plant divergence or a non-finite update truncates the record and sets
-    the divergence flag instead of raising.
+    Plant divergence, a non-finite update or a decoupling matrix that turns
+    singular mid-run truncates the record and sets the divergence flag
+    instead of raising.
     """
     if update_rule not in ("policy_gradient", "ideal"):
         raise ValueError(f"unknown update rule {update_rule!r}")
@@ -298,7 +399,7 @@ def run_episode(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0:
     es = np.zeros((horizon + 1, total_deg))
     thetas = np.zeros((horizon + 1, bases.size))
     us = np.zeros((horizon, plant.q))
-    ws = np.zeros((horizon, plant.q))
+    ws = draw_noise_series(cfg, plant.q, seed, horizon)
     rewards = np.zeros(horizon)
     baselines = np.zeros(horizon)
 
@@ -310,13 +411,11 @@ def run_episode(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0:
     diverged, diverged_step = False, None
     steps_done = 0
     for k in range(horizon):
-        rng = step_rng(seed, k)
         e = es[k]
         v = ref_k.y_dgamma + gains.K @ e
         try:
             u_hat = eval_learned_controller(bases, theta, nominal, x, v)
-            w = draw_noise(cfg, plant.q, rng)
-            u = u_hat + w
+            u = u_hat + ws[k]
             x_next, path = _integrate_interval(plant, x, u, dt, substeps,
                                                want_path=(measure == "finite_difference"))
             ref_next = sample_reference(reference, ref_model.gamma, t_nodes[k + 1])
@@ -338,11 +437,11 @@ def run_episode(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0:
                 theta_next = update_params(theta, estimate, dt)
             else:
                 theta_next = theta
-        except DivergenceError:
+        except (DivergenceError, SingularMatrixError):
             diverged, diverged_step = True, k
             break
 
-        us[k], ws[k], rewards[k], baselines[k] = u, w, reward, baseline_value
+        us[k], rewards[k], baselines[k] = u, reward, baseline_value
         baseline.update(reward)
         x, xi, theta, ref_k = x_next, xi_next, theta_next, ref_next
         xs[k + 1], xis[k + 1], es[k + 1], thetas[k + 1] = x, xi, e_next, theta
@@ -402,17 +501,13 @@ def run_ensemble(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0
     k1 = bases.k1
     n_scalar = bases.n_scalar
     dt = cfg.dt
-    sigma = np.sqrt(cfg.sigma2)
-    bound = cfg.noise_clip * sigma
     abar_t = (np.eye(total_deg) + dt * (ref_model.A + ref_model.B @ gains.K)).T
     x_init = np.zeros(plant.n) if x0 is None else np.asarray(x0, dtype=float)
 
     seeds = np.array([derive_seed(seed, cell_key, b) for b in range(n_trials)], dtype=np.int64)
     noise = np.empty((n_trials, horizon, q))
     for b in range(n_trials):
-        for k in range(horizon):
-            noise[b, k] = step_rng(int(seeds[b]), k).standard_normal(q)
-    noise = np.clip(sigma * noise, -bound, bound) if cfg.sigma2 > 0 else np.zeros_like(noise)
+        noise[b] = draw_noise_series(cfg, q, int(seeds[b]), horizon)
 
     refs = [sample_reference(reference, ref_model.gamma, k * dt) for k in range(horizon + 1)]
     xi_d = np.array([r.xi_d for r in refs])

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -156,3 +158,28 @@ class TestGram:
         bases = polynomial_basis(2, 2, io_dim=1)
         probes = rng.uniform(-1.5, 1.5, (300, 2))
         assert np.linalg.eigvalsh(feature_gram(bases, probes))[0] > 0
+
+
+def _pow_features(x, state_dim, degree):
+    """The monomials as powers: ``prod_i x_i ** e_i`` for every exponent vector."""
+    exponents = [e for e in product(range(degree + 1), repeat=state_dim) if sum(e) <= degree]
+    exponents = np.array(sorted(exponents, key=lambda e: (sum(e), e)), dtype=float)
+    return np.prod(x[..., None, :] ** exponents, axis=-1)
+
+
+class TestPolynomialFeatures:
+    @pytest.mark.parametrize("degree", [0, 1])
+    @pytest.mark.parametrize("shape", [(4,), (200, 4)])
+    def test_low_degree_is_bit_equal_to_powers(self, degree, shape, rng):
+        x = 3.0 * rng.standard_normal(shape)
+        got = polynomial_basis(4, degree, io_dim=1).features(x)
+        want = _pow_features(x, 4, degree)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("degree", [2, 3])
+    @pytest.mark.parametrize("shape", [(4,), (200, 4)])
+    def test_higher_degree_matches_powers(self, degree, shape, rng):
+        x = 3.0 * rng.standard_normal(shape)
+        got = polynomial_basis(4, degree, io_dim=1).features(x)
+        np.testing.assert_allclose(got, _pow_features(x, 4, degree), rtol=1e-15, atol=0)

@@ -210,6 +210,19 @@ class TestCli:
             rows = list(csv.reader(fh))
         assert len(rows) - 1 == summary["steps"]
 
+    def test_singular_decoupling_mid_run_is_a_divergence(self, tmp_path):
+        # the in-span plant's alpha turns singular mid-run: exit 3 with an
+        # artifact, not a configuration error
+        code = main(["run", "--config", str(CONFIG_DIR / "inspan_diag.yaml"),
+                     "--out-dir", str(tmp_path),
+                     "--override", "inspan.theta_star_scale=2.0",
+                     "--override", "inspan.theta_star_seed=4",
+                     "--override", "inspan.phi0_scale=2.0",
+                     "--override", "horizon_s=20"])
+        assert code == EXIT_DIVERGED
+        summary = json.loads((tmp_path / "inspan_synthetic_11" / "summary.json").read_text())
+        assert summary["diverged"] and summary["diverged_step"] is not None
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
         bad.write_text("scenario: double_pendulum\nseed: 1\nmystery: 3\n")

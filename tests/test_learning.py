@@ -4,7 +4,8 @@ import pytest
 from fblearn import (BaselineSpec, PolicyConfig, build_rbf_grid, discrete_reward,
                      estimate_gradient, grad_log_policy, make_chain_plant,
                      run_episode, sample_policy, update_params)
-from fblearn.learning import draw_noise, run_ensemble, step_rng, derive_seed
+from fblearn.learning import (derive_seed, draw_noise, draw_noise_series, run_ensemble,
+                              step_normals, step_rng)
 from fblearn.basis import controller_jacobian, eval_learned_controller
 from fblearn.errors import DimensionError, DivergenceError
 from fblearn.reference import sample_reference
@@ -55,6 +56,53 @@ class TestPolicy:
         draws = np.stack([draw_noise(cfg, 2, step_rng(3, k)) for k in range(100_000)])
         stderr = np.sqrt(0.1 / len(draws))
         assert np.abs(draws.mean(axis=0)).max() <= 4 * stderr
+
+
+def _as_bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+class TestBulkNoise:
+    """``step_normals`` is the per-step ``step_rng`` stream, computed in bulk."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**100 + 3,
+                                      2**128 + 7])
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_bit_equal_to_per_step_generators(self, seed, q):
+        for horizon in (0, 1, 900):
+            want = np.array([step_rng(seed, k).standard_normal(q)
+                             for k in range(horizon)]).reshape(horizon, q)
+            got = step_normals(seed, horizon, q)
+            assert got.shape == (horizon, q)
+            np.testing.assert_array_equal(_as_bits(got), _as_bits(want))
+
+    def test_prefix_stable_in_the_horizon(self):
+        long = step_normals(2**40 + 9, 900, 2)
+        np.testing.assert_array_equal(_as_bits(step_normals(2**40 + 9, 50, 2)),
+                                      _as_bits(long[:50]))
+
+    def test_negative_seed_raises_like_seed_sequence(self):
+        with pytest.raises(ValueError) as want:
+            np.random.SeedSequence(-3)
+        with pytest.raises(ValueError) as got:
+            step_normals(-3, 4, 1)
+        assert str(got.value) == str(want.value)
+
+    def test_zero_variance_series_is_zero(self):
+        cfg = PolicyConfig(sigma2=0.0, dt=0.05)
+        np.testing.assert_array_equal(draw_noise_series(cfg, 2, 5, 30), np.zeros((30, 2)))
+
+    def test_episode_noise_is_the_per_step_draw(self, inspan1):
+        cfg = PolicyConfig(sigma2=0.05, dt=0.05, noise_clip=1.0)
+        seed = 2**33 + 1
+        rec = run_episode(inspan1.plant, inspan1.nominal, inspan1.bases,
+                          inspan1.theta_star + 0.2, inspan1.reference, inspan1.ref_model,
+                          inspan1.gains, cfg, horizon=40, seed=seed, x0=inspan1.x0,
+                          substeps=2)
+        assert rec.steps == 40
+        for k in range(rec.steps):
+            np.testing.assert_array_equal(_as_bits(rec.w[k]),
+                                          _as_bits(draw_noise(cfg, 1, step_rng(seed, k))))
 
 
 class TestReward:
