@@ -9,14 +9,14 @@ from .basis import (BasisSet, build_rbf_grid, controller_jacobian, eval_correcti
 from .config import ExperimentConfig, config_from_dict, load_config
 from .errors import (ConfigError, DimensionError, DivergenceError, FblearnError,
                      SingularMatrixError)
-from .learning import (AdaptRunRecord, BaselineSpec, GradientSample, PolicyConfig,
-                       derive_seed, discrete_reward, estimate_gradient, grad_log_policy,
-                       run_episode, sample_policy, step_rng, update_params)
+from .learning import (AdaptRunRecord, BaselineSpec, PolicyConfig, derive_seed,
+                       discrete_reward, grad_log_policy, run_episode, step_rng, update_params)
 from .linearize import (GainMatrix, ReferenceModel, build_reference_model, design_gain,
                         exact_tracking_control, tracking_error)
 from .plants import (DoublePendulumParams, InSpanPlantSpec, PlantModel, eval_dynamics,
                      eval_io, integrate_zoh, linearizing_terms, make_chain_plant,
-                     make_double_pendulum, make_inspan_plant, simulate_closed_loop)
+                     make_double_pendulum, make_inspan_plant, rk4_step,
+                     simulate_closed_loop)
 from .reference import (ReferenceSample, SinusoidSum, sample_reference, two_tone_reference,
                         uniform_bound)
 from .scenarios import Scenario, build_scenario, policy_config

@@ -24,7 +24,7 @@ import numpy as np
 
 from .basis import BasisSet
 from .linearize import GainMatrix, ReferenceModel
-from .plants import PlantModel
+from .plants import PlantModel, rk4_step
 
 Array = np.ndarray
 
@@ -92,11 +92,7 @@ def _rk4_ltv(rhs: Callable[[float, Array], Array], y0: Array, t0: float, t1: flo
     h = (t1 - t0) / n_steps
     y, t = np.asarray(y0, dtype=float), t0
     for _ in range(n_steps):
-        k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(t + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y = rk4_step(rhs, t, y, h)
         t += h
     return y
 

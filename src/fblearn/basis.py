@@ -79,13 +79,18 @@ class BasisSet:
         return self.feature_fn(x)
 
     def split(self, theta: Array) -> tuple[Array, Array]:
-        """Reshape flat ``theta`` into ``(n_scalar, q)`` and ``(n_scalar, q, q)``."""
+        """Reshape flat ``theta`` into ``(n_scalar, q)`` and ``(n_scalar, q, q)``.
+
+        Leading dimensions of ``theta`` (one parameter vector per lane) are
+        kept in front of both blocks.
+        """
         theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.size,):
-            raise DimensionError(f"theta must have shape ({self.size},), got {theta.shape}")
-        q = self.io_dim
-        theta1 = theta[:self.k1].reshape(self.n_scalar, q)
-        theta2 = theta[self.k1:].reshape(self.n_scalar, q, q)
+        if theta.shape[-1:] != (self.size,):
+            raise DimensionError(f"theta must have trailing dimension {self.size}, "
+                                 f"got shape {theta.shape}")
+        q, lead = self.io_dim, theta.shape[:-1]
+        theta1 = theta[..., :self.k1].reshape(lead + (self.n_scalar, q))
+        theta2 = theta[..., self.k1:].reshape(lead + (self.n_scalar, q, q))
         return theta1, theta2
 
 
@@ -186,11 +191,14 @@ def polynomial_basis(state_dim: int, degree: int, io_dim: int, beta_scale: float
 
 
 def eval_correction(bases: BasisSet, theta: Array, x: Array) -> tuple[Array, Array]:
-    """Learned corrections ``(beta_corr(x), alpha_corr(x))`` for parameters ``theta``."""
+    """Learned corrections ``(beta_corr(x), alpha_corr(x))`` for parameters ``theta``.
+
+    ``theta`` is one parameter vector, or one per lane of a batch of states.
+    """
     theta1, theta2 = bases.split(theta)
     phi = bases.features(x)
-    beta = bases.beta_scale * np.einsum("...i,ij->...j", phi, theta1)
-    alpha = bases.alpha_scale * np.einsum("...i,ijl->...jl", phi, theta2)
+    beta = bases.beta_scale * np.einsum("...i,...ij->...j", phi, theta1)
+    alpha = bases.alpha_scale * np.einsum("...i,...ijl->...jl", phi, theta2)
     return beta, alpha
 
 

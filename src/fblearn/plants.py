@@ -39,8 +39,8 @@ class PlantModel:
     ----------
     n, q : int
         State and input/output dimensions.
-    drift, input_matrix, output : callable
-        ``f(x) -> (.., n)``, ``g(x) -> (.., n, q)``, ``h(x) -> (.., q)``.
+    output : callable
+        ``h(x) -> (.., q)``.
     io_drift, decoupling : callable
         ``b(x) -> (.., q)`` and ``A_p(x) -> (.., q, q)`` of the gamma-th
         output derivative ``y^(gamma) = b(x) + A_p(x) u``.
@@ -49,22 +49,20 @@ class PlantModel:
     output_chain : callable
         ``x -> xi``, the outputs and their first ``gamma_j - 1`` derivatives
         stacked block by block.
-    rate : callable, optional
-        Fused ``(x, u) -> f(x) + g(x) u``; integrators prefer it because a
+    rate : callable
+        The state rate ``(x, u) -> f(x) + g(x) u``, evaluated fused because a
         plant can usually evaluate the sum much cheaper than its parts.
     """
 
     n: int
     q: int
-    drift: Callable[[Array], Array]
-    input_matrix: Callable[[Array], Array]
     output: Callable[[Array], Array]
     io_drift: Callable[[Array], Array]
     decoupling: Callable[[Array], Array]
     gamma: tuple[int, ...]
     output_chain: Callable[[Array], Array]
+    rate: Callable[[Array, Array], Array] = field(compare=False)
     name: str = field(default="", compare=False)
-    rate: Callable[[Array, Array], Array] | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -100,9 +98,7 @@ def eval_dynamics(model: PlantModel, x: Array, u: Array) -> Array:
     """State rate ``f(x) + g(x) u``."""
     x = _check_vector(x, model.n, "state")
     u = _check_vector(u, model.q, "input")
-    if model.rate is not None:
-        return model.rate(x, u)
-    return model.drift(x) + np.einsum("...nq,...q->...n", model.input_matrix(x), u)
+    return model.rate(x, u)
 
 
 def eval_io(model: PlantModel, x: Array) -> tuple[Array, Array]:
@@ -155,19 +151,17 @@ def linearizing_terms(model: PlantModel, x: Array) -> tuple[Array, Array]:
     return beta, alpha
 
 
-def _rk4(deriv: Callable[[Array], Array], x0: Array, h: float, steps: int, what: str) -> Array:
-    x = np.asarray(x0, dtype=float)
-    # blow-ups are detected and raised; suppress the intermediate overflow noise
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(steps):
-            k1 = deriv(x)
-            k2 = deriv(x + 0.5 * h * k1)
-            k3 = deriv(x + 0.5 * h * k2)
-            k4 = deriv(x + h * k3)
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(x)):
-                raise DivergenceError(f"{what} produced non-finite state", step=i)
-    return x
+def rk4_step(rate: Callable[[float, Array], Array], t: float, x: Array, h: float) -> Array:
+    """One classical fourth-order Runge-Kutta step of ``x' = rate(t, x)``.
+
+    Advances ``x`` from time ``t`` to ``t + h``; every integrator in the
+    package steps through it.  Broadcasts over leading batch dimensions.
+    """
+    k1 = rate(t, x)
+    k2 = rate(t + 0.5 * h, x + 0.5 * h * k1)
+    k3 = rate(t + 0.5 * h, x + 0.5 * h * k2)
+    k4 = rate(t + h, x + h * k3)
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def integrate_zoh(model: PlantModel, x0: Array, u: Array, dt: float,
@@ -183,10 +177,17 @@ def integrate_zoh(model: PlantModel, x0: Array, u: Array, dt: float,
         raise ValueError(f"dt must be positive, got {dt}")
     if substeps < 1:
         raise ValueError(f"substeps must be >= 1, got {substeps}")
-    x0 = _check_vector(x0, model.n, "state")
+    x = _check_vector(x0, model.n, "state")
     u = _check_vector(u, model.q, "input")
-    return _rk4(lambda x: eval_dynamics(model, x, u), x0, dt / substeps, substeps,
-                f"zero-order-hold integration of '{model.name}'")
+    rate = lambda t, s: eval_dynamics(model, s, u)  # noqa: E731
+    # blow-ups are detected and raised; suppress the intermediate overflow noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(substeps):
+            x = rk4_step(rate, 0.0, x, dt / substeps)
+            if not np.all(np.isfinite(x)):
+                raise DivergenceError(f"zero-order-hold integration of '{model.name}' "
+                                      "produced non-finite state", step=i)
+    return x
 
 
 def simulate_closed_loop(model: PlantModel, control: Callable[[Array, float], Array],
@@ -204,18 +205,12 @@ def simulate_closed_loop(model: PlantModel, control: Callable[[Array, float], Ar
     states = np.empty((n_steps + 1, model.n))
     states[0] = x0
     x = x0
-    h = step
 
-    def rhs(s, t):
+    def rhs(t, s):
         return eval_dynamics(model, s, control(s, t))
 
     for i in range(n_steps):
-        t = times[i]
-        k1 = rhs(x, t)
-        k2 = rhs(x + 0.5 * h * k1, t + 0.5 * h)
-        k3 = rhs(x + 0.5 * h * k2, t + 0.5 * h)
-        k4 = rhs(x + h * k3, t + h)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        x = rk4_step(rhs, times[i], x, step)
         if not np.all(np.isfinite(x)):
             raise DivergenceError(f"closed-loop integration of '{model.name}' "
                                   "produced non-finite state", step=i)
@@ -263,14 +258,6 @@ def make_double_pendulum(params: DoublePendulumParams | None = None) -> PlantMod
         M, _, _ = _pendulum_mcg(p, x)
         return np.linalg.inv(M)
 
-    def drift(x):
-        return np.concatenate([x[..., 2:4], io_drift(x)], axis=-1)
-
-    def input_matrix(x):
-        Minv = decoupling(x)
-        zeros = np.zeros(Minv.shape)
-        return np.concatenate([zeros, Minv], axis=-2)
-
     def rate(x, u):
         M, cvec, gvec = _pendulum_mcg(p, x)
         ddq = np.linalg.solve(M, (u - cvec - gvec)[..., None])[..., 0]
@@ -278,8 +265,6 @@ def make_double_pendulum(params: DoublePendulumParams | None = None) -> PlantMod
 
     return PlantModel(
         n=4, q=2,
-        drift=drift,
-        input_matrix=input_matrix,
         output=lambda x: x[..., 0:2],
         io_drift=io_drift,
         decoupling=decoupling,
@@ -309,8 +294,6 @@ def make_chain_plant(gamma) -> PlantModel:
 
     return PlantModel(
         n=n, q=q,
-        drift=lambda x: np.einsum("ij,...j->...i", A, x),
-        input_matrix=lambda x: np.broadcast_to(B, x.shape[:-1] + B.shape).copy(),
         output=lambda x: x[..., top_rows],
         io_drift=lambda x: np.zeros(x.shape[:-1] + (q,)),
         decoupling=lambda x: np.broadcast_to(eye, x.shape[:-1] + eye.shape).copy(),
@@ -392,13 +375,6 @@ def make_inspan_plant(spec: InSpanPlantSpec) -> PlantModel:
         beta_p, alpha_p = checked_alpha(x)
         return -np.linalg.solve(alpha_p, beta_p[..., None])[..., 0]
 
-    def drift(x):
-        return np.einsum("ij,...j->...i", A, x) \
-            + np.einsum("ij,...j->...i", B, io_drift(x))
-
-    def input_matrix(x):
-        return np.einsum("ij,...jq->...iq", B, decoupling(x))
-
     def rate(x, u):
         # b_p + A_p u = alpha_p^{-1}(u - beta_p): one solve per evaluation
         beta_p, alpha_p = checked_alpha(x)
@@ -407,8 +383,6 @@ def make_inspan_plant(spec: InSpanPlantSpec) -> PlantModel:
 
     return PlantModel(
         n=n, q=q,
-        drift=drift,
-        input_matrix=input_matrix,
         output=lambda x: x[..., ref.block_starts],
         io_drift=io_drift,
         decoupling=decoupling,

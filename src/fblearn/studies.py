@@ -17,7 +17,8 @@ import numpy as np
 from .analysis import (assemble_W, interp_matrix_series, least_squares_gradient,
                        transition_matrix)
 from .basis import controller_jacobian, eval_learned_controller
-from .learning import AdaptRunRecord, EnsembleRecord, PolicyConfig, run_ensemble
+from .learning import (AdaptRunRecord, EnsembleRecord, PolicyConfig, discrete_reward,
+                       draw_noise, run_ensemble)
 from .linearize import tracking_error
 from .plants import integrate_zoh
 from .reference import sample_reference
@@ -136,19 +137,15 @@ def mc_gradient_samples(scenario: Scenario, theta: Array, cfg: PolicyConfig,
     W = assemble_W(plant, nominal, bases, x_k, ref_k.y_dgamma, e, gains)
     target = least_squares_gradient(W, theta - scenario.theta_star)
 
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3,)))
-    sigma = np.sqrt(cfg.sigma2)
-    w = np.clip(sigma * rng.standard_normal((n_draws, plant.q)),
-                -cfg.noise_clip * sigma, cfg.noise_clip * sigma)
+    w = draw_noise(cfg, (n_draws, plant.q),
+                   np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3,))))
     u = u_hat + w
 
     x0_batch = np.broadcast_to(x_k, (n_draws, plant.n))
     x_next = integrate_zoh(plant, x0_batch, u, cfg.dt, substeps)
     e_next = plant.output_chain(x_next) - ref_next.xi_d
 
-    abar = np.eye(ref_model.total_degree) + cfg.dt * (ref_model.A + ref_model.B @ gains.K)
-    resid = (e_next - e @ abar.T) / cfg.dt
-    rewards = 0.5 * np.sum(resid * resid, axis=1)
+    rewards = discrete_reward(e, e_next, ref_model, gains, cfg.dt)
     scores = (w / cfg.sigma2) @ jac
     estimates = (rewards - baseline_value)[:, None] * scores
     return GradientStudy(estimates=estimates, scores=scores, rewards=rewards,

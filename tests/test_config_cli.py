@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -211,8 +212,9 @@ class TestCli:
         assert len(rows) - 1 == summary["steps"]
 
     def test_singular_decoupling_mid_run_is_a_divergence(self, tmp_path):
-        # the in-span plant's alpha turns singular mid-run: exit 3 with an
-        # artifact, not a configuration error
+        # the in-span run blows up mid-run, and the failed step (state bound
+        # or a singular alpha) is a divergence: exit 3 with an artifact, not a
+        # configuration error
         code = main(["run", "--config", str(CONFIG_DIR / "inspan_diag.yaml"),
                      "--out-dir", str(tmp_path),
                      "--override", "inspan.theta_star_scale=2.0",
@@ -222,6 +224,22 @@ class TestCli:
         assert code == EXIT_DIVERGED
         summary = json.loads((tmp_path / "inspan_synthetic_11" / "summary.json").read_text())
         assert summary["diverged"] and summary["diverged_step"] is not None
+
+    def test_diverging_run_leaks_no_runtime_warning(self, tmp_path):
+        # a run that blows up is flagged before any arithmetic overflows in
+        # the open: exit 3 with an artifact, even with warnings as errors
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["run", "--config", str(CONFIG_DIR / "inspan_diag.yaml"),
+                         "--seed", "510350628", "--out-dir", str(tmp_path),
+                         "--override", "inspan.theta_star_scale=2.0",
+                         "--override", "inspan.theta_star_seed=4",
+                         "--override", "inspan.phi0_scale=2.0",
+                         "--override", "horizon_s=20"])
+        assert code == EXIT_DIVERGED
+        summary = json.loads(
+            (tmp_path / "inspan_synthetic_510350628" / "summary.json").read_text())
+        assert summary["diverged"]
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"

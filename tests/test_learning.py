@@ -1,16 +1,21 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from fblearn import (BaselineSpec, PolicyConfig, build_rbf_grid, discrete_reward,
-                     estimate_gradient, grad_log_policy, make_chain_plant,
-                     run_episode, sample_policy, update_params)
+                     grad_log_policy, make_chain_plant, run_episode, update_params)
 from fblearn.learning import (derive_seed, draw_noise, draw_noise_series, run_ensemble,
                               step_normals, step_rng)
 from fblearn.basis import controller_jacobian, eval_learned_controller
+from fblearn.config import load_config
 from fblearn.errors import DimensionError, DivergenceError
 from fblearn.reference import sample_reference
+from fblearn.scenarios import build_scenario, policy_config
 
 from oracles import expm
+
+CONFIG_DIR = Path(__file__).parent.parent / "configs"
 
 
 class TestPolicy:
@@ -33,22 +38,27 @@ class TestPolicy:
 
     def test_vanishing_noise_recovers_the_learned_law(self, inspan1):
         cfg = PolicyConfig(sigma2=1e-18, dt=0.05)
+        rec = run_episode(inspan1.plant, inspan1.nominal, inspan1.bases,
+                          inspan1.theta_star, inspan1.reference, inspan1.ref_model,
+                          inspan1.gains, cfg, horizon=1, seed=1, x0=inspan1.x0 + 0.1,
+                          learn=False, substeps=2)
         ref_s = sample_reference(inspan1.reference, (2,), 0.0)
-        x = inspan1.x0 + 0.1
-        u, w = sample_policy(inspan1.bases, inspan1.theta_star, inspan1.nominal, x,
-                             ref_s, inspan1.gains, cfg, step_rng(1, 0))
+        x = rec.x[0]
+        np.testing.assert_array_equal(x, inspan1.x0 + 0.1)
         e = x - ref_s.xi_d
         v = ref_s.y_dgamma + inspan1.gains.K @ e
         u_hat = eval_learned_controller(inspan1.bases, inspan1.theta_star,
                                         inspan1.nominal, x, v)
-        assert np.abs(u - u_hat).max() <= 1e-8
+        assert np.abs(rec.u[0] - u_hat).max() <= 1e-8
 
     def test_experiment_noise_level(self, inspan1):
         # the headline operating point: dt = 0.05 s, sigma^2 = 0.1
         cfg = PolicyConfig(sigma2=0.1, dt=0.05)
-        ref_s = sample_reference(inspan1.reference, (2,), 0.0)
-        u, w = sample_policy(inspan1.bases, inspan1.theta_star, inspan1.nominal,
-                             inspan1.x0, ref_s, inspan1.gains, cfg, step_rng(1, 0))
+        rec = run_episode(inspan1.plant, inspan1.nominal, inspan1.bases,
+                          inspan1.theta_star, inspan1.reference, inspan1.ref_model,
+                          inspan1.gains, cfg, horizon=1, seed=1, x0=inspan1.x0,
+                          learn=False, substeps=2)
+        u, w = rec.u[0], rec.w[0]
         assert w.shape == (1,) and np.all(np.isfinite(u))
 
     def test_noise_mean_is_zero(self):
@@ -163,15 +173,6 @@ class TestScore:
 
 
 class TestGradientAndUpdate:
-    def test_baseline_cancellation(self, rng):
-        score = rng.standard_normal(6)
-        np.testing.assert_array_equal(estimate_gradient(2.5, 2.5, score).estimate,
-                                      np.zeros(6))
-
-    def test_no_baseline_is_plain_reinforce(self, rng):
-        score = rng.standard_normal(6)
-        np.testing.assert_allclose(estimate_gradient(1.7, 0.0, score).estimate, 1.7 * score)
-
     def test_update_arithmetic(self):
         theta = update_params(np.zeros(4), np.ones(4), 0.05)
         np.testing.assert_allclose(theta, -0.05 * np.ones(4))
@@ -319,6 +320,43 @@ class TestRunEpisode:
                         two_tone_reference(1), rm, gains, cfg, horizon=3, seed=0,
                         measure="finite_difference", learn=False)
 
+    def test_applied_input_is_the_learned_law_plus_noise(self, inspan1):
+        # the headline operating point: dt = 0.05 s, sigma^2 = 0.1
+        cfg = PolicyConfig(sigma2=0.1, dt=0.05)
+        rec = run_episode(inspan1.plant, inspan1.nominal, inspan1.bases,
+                          inspan1.theta_star + 0.2, inspan1.reference, inspan1.ref_model,
+                          inspan1.gains, cfg, horizon=30, seed=1, x0=inspan1.x0, substeps=2)
+        assert rec.steps == 30 and rec.w.shape == (30, 1)
+        for k in range(rec.steps):
+            v = (sample_reference(inspan1.reference, (2,), rec.t[k]).y_dgamma
+                 + inspan1.gains.K @ rec.e[k])
+            u_hat = eval_learned_controller(inspan1.bases, rec.theta[k], inspan1.nominal,
+                                            rec.x[k], v)
+            np.testing.assert_array_equal(rec.u[k], u_hat + rec.w[k])
+
+    @pytest.mark.parametrize("kind", BaselineSpec.KINDS)
+    def test_update_is_the_baselined_score_step(self, inspan1, kind):
+        cfg = PolicyConfig(sigma2=0.05, dt=0.05)
+        bases, nominal = inspan1.bases, inspan1.nominal
+        rec = run_episode(inspan1.plant, nominal, bases, inspan1.theta_star + 0.2,
+                          inspan1.reference, inspan1.ref_model, inspan1.gains, cfg,
+                          baseline=BaselineSpec(kind), horizon=20, seed=3, x0=inspan1.x0,
+                          substeps=2)
+        assert rec.steps == 20
+        past = BaselineSpec(kind)
+        for k in range(rec.steps):
+            assert rec.baselines[k] == past.value()
+            past.update(rec.rewards[k])
+            assert rec.rewards[k] == discrete_reward(rec.e[k], rec.e[k + 1], inspan1.ref_model,
+                                                     inspan1.gains, cfg.dt)
+            v = (sample_reference(inspan1.reference, (2,), rec.t[k]).y_dgamma
+                 + inspan1.gains.K @ rec.e[k])
+            u_hat = eval_learned_controller(bases, rec.theta[k], nominal, rec.x[k], v)
+            score = grad_log_policy(rec.u[k], u_hat, cfg.sigma2,
+                                    controller_jacobian(bases, rec.theta[k], nominal, rec.x[k], v))
+            want = update_params(rec.theta[k], (rec.rewards[k] - rec.baselines[k]) * score, cfg.dt)
+            np.testing.assert_array_equal(rec.theta[k + 1], want)
+
     def test_record_shapes(self, inspan1):
         cfg = PolicyConfig(sigma2=0.05, dt=0.05)
         rec = run_episode(inspan1.plant, inspan1.nominal, inspan1.bases,
@@ -333,7 +371,9 @@ class TestRunEpisode:
 
 
 class TestEnsemble:
-    def test_matches_sequential_episodes(self, inspan_mc):
+    def test_matches_sequential_episodes(self, inspan_mc, pendulum, pendulum_nominal, ref22,
+                                         gains22, two_tone2):
+        """A lane is its sequential run, bit for bit (both scenarios have q = 2)."""
         cfg = PolicyConfig(sigma2=0.001, dt=0.01)
         ens = run_ensemble(inspan_mc.plant, inspan_mc.nominal, inspan_mc.bases,
                            inspan_mc.theta0, inspan_mc.reference, inspan_mc.ref_model,
@@ -346,8 +386,61 @@ class TestEnsemble:
                               inspan_mc.gains, cfg, baseline=BaselineSpec("none"),
                               horizon=60, seed=derive_seed(21, 2, trial), x0=inspan_mc.x0,
                               theta_star=inspan_mc.theta_star, substeps=4)
-            np.testing.assert_allclose(ens.e[trial], rec.e, atol=1e-12)
-            np.testing.assert_allclose(ens.phi[trial], rec.phi, atol=1e-12)
+            np.testing.assert_array_equal(ens.e[trial], rec.e)
+            np.testing.assert_array_equal(ens.phi[trial], rec.phi)
+
+        bases = build_rbf_grid([(-1.2, 1.2)] * 2 + [(-1.5, 1.5)] * 2, (5, 5, 2, 2),
+                               0.5, io_dim=2, beta_scale=0.1, alpha_scale=0.1)
+        cfg = PolicyConfig(sigma2=0.1, dt=0.05)
+        x0 = sample_reference(two_tone2, (2, 2), 0.0).xi_d[[0, 2, 1, 3]]
+        kwargs = dict(x0=x0, theta_star=np.zeros(bases.size), substeps=5)
+        ens = run_ensemble(pendulum, pendulum_nominal, bases, np.zeros(bases.size), two_tone2,
+                           ref22, gains22, cfg, n_trials=3, horizon=40,
+                           baseline_kind="mean_of_past", seed=8, cell_key=1, **kwargs)
+        rec = run_episode(pendulum, pendulum_nominal, bases, np.zeros(bases.size), two_tone2,
+                          ref22, gains22, cfg, baseline=BaselineSpec("mean_of_past"),
+                          horizon=40, seed=derive_seed(8, 1, 2), **kwargs)
+        assert not rec.diverged
+        np.testing.assert_array_equal(ens.e[2], rec.e)
+        np.testing.assert_array_equal(ens.phi[2], rec.phi)
+
+    def test_divergence_steps_match_sequential_episodes(self):
+        # an in-span scenario whose learning blows up within a few steps
+        config = load_config(CONFIG_DIR / "inspan_mc.yaml",
+                             overrides=["sigma2=0.1", "dt=0.05", "basis.beta_scale=1.0",
+                                        "basis.alpha_scale=1.0"])
+        sc = build_scenario(config)
+        cfg = policy_config(config)
+        ens = run_ensemble(sc.plant, sc.nominal, sc.bases, sc.theta0, sc.reference,
+                           sc.ref_model, sc.gains, cfg, n_trials=4, horizon=400,
+                           baseline_kind="none", seed=11, x0=sc.x0,
+                           theta_star=sc.theta_star, substeps=4)
+        assert ens.diverged.all()
+        for b in range(4):
+            rec = run_episode(sc.plant, sc.nominal, sc.bases, sc.theta0, sc.reference,
+                              sc.ref_model, sc.gains, cfg, baseline=BaselineSpec("none"),
+                              horizon=400, seed=derive_seed(11, 0, b), x0=sc.x0,
+                              theta_star=sc.theta_star, substeps=4)
+            assert rec.diverged_step == ens.diverged_step[b]
+            np.testing.assert_array_equal(ens.e[b, :rec.steps + 1], rec.e)
+
+    def test_singular_decoupling_fails_one_lane_and_propagates_in_a_batch(self, inspan1):
+        # a nominal whose learned gain cancels to zero: singular at every state
+        from fblearn import InSpanPlantSpec, make_inspan_plant, polynomial_basis
+        from fblearn.errors import SingularMatrixError
+        singular = make_inspan_plant(InSpanPlantSpec(
+            nominal=make_chain_plant((2,)), bases=polynomial_basis(2, 0, io_dim=1),
+            theta_star=np.array([0.0, -1.0])))
+        cfg = PolicyConfig(sigma2=0.01, dt=0.05)
+        args = (inspan1.plant, singular, inspan1.bases, inspan1.theta_star, inspan1.reference,
+                inspan1.ref_model, inspan1.gains, cfg)
+        rec = run_episode(*args, horizon=5, seed=0, x0=inspan1.x0, substeps=2)
+        assert rec.diverged and rec.diverged_step == 0 and rec.steps == 0
+        one = run_ensemble(*args, n_trials=1, horizon=5, x0=inspan1.x0, substeps=2)
+        assert one.diverged_step.tolist() == [0]
+        np.testing.assert_array_equal(one.e[0, 1:], np.broadcast_to(one.e[0, 0], (5, 2)))
+        with pytest.raises(SingularMatrixError):
+            run_ensemble(*args, n_trials=2, horizon=5, x0=inspan1.x0, substeps=2)
 
     def test_diverging_lanes_are_flagged_and_frozen(self, pendulum, pendulum_nominal,
                                                     ref22, gains22, two_tone2):

@@ -17,13 +17,12 @@ def linear_plant(F, G):
     n, q = G.shape
     return PlantModel(
         n=n, q=q,
-        drift=lambda x: np.einsum("ij,...j->...i", F, x),
-        input_matrix=lambda x: np.broadcast_to(G, x.shape[:-1] + G.shape).copy(),
         output=lambda x: x[..., :q],
         io_drift=lambda x: np.zeros(x.shape[:-1] + (q,)),
         decoupling=lambda x: np.broadcast_to(np.eye(q), x.shape[:-1] + (q, q)).copy(),
         gamma=(1,) * q,
         output_chain=lambda x: x[..., :q],
+        rate=lambda x, u: np.einsum("ij,...j->...i", F, x) + np.einsum("ij,...j->...i", G, u),
         name="linear-test",
     )
 
@@ -145,10 +144,10 @@ class TestIntegrateZOH:
 
     def test_divergence_raises_with_step_index(self):
         blower = linear_plant(np.zeros((1, 1)), np.zeros((1, 1)))
-        blower = PlantModel(n=1, q=1, drift=lambda x: x ** 3, input_matrix=blower.input_matrix,
-                            output=blower.output, io_drift=blower.io_drift,
+        blower = PlantModel(n=1, q=1, output=blower.output, io_drift=blower.io_drift,
                             decoupling=blower.decoupling, gamma=(1,),
-                            output_chain=blower.output_chain, name="cubic")
+                            output_chain=blower.output_chain, rate=lambda x, u: x ** 3,
+                            name="cubic")
         with pytest.raises(DivergenceError) as err:
             integrate_zoh(blower, np.array([5.0]), np.zeros(1), 40.0, 200)
         assert err.value.step is not None and err.value.step >= 0
@@ -188,8 +187,8 @@ class TestDoublePendulum:
 
     def test_shipped_plants_have_origin_equilibrium(self, pendulum):
         for plant in (pendulum, make_chain_plant((2, 2)), make_chain_plant((3, 1))):
-            np.testing.assert_allclose(plant.drift(np.zeros(plant.n)), np.zeros(plant.n),
-                                       atol=1e-14)
+            np.testing.assert_allclose(plant.rate(np.zeros(plant.n), np.zeros(plant.q)),
+                                       np.zeros(plant.n), atol=1e-14)
 
 
 class TestInSpanPlant:
