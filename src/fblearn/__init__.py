@@ -14,9 +14,8 @@ from .learning import (AdaptRunRecord, BaselineSpec, PolicyConfig, derive_seed,
 from .linearize import (GainMatrix, ReferenceModel, build_reference_model, design_gain,
                         exact_tracking_control, tracking_error)
 from .plants import (DoublePendulumParams, InSpanPlantSpec, PlantModel, eval_dynamics,
-                     eval_io, integrate_zoh, linearizing_terms, make_chain_plant,
-                     make_double_pendulum, make_inspan_plant, rk4_step,
-                     simulate_closed_loop)
+                     integrate_zoh, linearizing_terms, make_chain_plant, make_double_pendulum,
+                     make_inspan_plant, rk4_step, simulate_closed_loop)
 from .reference import (ReferenceSample, SinusoidSum, sample_reference, two_tone_reference,
                         uniform_bound)
 from .scenarios import Scenario, build_scenario, policy_config

@@ -24,22 +24,22 @@ import numpy as np
 
 from .basis import BasisSet
 from .linearize import GainMatrix, ReferenceModel
-from .plants import PlantModel, rk4_step
+from .plants import PlantModel, linearizing_terms, rk4_step
 
 Array = np.ndarray
 
 
-def assemble_W(plant: PlantModel, nominal: PlantModel, bases: BasisSet, x: Array,
-               y_dgamma: Array, e: Array, gains: GainMatrix) -> Array:
+def assemble_W(plant: PlantModel, bases: BasisSet, x: Array, y_dgamma: Array, e: Array,
+               gains: GainMatrix) -> Array:
     """Regressor ``W`` mapping parameter error to error-rate disturbance.
 
     Satisfies ``W @ phi = A_p(x) (u_hat(theta* + phi) - u_hat(theta*))`` for
     every ``phi``; assembled directly from the scalar features and the
-    plant's decoupling matrix, independently of the controller code path.
+    plant's decoupling matrix ``A_p = alpha^{-1}``, independently of the
+    controller code path.
     """
-    del nominal  # the regressor needs only the plant side and the bases
     phi_feats = bases.features(np.asarray(x, dtype=float))
-    A_p = plant.decoupling(np.asarray(x, dtype=float))
+    A_p = np.linalg.inv(linearizing_terms(plant, x)[1])
     v = np.asarray(y_dgamma, dtype=float) + gains.K @ np.asarray(e, dtype=float)
     w1 = bases.beta_scale * np.kron(phi_feats, A_p)
     w2 = bases.alpha_scale * np.kron(phi_feats, np.kron(A_p, v[None, :]))

@@ -206,9 +206,9 @@ def eval_learned_controller(bases: BasisSet, theta: Array, nominal: PlantModel,
                             x: Array, v: Array) -> Array:
     """Learned linearizing controller ``u_hat(theta, x, v)``.
 
-    Only the nominal model's decoupling matrix is ever inverted; the learned
-    terms enter additively, so no value of ``theta`` can raise a singularity
-    here.
+    Only the nominal model's gain ``alpha_m`` is checked for singularity;
+    the learned terms enter additively, so no value of ``theta`` can raise a
+    singularity here.
     """
     from .plants import linearizing_terms
 

@@ -320,14 +320,12 @@ def _fd_output_stack(model: PlantModel, x_prev: Array, x_end: Array, h: float) -
     their outputs.  Only relative degrees up to 2 are supported, which
     covers every shipped plant.
     """
-    y_end = model.output(x_end)
-    y_prev = model.output(x_prev)
-    xi = np.empty(y_end.shape[:-1] + (sum(model.gamma),))
+    xi = model.output_chain(x_end).copy()  # may be x_end itself
+    xi_prev = model.output_chain(x_prev)
     row = 0
-    for j, g in enumerate(model.gamma):
-        xi[..., row] = y_end[..., j]
+    for g in model.gamma:
         if g == 2:
-            xi[..., row + 1] = (y_end[..., j] - y_prev[..., j]) / h
+            xi[..., row + 1] = (xi[..., row] - xi_prev[..., row]) / h
         row += g
     return xi
 
@@ -434,7 +432,7 @@ def _lockstep(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0: A
                 else:
                     estimate = np.empty_like(theta)
                     for b in range(n_lanes):
-                        W = assemble_W(plant, nominal, bases, x[b], y_dg[k], e[b], gains)
+                        W = assemble_W(plant, bases, x[b], y_dg[k], e[b], gains)
                         estimate[b] = W.T @ (W @ (theta[b] - theta_star))
                     theta_next = theta - dt * estimate
 
@@ -540,8 +538,10 @@ def run_ensemble(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0
     output NumPy's ``einsum`` takes size-dependent kernels, so a lane can
     differ from its sequential run in the last bit (at 200 random states of
     ``inspan_diag``'s plant, 10 lanes of the plant rate and 35 of the
-    controller differ, each by at most 2.2e-16).  A trial that fails is flagged and frozen in place; the
-    others keep running.  Only ``e`` and ``theta`` are kept per step.
+    controller differ, each by at most 2.2e-16).  A trial that fails is
+    flagged and frozen in place; the others keep running, and once every
+    trial has failed the run stops.  Only ``e`` and ``theta`` are kept per
+    step.
     """
     seeds = np.array([derive_seed(seed, cell_key, b) for b in range(n_trials)], dtype=np.int64)
     noise = np.empty((n_trials, horizon, plant.q))
@@ -557,6 +557,10 @@ def run_ensemble(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0
     for k, node in enumerate(lanes):
         es[:, k], thetas[:, k] = node.e, node.theta
         diverged_step[node.failed] = k - 1
+        if (diverged_step >= 0).all():
+            # every lane is frozen: the remaining nodes repeat this one
+            es[:, k + 1:], thetas[:, k + 1:] = node.e[:, None], node.theta[:, None]
+            break
 
     phi = thetas - np.asarray(theta_star, dtype=float) if theta_star is not None else None
     return EnsembleRecord(t=np.arange(horizon + 1) * cfg.dt, e=es, phi=phi,

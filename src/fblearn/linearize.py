@@ -14,15 +14,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DimensionError, SingularMatrixError
+from .errors import DimensionError
 
 if TYPE_CHECKING:
     from .plants import PlantModel
 
 Array = np.ndarray
-
-#: Condition number above which a decoupling matrix is treated as singular.
-COND_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
@@ -112,22 +109,16 @@ def tracking_error(xi: Array, xi_d: Array) -> Array:
     return xi - xi_d
 
 
-def solve_decoupling(A_p: Array, rhs: Array, context: str = "decoupling matrix") -> Array:
-    """Solve ``A_p @ u = rhs``, raising if ``A_p`` is numerically singular."""
-    cond = np.linalg.cond(A_p)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularMatrixError(f"{context} is numerically singular", cond=float(np.max(cond)))
-    return np.linalg.solve(A_p, rhs)
-
-
 def exact_tracking_control(model: PlantModel, x: Array, xi_d: Array, y_dgamma: Array,
                            gains: GainMatrix) -> Array:
-    """Exact-model tracking law ``u = A_p(x)^-1 (-b(x) + y_d^(g) + K e)``.
+    """Exact-model tracking law ``u = beta(x) + alpha(x) (y_d^(g) + K e)``.
 
-    Requires the plant's true input-output data, so this is the oracle
+    Requires the plant's true linearizing controller, so this is the oracle
     controller the learned one is measured against.
     """
+    from .plants import linearizing_terms  # deferred: plants imports this module
+
     x = np.asarray(x, dtype=float)
     e = tracking_error(model.output_chain(x), xi_d)
-    b, A_p = model.io_drift(x), model.decoupling(x)
-    return solve_decoupling(A_p, -b + np.asarray(y_dgamma, dtype=float) + gains.K @ e)
+    beta, alpha = linearizing_terms(model, x)
+    return beta + alpha @ (np.asarray(y_dgamma, dtype=float) + gains.K @ e)

@@ -1,11 +1,12 @@
-"""Control-affine plants with closed-form input-output data.
+"""Control-affine plants with closed-form linearizing controllers.
 
 Every plant here is a system ``x' = f(x) + g(x) u, y = h(x)`` whose outputs
 all have full relative degree (the degrees sum to the state dimension), so
 there are no residual internal coordinates to track.  Each plant also carries
-its input-output data in closed form: the drift ``b(x)`` and decoupling
-matrix ``A_p(x)`` of ``y^(gamma) = b(x) + A_p(x) u``, and the map from state
-to the stacked outputs-and-derivatives vector ``xi``.
+its exact linearizing controller in closed form, the pair ``(beta(x),
+alpha(x))`` for which ``u = beta + alpha v`` gives ``y^(gamma) = v``, and
+the map from state to the stacked outputs-and-derivatives vector ``xi``.
+``linearizing_terms`` is the one place that judges ``alpha`` singular.
 
 All plant callables broadcast over leading batch dimensions: ``x`` may be
 ``(n,)`` or ``(m, n)`` and the results gain the same leading shape.  This
@@ -26,24 +27,22 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionError, DivergenceError, SingularMatrixError
-from .linearize import COND_LIMIT, build_reference_model
+from .linearize import build_reference_model
 
 Array = np.ndarray
+
+#: Frobenius condition number above which ``alpha`` is treated as singular.
+COND_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
 class PlantModel:
-    """A control-affine plant with closed-form input-output data.
+    """A control-affine plant with a closed-form linearizing controller.
 
     Attributes
     ----------
     n, q : int
         State and input/output dimensions.
-    output : callable
-        ``h(x) -> (.., q)``.
-    io_drift, decoupling : callable
-        ``b(x) -> (.., q)`` and ``A_p(x) -> (.., q, q)`` of the gamma-th
-        output derivative ``y^(gamma) = b(x) + A_p(x) u``.
     gamma : tuple of int
         Vector relative degree; sums to ``n`` for every shipped plant.
     output_chain : callable
@@ -52,16 +51,18 @@ class PlantModel:
     rate : callable
         The state rate ``(x, u) -> f(x) + g(x) u``, evaluated fused because a
         plant can usually evaluate the sum much cheaper than its parts.
+    linearizing : callable
+        ``x -> (beta, alpha)`` with shapes ``(.., q)`` and ``(.., q, q)``:
+        the input ``beta + alpha v`` gives ``y^(gamma) = v``.  May return
+        read-only arrays; callers go through :func:`linearizing_terms`.
     """
 
     n: int
     q: int
-    output: Callable[[Array], Array]
-    io_drift: Callable[[Array], Array]
-    decoupling: Callable[[Array], Array]
     gamma: tuple[int, ...]
     output_chain: Callable[[Array], Array]
     rate: Callable[[Array, Array], Array] = field(compare=False)
+    linearizing: Callable[[Array], tuple[Array, Array]] = field(compare=False)
     name: str = field(default="", compare=False)
 
 
@@ -101,31 +102,18 @@ def eval_dynamics(model: PlantModel, x: Array, u: Array) -> Array:
     return model.rate(x, u)
 
 
-def eval_io(model: PlantModel, x: Array) -> tuple[Array, Array]:
-    """Input-output data ``(b(x), A_p(x))`` of ``y^(gamma) = b + A_p u``.
-
-    Singularity of ``A_p`` is not checked here; consumers that invert it
-    report it.
-    """
-    x = _check_vector(x, model.n, "state")
-    return model.io_drift(x), model.decoupling(x)
-
-
 def frobenius_cond(mat: Array) -> float:
     """Cheap conditioning estimate: the worst Frobenius condition in a batch.
 
     Exact for 1x1 and 2x2 matrices (where ``||A^-1||_F = ||A||_F / |det|``);
     larger matrices fall back to the SVD-based 2-norm condition number.  The
     Frobenius number upper-bounds the 2-norm one, so the singularity
-    threshold stays conservative.
+    threshold stays conservative.  A matrix and its inverse share it.
     """
     mat = np.asarray(mat, dtype=float)
     q = mat.shape[-1]
     if q == 1:
-        a = np.abs(mat[..., 0, 0])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cond = np.where(a > 0, 1.0, np.inf)
-        return float(np.max(cond)) if np.all(a > 0) else float("inf")
+        return 1.0 if np.all(np.abs(mat[..., 0, 0]) > 0) else float("inf")
     if q == 2:
         det = mat[..., 0, 0] * mat[..., 1, 1] - mat[..., 0, 1] * mat[..., 1, 0]
         fro2 = np.sum(mat * mat, axis=(-2, -1))
@@ -136,18 +124,18 @@ def frobenius_cond(mat: Array) -> float:
 
 
 def linearizing_terms(model: PlantModel, x: Array) -> tuple[Array, Array]:
-    """The ``(beta, alpha)`` form of the model's exact linearizing controller.
+    """The model's exact linearizing controller ``u(x, v) = beta(x) + alpha(x) v``.
 
-    ``u(x, v) = beta(x) + alpha(x) v`` with ``beta = -A_p^{-1} b`` and
-    ``alpha = A_p^{-1}``.  Raises ``SingularMatrixError`` when the model's
-    decoupling matrix cannot be inverted at ``x``.
+    Raises ``SingularMatrixError`` when ``alpha`` (equivalently the
+    decoupling matrix ``alpha^{-1}``) is numerically singular at ``x``: its
+    Frobenius condition number exceeds ``COND_LIMIT``.
     """
-    b, A_p = eval_io(model, x)
-    cond = frobenius_cond(A_p)
+    x = _check_vector(x, model.n, "state")
+    beta, alpha = model.linearizing(x)
+    cond = frobenius_cond(alpha)
     if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularMatrixError(f"model '{model.name}' decoupling singular", cond=cond)
-    alpha = np.linalg.inv(A_p)
-    beta = -np.einsum("...ij,...j->...i", alpha, b)
+        raise SingularMatrixError(f"model '{model.name}' linearizing gain alpha is singular",
+                                  cond=cond)
     return beta, alpha
 
 
@@ -246,17 +234,13 @@ def make_double_pendulum(params: DoublePendulumParams | None = None) -> PlantMod
     State ``x = (q1, q2, dq1, dq2)``; dynamics ``M(q) q'' + C(q, q') q' +
     G(q) = u`` with torque input at both joints.  Both outputs have relative
     degree 2, so ``gamma = (2, 2)`` and the plant linearizes completely with
-    ``b = -M^{-1}(C q' + G)`` and ``A_p = M^{-1}``.
+    the computed-torque law ``beta = C q' + G`` and ``alpha = M``.
     """
     p = params if params is not None else DoublePendulumParams()
 
-    def io_drift(x):
+    def linearizing(x):
         M, cvec, gvec = _pendulum_mcg(p, x)
-        return -np.linalg.solve(M, (cvec + gvec)[..., None])[..., 0]
-
-    def decoupling(x):
-        M, _, _ = _pendulum_mcg(p, x)
-        return np.linalg.inv(M)
+        return cvec + gvec, M
 
     def rate(x, u):
         M, cvec, gvec = _pendulum_mcg(p, x)
@@ -265,13 +249,11 @@ def make_double_pendulum(params: DoublePendulumParams | None = None) -> PlantMod
 
     return PlantModel(
         n=4, q=2,
-        output=lambda x: x[..., 0:2],
-        io_drift=io_drift,
-        decoupling=decoupling,
         gamma=(2, 2),
         output_chain=lambda x: x[..., (0, 2, 1, 3)],
-        name="double_pendulum",
         rate=rate,
+        linearizing=linearizing,
+        name="double_pendulum",
     )
 
 
@@ -282,25 +264,25 @@ def make_double_pendulum(params: DoublePendulumParams | None = None) -> PlantMod
 def make_chain_plant(gamma) -> PlantModel:
     """Decoupled integrator chains ``y_j^(gamma_j) = u_j``.
 
-    The state is the stacked ``xi`` vector itself, ``b = 0`` and ``A_p = I``.
-    ``make_chain_plant((2, 2))`` is the two-channel double integrator used
-    as a linear test plant.
+    The state is the stacked ``xi`` vector itself and the linearizing
+    controller is ``(0, I)``, returned as read-only broadcasts of cached
+    constants.  ``make_chain_plant((2, 2))`` is the two-channel double
+    integrator used as a linear test plant.
     """
     ref = build_reference_model(gamma)
     A, B = ref.A, ref.B
     n, q = ref.total_degree, ref.q
-    top_rows = ref.block_starts
-    eye = np.eye(q)
+    beta = -np.zeros(q)  # -0.0 is the exact additive identity: beta + c == c bit for bit
+    alpha = np.eye(q)
 
     return PlantModel(
         n=n, q=q,
-        output=lambda x: x[..., top_rows],
-        io_drift=lambda x: np.zeros(x.shape[:-1] + (q,)),
-        decoupling=lambda x: np.broadcast_to(eye, x.shape[:-1] + eye.shape).copy(),
         gamma=ref.gamma,
         output_chain=lambda x: x,
-        name=f"chain{gamma}",
         rate=lambda x, u: np.einsum("ij,...j->...i", A, x) + np.einsum("ij,...j->...i", B, u),
+        linearizing=lambda x: (np.broadcast_to(beta, x.shape[:-1] + (q,)),
+                               np.broadcast_to(alpha, x.shape[:-1] + (q, q))),
+        name=f"chain{gamma}",
     )
 
 
@@ -333,12 +315,11 @@ class InSpanPlantSpec:
 def make_inspan_plant(spec: InSpanPlantSpec) -> PlantModel:
     """Build the plant whose exact linearizing controller is ``u_hat(theta_star)``.
 
-    The input-output data is back-solved from the controller: with
-    ``beta_p = beta_m + beta_corr`` and ``alpha_p = alpha_m + alpha_corr``
-    evaluated at ``theta_star``, the plant has ``A_p = alpha_p^{-1}`` and
-    ``b_p = -alpha_p^{-1} beta_p``, so applying the controller yields
-    ``y^(gamma) = v`` identically.  Raises ``SingularMatrixError`` wherever
-    ``alpha_p`` cannot be inverted.
+    The plant's controller is ``beta_p = beta_m + beta_corr`` and ``alpha_p =
+    alpha_m + alpha_corr`` evaluated at ``theta_star``; its dynamics are
+    back-solved from it, ``y^(gamma) = alpha_p^{-1} (u - beta_p)``, so
+    applying the controller yields ``y^(gamma) = v`` identically.  Raises
+    ``SingularMatrixError`` wherever ``alpha_p`` cannot be inverted.
     """
     from .basis import eval_correction  # deferred: basis imports this module
 
@@ -354,40 +335,22 @@ def make_inspan_plant(spec: InSpanPlantSpec) -> PlantModel:
         raise ValueError("in-span construction needs a nominal in output-chain "
                          "coordinates (output_chain must be the identity)")
 
-    def controller_pair(x):
+    def linearizing(x):
         beta_m, alpha_m = linearizing_terms(nominal, x)
         beta_c, alpha_c = eval_correction(bases, theta_star, x)
         return beta_m + beta_c, alpha_m + alpha_c
 
-    def checked_alpha(x):
-        beta_p, alpha_p = controller_pair(x)
-        cond = frobenius_cond(alpha_p)
-        if not np.isfinite(cond) or cond > COND_LIMIT:
-            raise SingularMatrixError("learned-controller gain alpha is singular; the "
-                                      "in-span plant is ill-posed at this state", cond=cond)
-        return beta_p, alpha_p
-
-    def decoupling(x):
-        _, alpha_p = checked_alpha(x)
-        return np.linalg.inv(alpha_p)
-
-    def io_drift(x):
-        beta_p, alpha_p = checked_alpha(x)
-        return -np.linalg.solve(alpha_p, beta_p[..., None])[..., 0]
-
     def rate(x, u):
-        # b_p + A_p u = alpha_p^{-1}(u - beta_p): one solve per evaluation
-        beta_p, alpha_p = checked_alpha(x)
+        beta_p, alpha_p = linearizing_terms(plant, x)
         top = np.linalg.solve(alpha_p, (u - beta_p)[..., None])[..., 0]
         return np.einsum("ij,...j->...i", A, x) + np.einsum("ij,...j->...i", B, top)
 
-    return PlantModel(
+    plant = PlantModel(
         n=n, q=q,
-        output=lambda x: x[..., ref.block_starts],
-        io_drift=io_drift,
-        decoupling=decoupling,
         gamma=ref.gamma,
         output_chain=lambda x: x,
-        name="inspan",
         rate=rate,
+        linearizing=linearizing,
+        name="inspan",
     )
+    return plant

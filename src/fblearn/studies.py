@@ -54,8 +54,8 @@ def regressor_series(record: AdaptRunRecord, scenario: Scenario) -> Array:
     w_list = []
     for k in range(n + 1):
         ref_k = sample_reference(scenario.reference, scenario.ref_model.gamma, record.t[k])
-        w_list.append(assemble_W(scenario.plant, scenario.nominal, scenario.bases,
-                                 record.x[k], ref_k.y_dgamma, record.e[k], scenario.gains))
+        w_list.append(assemble_W(scenario.plant, scenario.bases, record.x[k], ref_k.y_dgamma,
+                                 record.e[k], scenario.gains))
     return np.asarray(w_list)
 
 
@@ -134,7 +134,7 @@ def mc_gradient_samples(scenario: Scenario, theta: Array, cfg: PolicyConfig,
     v = ref_k.y_dgamma + gains.K @ e
     u_hat = eval_learned_controller(bases, theta, nominal, x_k, v)
     jac = controller_jacobian(bases, theta, nominal, x_k, v)
-    W = assemble_W(plant, nominal, bases, x_k, ref_k.y_dgamma, e, gains)
+    W = assemble_W(plant, bases, x_k, ref_k.y_dgamma, e, gains)
     target = least_squares_gradient(W, theta - scenario.theta_star)
 
     w = draw_noise(cfg, (n_draws, plant.q),

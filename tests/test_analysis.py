@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fblearn import (assemble_W, build_reference_model, continuous_reward, design_gain,
-                     eval_io, eval_learned_controller, fit_exponential_bound,
+                     eval_learned_controller, fit_exponential_bound, linearizing_terms,
                      interp_matrix_series, least_squares_gradient, ltv_matrix, pe_check,
                      simulate_ideal, transition_matrix, transition_norm_grid)
 
@@ -29,26 +29,24 @@ class TestRegressor:
             x = rng.uniform(-0.7, 0.7, 4)
             e = 0.3 * rng.standard_normal(4)
             y_dg = rng.standard_normal(2)
-            W = assemble_W(pendulum, pendulum, bases, x, y_dg, e, gains22)
+            W = assemble_W(pendulum, bases, x, y_dg, e, gains22)
             v = y_dg + gains22.K @ e
-            _, A_p = eval_io(pendulum, x)
+            A_p = np.linalg.inv(linearizing_terms(pendulum, x)[1])
             phi = rng.standard_normal(bases.size)
             delta_u = (eval_learned_controller(bases, theta_star + phi, pendulum, x, v)
                        - eval_learned_controller(bases, theta_star, pendulum, x, v))
             np.testing.assert_allclose(W @ phi, A_p @ delta_u, atol=1e-10)
 
     def test_zero_parameter_error_maps_to_zero(self, inspan1, rng):
-        W = assemble_W(inspan1.plant, inspan1.nominal, inspan1.bases,
-                       rng.uniform(-1, 1, 2), rng.standard_normal(1),
-                       rng.standard_normal(2), inspan1.gains)
+        W = assemble_W(inspan1.plant, inspan1.bases, rng.uniform(-1, 1, 2),
+                       rng.standard_normal(1), rng.standard_normal(2), inspan1.gains)
         np.testing.assert_array_equal(W @ np.zeros(inspan1.bases.size), np.zeros(1))
 
     def test_zero_v_zeroes_the_matrix_block(self, inspan1, rng):
         x = rng.uniform(-1, 1, 2)
         e = rng.standard_normal(2)
         y_dg = -inspan1.gains.K @ e  # makes v = 0
-        W = assemble_W(inspan1.plant, inspan1.nominal, inspan1.bases, x, y_dg, e,
-                       inspan1.gains)
+        W = assemble_W(inspan1.plant, inspan1.bases, x, y_dg, e, inspan1.gains)
         np.testing.assert_array_equal(W[:, inspan1.bases.k1:],
                                       np.zeros((1, inspan1.bases.k2)))
 

@@ -67,13 +67,13 @@ class TestLayout:
 
 class TestLearnedController:
     def test_zero_theta_is_the_nominal_law(self, small_rbf, pendulum, rng):
-        from fblearn import eval_io
+        from fblearn import eval_dynamics
         for _ in range(5):
             x = rng.uniform(-0.8, 0.8, 4)
             v = rng.standard_normal(2)
             u = eval_learned_controller(small_rbf, np.zeros(small_rbf.size), pendulum, x, v)
-            b, A = eval_io(pendulum, x)
-            np.testing.assert_allclose(u, np.linalg.solve(A, -b + v), atol=1e-12)
+            # the nominal law linearizes its own plant: the joint accelerations are v
+            np.testing.assert_allclose(eval_dynamics(pendulum, x, u)[2:], v, atol=1e-12)
 
     def test_hanging_rest_needs_no_torque(self, small_rbf, pendulum):
         # gravity vector vanishes at the straight-down equilibrium

@@ -424,6 +424,33 @@ class TestEnsemble:
             assert rec.diverged_step == ens.diverged_step[b]
             np.testing.assert_array_equal(ens.e[b, :rec.steps + 1], rec.e)
 
+    def test_stops_integrating_once_every_lane_has_failed(self, monkeypatch):
+        # the scenario above: all 4 lanes fail within a few of the 400 steps
+        import fblearn.learning
+        config = load_config(CONFIG_DIR / "inspan_mc.yaml",
+                             overrides=["sigma2=0.1", "dt=0.05", "basis.beta_scale=1.0",
+                                        "basis.alpha_scale=1.0"])
+        sc = build_scenario(config)
+        calls = []
+        real = fblearn.learning.eval_dynamics
+
+        def counting(*args):
+            calls.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(fblearn.learning, "eval_dynamics", counting)
+        ens = run_ensemble(sc.plant, sc.nominal, sc.bases, sc.theta0, sc.reference,
+                           sc.ref_model, sc.gains, policy_config(config), n_trials=4,
+                           horizon=400, baseline_kind="none", seed=11, x0=sc.x0,
+                           theta_star=sc.theta_star, substeps=4)
+        last = int(ens.diverged_step.max())
+        assert ens.diverged.all() and last < 50
+        assert len(calls) <= (last + 1) * 4 * 4  # substeps x RK4 stages per step
+        # the frozen lanes fill the rest of the record
+        np.testing.assert_array_equal(ens.e[:, last + 1:],
+                                      np.broadcast_to(ens.e[:, last + 1:last + 2],
+                                                      ens.e[:, last + 1:].shape))
+
     def test_singular_decoupling_fails_one_lane_and_propagates_in_a_batch(self, inspan1):
         # a nominal whose learned gain cancels to zero: singular at every state
         from fblearn import InSpanPlantSpec, make_inspan_plant, polynomial_basis

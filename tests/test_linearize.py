@@ -117,8 +117,7 @@ class TestExactTracking:
     def test_singular_decoupling_reported(self, gains22):
         base = make_chain_plant((2, 2))
         singular = PlantModel(
-            n=4, q=2, output=base.output, io_drift=base.io_drift,
-            decoupling=lambda x: np.zeros((2, 2)), gamma=base.gamma,
-            output_chain=base.output_chain, rate=base.rate, name="broken")
+            n=4, q=2, gamma=base.gamma, output_chain=base.output_chain, rate=base.rate,
+            linearizing=lambda x: (np.zeros(2), np.zeros((2, 2))), name="broken")
         with pytest.raises(SingularMatrixError):
             exact_tracking_control(singular, np.zeros(4), np.zeros(4), np.zeros(2), gains22)

@@ -1,30 +1,55 @@
+from functools import cache
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fblearn import (DoublePendulumParams, InSpanPlantSpec, PlantModel, eval_dynamics,
-                     eval_io, integrate_zoh, linearizing_terms, make_chain_plant,
+                     integrate_zoh, linearizing_terms, make_chain_plant,
                      make_double_pendulum, make_inspan_plant, polynomial_basis,
                      eval_learned_controller)
+from fblearn.config import load_config
 from fblearn.errors import DimensionError, DivergenceError, SingularMatrixError
+from fblearn.linearize import build_reference_model
+from fblearn.scenarios import build_scenario
 
 from oracles import expm, loglog_slope, pendulum_accel, pendulum_mass_matrix
 
 
 def linear_plant(F, G):
-    """Ad-hoc linear plant for integration tests; io data unused."""
+    """Ad-hoc linear plant for integration tests; its linearizing controller is unused."""
     F = np.asarray(F, dtype=float)
     G = np.asarray(G, dtype=float)
     n, q = G.shape
     return PlantModel(
         n=n, q=q,
-        output=lambda x: x[..., :q],
-        io_drift=lambda x: np.zeros(x.shape[:-1] + (q,)),
-        decoupling=lambda x: np.broadcast_to(np.eye(q), x.shape[:-1] + (q, q)).copy(),
         gamma=(1,) * q,
         output_chain=lambda x: x[..., :q],
         rate=lambda x, u: np.einsum("ij,...j->...i", F, x) + np.einsum("ij,...j->...i", G, u),
+        linearizing=lambda x: (np.zeros(x.shape[:-1] + (q,)),
+                               np.broadcast_to(np.eye(q), x.shape[:-1] + (q, q))),
         name="linear-test",
     )
+
+
+SHIPPED_PLANTS = ("pendulum", "pendulum_nominal", "chain22", "chain31", "inspan_q1",
+                  "inspan_q2")
+
+
+@cache
+def _shipped_plant(name):
+    configs = Path(__file__).parent.parent / "configs"
+    return {
+        "pendulum": make_double_pendulum,
+        "pendulum_nominal": lambda: make_double_pendulum(DoublePendulumParams().scaled(1.3)),
+        "chain22": lambda: make_chain_plant((2, 2)),
+        "chain31": lambda: make_chain_plant((3, 1)),
+        "inspan_q1": lambda: build_scenario(load_config(configs / "inspan_diag.yaml")).plant,
+        "inspan_q2": lambda: build_scenario(load_config(configs / "inspan_mc.yaml")).plant,
+    }[name]()
 
 
 class TestEvalDynamics:
@@ -71,32 +96,48 @@ class TestEvalDynamics:
             np.testing.assert_allclose(batch[i], eval_dynamics(pendulum, xs[i], us[i]))
 
 
-class TestEvalIO:
-    def test_pendulum_decoupling_at_rest(self, pendulum):
-        b, A = eval_io(pendulum, np.zeros(4))
-        np.testing.assert_allclose(A, [[1.0, -2.0], [-2.0, 5.0]], atol=1e-12)
-        np.testing.assert_allclose(A, np.linalg.inv(pendulum_mass_matrix(np.zeros(2))),
-                                   atol=1e-6)
-        np.testing.assert_allclose(b, np.zeros(2), atol=1e-12)
+class TestLinearizingTerms:
+    def test_pendulum_at_rest_is_the_mass_matrix(self, pendulum):
+        beta, alpha = linearizing_terms(pendulum, np.zeros(4))
+        np.testing.assert_array_equal(alpha, [[5.0, 2.0], [2.0, 1.0]])
+        np.testing.assert_allclose(alpha, pendulum_mass_matrix(np.zeros(2)), atol=1e-6)
+        np.testing.assert_array_equal(beta, np.zeros(2))
 
     def test_double_integrator_identity(self, rng):
         plant = make_chain_plant((2, 2))
-        x = rng.standard_normal(4)
-        b, A = eval_io(plant, x)
-        np.testing.assert_allclose(b, np.zeros(2))
-        np.testing.assert_allclose(A, np.eye(2))
+        beta, alpha = linearizing_terms(plant, rng.standard_normal(4))
+        np.testing.assert_array_equal(beta, np.zeros(2))
+        np.testing.assert_array_equal(alpha, np.eye(2))
+        beta, alpha = linearizing_terms(plant, rng.standard_normal((7, 4)))
+        np.testing.assert_array_equal(beta, np.zeros((7, 2)))
+        np.testing.assert_array_equal(alpha, np.broadcast_to(np.eye(2), (7, 2, 2)))
 
-    def test_inspan_io_inverts_controller(self, inspan1, rng):
+    def test_inspan_plant_inverts_its_controller(self, inspan1, rng):
         for _ in range(5):
             x = rng.uniform(-1, 1, 2)
             v = rng.standard_normal(1)
-            b, A = eval_io(inspan1.plant, x)
+            beta, alpha = linearizing_terms(inspan1.plant, x)
             u = eval_learned_controller(inspan1.bases, inspan1.theta_star,
                                         inspan1.nominal, x, v)
-            np.testing.assert_allclose(b + A @ u, v, atol=1e-12)
+            np.testing.assert_allclose(u, beta + alpha @ v, atol=1e-12)
+            np.testing.assert_allclose(eval_dynamics(inspan1.plant, x, u)[1], v, atol=1e-12)
+
+    @pytest.mark.parametrize("name", SHIPPED_PLANTS)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_controller_linearizes_its_plant(self, name, data):
+        # y^(gamma) under u = beta + alpha v is v, for every shipped plant
+        plant = _shipped_plant(name)
+        x = data.draw(arrays(float, plant.n, elements=st.floats(-1.0, 1.0)), label="x")
+        v = data.draw(arrays(float, plant.q, elements=st.floats(-5.0, 5.0)), label="v")
+        beta, alpha = linearizing_terms(plant, x)
+        B = build_reference_model(plant.gamma).B
+        got = B.T @ plant.output_chain(plant.rate(x, beta + alpha @ v))
+        # relative to v, with an absolute floor for entries of v near zero
+        np.testing.assert_allclose(got, v, rtol=1e-9, atol=1e-9)
 
     def test_flow_consistency_by_finite_differences(self, pendulum, rng):
-        # central second difference of y along the flow matches b + A u
+        # central second difference of y along the flow matches alpha^-1 (u - beta)
         h = 1e-5
 
         def step(x, u, h_signed):
@@ -109,11 +150,9 @@ class TestEvalIO:
         for _ in range(5):
             x = rng.uniform(-0.8, 0.8, 4)
             u = rng.uniform(-1.5, 1.5, 2)
-            b, A = eval_io(pendulum, x)
-            y_plus = pendulum.output(step(x, u, h))
-            y_minus = pendulum.output(step(x, u, -h))
-            ydd = (y_plus - 2 * pendulum.output(x) + y_minus) / h ** 2
-            np.testing.assert_allclose(ydd, b + A @ u, atol=1e-4)
+            beta, alpha = linearizing_terms(pendulum, x)
+            ydd = (step(x, u, h)[:2] - 2 * x[:2] + step(x, u, -h)[:2]) / h ** 2
+            np.testing.assert_allclose(ydd, np.linalg.inv(alpha) @ (u - beta), atol=1e-4)
 
 
 class TestIntegrateZOH:
@@ -144,9 +183,8 @@ class TestIntegrateZOH:
 
     def test_divergence_raises_with_step_index(self):
         blower = linear_plant(np.zeros((1, 1)), np.zeros((1, 1)))
-        blower = PlantModel(n=1, q=1, output=blower.output, io_drift=blower.io_drift,
-                            decoupling=blower.decoupling, gamma=(1,),
-                            output_chain=blower.output_chain, rate=lambda x, u: x ** 3,
+        blower = PlantModel(n=1, q=1, gamma=(1,), output_chain=blower.output_chain,
+                            rate=lambda x, u: x ** 3, linearizing=blower.linearizing,
                             name="cubic")
         with pytest.raises(DivergenceError) as err:
             integrate_zoh(blower, np.array([5.0]), np.zeros(1), 40.0, 200)
@@ -170,10 +208,9 @@ class TestDoublePendulum:
         assert scaled.m1 == scaled.m2 == scaled.l1 == scaled.l2 == pytest.approx(1.3)
         assert scaled.gravity == pytest.approx(9.81)
         nominal = make_double_pendulum(scaled)
-        b, A = eval_io(nominal, np.zeros(4))
+        _, alpha = linearizing_terms(nominal, np.zeros(4))
         np.testing.assert_allclose(
-            A, np.linalg.inv(pendulum_mass_matrix(np.zeros(2), 1.3, 1.3, 1.3, 1.3)),
-            atol=1e-6)
+            alpha, pendulum_mass_matrix(np.zeros(2), 1.3, 1.3, 1.3, 1.3), atol=1e-6)
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
@@ -222,11 +259,4 @@ class TestInSpanPlant:
         plant = make_inspan_plant(InSpanPlantSpec(nominal=nominal, bases=bases,
                                                   theta_star=theta_star))
         with pytest.raises(SingularMatrixError):
-            eval_io(plant, np.zeros(2))
-
-    def test_linearizing_terms_roundtrip(self, inspan1, rng):
-        x = rng.uniform(-1, 1, 2)
-        beta, alpha = linearizing_terms(inspan1.plant, x)
-        b, A = eval_io(inspan1.plant, x)
-        np.testing.assert_allclose(alpha @ A, np.eye(1), atol=1e-12)
-        np.testing.assert_allclose(beta, -alpha @ b, atol=1e-12)
+            linearizing_terms(plant, np.zeros(2))
