@@ -2,10 +2,11 @@
 
 The closed loop under the learned controller obeys, to first order,
 ``e' = (A + B K) e + B W(x, y_d^(g), e) phi`` where ``phi`` is the parameter
-error.  Because the controller is linear in its parameters, the regressor
-``W`` has closed-form columns: ``A_p(x) beta_k(x)`` for the vector-correction
-block and ``A_p(x) alpha_k(x) v`` (with ``v = y_d^(g) + K e``) for the
-matrix-correction block.  Stacking ``X = (e, phi)`` and pairing the error
+error.  Because the controller is linear in its parameters, the regressor is
+``W = A_p(x) J`` with ``A_p = alpha^{-1}`` the plant's decoupling matrix and
+``J = d u_hat / d theta`` the controller Jacobian at ``v = y_d^(g) + K e``;
+both come from ``basis.layout_columns``, and ``W`` is assembled in bulk for
+any stack of nodes and lanes.  Stacking ``X = (e, phi)`` and pairing the error
 dynamics with the least-squares parameter flow ``phi' = -W.T W phi`` gives
 the linear time-varying system
 
@@ -18,11 +19,12 @@ and exponential-decay envelope this module computes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
 
-from .basis import BasisSet
+from .basis import BasisSet, layout_columns
 from .linearize import GainMatrix, ReferenceModel
 from .plants import PlantModel, linearizing_terms, rk4_step
 
@@ -34,16 +36,13 @@ def assemble_W(plant: PlantModel, bases: BasisSet, x: Array, y_dgamma: Array, e:
     """Regressor ``W`` mapping parameter error to error-rate disturbance.
 
     Satisfies ``W @ phi = A_p(x) (u_hat(theta* + phi) - u_hat(theta*))`` for
-    every ``phi``; assembled directly from the scalar features and the
-    plant's decoupling matrix ``A_p = alpha^{-1}``, independently of the
-    controller code path.
+    every ``phi``: the controller Jacobian with the plant's decoupling matrix
+    ``A_p = alpha^{-1}`` on the left.  Broadcasts over nodes and lanes.
     """
-    phi_feats = bases.features(np.asarray(x, dtype=float))
     A_p = np.linalg.inv(linearizing_terms(plant, x)[1])
-    v = np.asarray(y_dgamma, dtype=float) + gains.K @ np.asarray(e, dtype=float)
-    w1 = bases.beta_scale * np.kron(phi_feats, A_p)
-    w2 = bases.alpha_scale * np.kron(phi_feats, np.kron(A_p, v[None, :]))
-    return np.concatenate([w1, w2], axis=-1)
+    e = np.asarray(e, dtype=float)
+    v = np.asarray(y_dgamma, dtype=float) + (gains.K @ e[..., None])[..., 0]
+    return layout_columns(bases, bases.features(x), A_p, v)
 
 
 def continuous_reward(W: Array, phi: Array) -> float:
@@ -53,9 +52,9 @@ def continuous_reward(W: Array, phi: Array) -> float:
 
 
 def least_squares_gradient(W: Array, phi: Array) -> Array:
-    """Gradient ``W.T W phi`` of the continuous cost in ``phi``."""
-    W = np.asarray(W)
-    return W.T @ (W @ np.asarray(phi, dtype=float))
+    """Gradient ``W.T W phi`` of the continuous cost in ``phi``, broadcasting over lanes."""
+    W, phi = np.asarray(W), np.asarray(phi, dtype=float)
+    return (W.swapaxes(-1, -2) @ (W @ phi[..., None]))[..., 0]
 
 
 def ltv_matrix(ref: ReferenceModel, gains: GainMatrix, W: Array) -> Array:
@@ -240,20 +239,22 @@ def transition_norm_grid(w_of_t: Callable[[float], Array], ref: ReferenceModel,
                          gains: GainMatrix, t_grid: Array, step: float) -> tuple[Array, Array]:
     """Spectral norms of ``Phi(t1, t2)`` over all ordered grid pairs.
 
-    Propagates once per start time, collecting the norm at every later grid
-    point; returns flat ``(gaps, norms)`` arrays ready for
-    :func:`fit_exponential_bound`.
+    Integrates one propagator per adjacent grid interval and forms every
+    longer one as their product; returns flat ``(gaps, norms)`` arrays ready
+    for :func:`fit_exponential_bound`.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    dim = ltv_matrix(ref, gains, w_of_t(t_grid[0])).shape[0]
-    rhs = lambda t, P: ltv_matrix(ref, gains, w_of_t(t)) @ P  # noqa: E731
+    # RK4 is linear in its initial condition: started from a matrix P instead
+    # of the identity, the integration over [t_i, t_{i+1}] returns P_i @ P in
+    # exact arithmetic.  So Phi(t_j, t_i) = P_{j-1} ... P_i, and the product
+    # differs from integrating each pair only by round-off.
+    props = [transition_matrix(w_of_t, ref, gains, t0, t1, step)
+             for t0, t1 in zip(t_grid[:-1], t_grid[1:])]
     gaps, norms = [], []
     for j, t2 in enumerate(t_grid):
-        phi = np.eye(dim)
         gaps.append(0.0)
         norms.append(1.0)
-        for i in range(j, len(t_grid) - 1):
-            phi = _rk4_ltv(rhs, phi, t_grid[i], t_grid[i + 1], step)
-            gaps.append(float(t_grid[i + 1] - t2))
+        for t1, phi in zip(t_grid[j + 1:], accumulate(props[j:], lambda acc, p: p @ acc)):
+            gaps.append(float(t1 - t2))
             norms.append(float(np.linalg.norm(phi, ord=2)))
     return np.asarray(gaps), np.asarray(norms)

@@ -218,23 +218,27 @@ def eval_learned_controller(bases: BasisSet, theta: Array, nominal: PlantModel,
     return beta_m + beta_c + np.einsum("...jl,...l->...j", alpha_m + alpha_c, v)
 
 
-def controller_jacobian(bases: BasisSet, theta: Array, nominal: PlantModel,
-                        x: Array, v: Array) -> Array:
-    """Jacobian ``d u_hat / d theta``, a ``(q, k1 + k2)`` matrix.
+def layout_columns(bases: BasisSet, phi: Array, left: Array, v: Array) -> Array:
+    """``left @ d u_hat / d theta``, a ``(.., q, k1 + k2)`` stack; the layout's one home.
 
-    The controller is linear in ``theta``: the theta1 block's columns are
-    ``phi_i(x) e_j`` and the theta2 block's are ``phi_i(x) E_jl v``, so the
-    result does not depend on ``theta`` (the argument is kept for signature
-    symmetry with the evaluation).
+    Entry ``(r, i*q + j)`` is ``beta_scale * phi_i * left[r, j]`` and entry
+    ``(r, k1 + i*q*q + j*q + l)`` is ``alpha_scale * phi_i * left[r, j] * v_l``,
+    each formed in ``np.kron``'s association order.  Leading dimensions of the
+    features ``phi``, the ``(q, q)`` matrix ``left`` and the input ``v`` broadcast.
     """
-    del theta
-    phi = bases.features(x)
-    v = np.asarray(v, dtype=float)
     q = bases.io_dim
-    eye = np.eye(q)
-    j1 = bases.beta_scale * np.kron(phi, eye)
-    j2 = bases.alpha_scale * np.kron(phi, np.kron(eye, v[None, :]))
-    return np.concatenate([j1, j2], axis=-1)
+    lead = np.broadcast_shapes(phi.shape[:-1], left.shape[:-2], v.shape[:-1])
+    phi, left = phi[..., None, :, None], left[..., :, None, :]  # axes (row, i, j)
+    c1 = np.broadcast_to(bases.beta_scale * (phi * left), lead + (q, bases.n_scalar, q))
+    c2 = bases.alpha_scale * (phi[..., None] * (left[..., None] * v[..., None, None, None, :]))
+    return np.concatenate([c1.reshape(lead + (q, bases.k1)), c2.reshape(lead + (q, bases.k2))],
+                          axis=-1)
+
+
+def controller_jacobian(bases: BasisSet, x: Array, v: Array) -> Array:
+    """Jacobian ``d u_hat / d theta`` (free of ``theta``), broadcasting over ``x`` and ``v``."""
+    return layout_columns(bases, bases.features(x), np.eye(bases.io_dim),
+                          np.asarray(v, dtype=float))
 
 
 def feature_gram(bases: BasisSet, points: Array) -> Array:

@@ -29,8 +29,8 @@ import yaml
 from .analysis import fit_exponential_bound, interp_matrix_series, pe_check, transition_norm_grid
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, DivergenceError, FblearnError, SingularMatrixError
-from .learning import AdaptRunRecord, run_episode
-from .scenarios import Scenario, build_scenario, make_baseline, policy_config
+from .learning import AdaptRunRecord, BaselineSpec, run_episode
+from .scenarios import Scenario, build_scenario, policy_config
 from .studies import bias_study, concentration_study, regressor_series
 
 try:  # installed distribution, if available
@@ -55,7 +55,7 @@ def _episode(config: ExperimentConfig, scenario: Scenario, learn: bool,
     return run_episode(
         scenario.plant, scenario.nominal, scenario.bases, scenario.theta0,
         scenario.reference, scenario.ref_model, scenario.gains, cfg,
-        baseline=make_baseline(config), horizon=int(round(config.horizon_s / cfg.dt)),
+        baseline=BaselineSpec(config.baseline), horizon=int(round(config.horizon_s / cfg.dt)),
         seed=config.seed, x0=scenario.x0, learn=learn, theta_star=scenario.theta_star,
         substeps=config.substeps, measure=config.measure,
         config_snapshot=config.to_dict())
@@ -110,12 +110,12 @@ def summarize_run(record: AdaptRunRecord, wall_time_s: float) -> dict:
     }
 
 
-def write_run_artifact(out_dir: Path, record: AdaptRunRecord, config: ExperimentConfig,
-                       wall_time_s: float) -> None:
+def _artifact_dir(args, config: ExperimentConfig, suffix: str) -> Path:
+    """Create the run's artifact directory and write the resolved config into it."""
+    out_dir = Path(args.out_dir) / f"{config.scenario}_{config.seed}{suffix}"
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.yaml").write_text(yaml.safe_dump(config.to_dict(), sort_keys=False))
-    write_steps_csv(out_dir / "steps.csv", record)
-    (out_dir / "summary.json").write_text(json.dumps(summarize_run(record, wall_time_s), indent=2))
+    return out_dir
 
 
 def cmd_run(config: ExperimentConfig, args) -> int:
@@ -123,9 +123,9 @@ def cmd_run(config: ExperimentConfig, args) -> int:
     start = time.perf_counter()
     record = _episode(config, scenario, learn=not args.no_learning)
     wall = time.perf_counter() - start
-    suffix = "_frozen" if args.no_learning else ""
-    out_dir = Path(args.out_dir) / f"{config.scenario}_{config.seed}{suffix}"
-    write_run_artifact(out_dir, record, config, wall)
+    out_dir = _artifact_dir(args, config, "_frozen" if args.no_learning else "")
+    write_steps_csv(out_dir / "steps.csv", record)
+    (out_dir / "summary.json").write_text(json.dumps(summarize_run(record, wall), indent=2))
     print(f"wrote {out_dir} ({record.steps} steps, diverged={record.diverged})")
     return EXIT_DIVERGED if record.diverged else EXIT_OK
 
@@ -136,9 +136,7 @@ def cmd_compare(config: ExperimentConfig, args) -> int:
     learning = _episode(config, scenario, learn=True)
     frozen = _episode(config, scenario, learn=False)
     wall = time.perf_counter() - start
-    out_dir = Path(args.out_dir) / f"{config.scenario}_{config.seed}_compare"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.yaml").write_text(yaml.safe_dump(config.to_dict(), sort_keys=False))
+    out_dir = _artifact_dir(args, config, "_compare")
     write_steps_csv(out_dir / "learning.csv", learning)
     write_steps_csv(out_dir / "no_learning.csv", frozen)
     q_learn, q_frozen = _quarter_stats(learning), _quarter_stats(frozen)
@@ -167,24 +165,21 @@ def cmd_mc(config: ExperimentConfig, args) -> int:
         print(f"mc needs a scenario with a known true parameter vector; {config.scenario} "
               "has none. Use scenario inspan_synthetic or linear_test.", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    trials = args.trials if args.trials else config.trials
     start = time.perf_counter()
     report = concentration_study(
-        scenario, policy_config(config), trials=trials, lambdas=config.sweep.lam,
+        scenario, policy_config(config), trials=config.trials, lambdas=config.sweep.lam,
         dt_list=config.sweep.dt, sigma2_list=config.sweep.sigma2,
         horizon_s=config.horizon_s, seed=config.seed, substeps=config.substeps,
         baseline_kind=config.baseline)
     bias = None
     if len(config.sweep.dt) >= 2:
-        bias = bias_study(scenario, policy_config(config), trials=trials,
+        bias = bias_study(scenario, policy_config(config), trials=config.trials,
                           dt_list=config.sweep.dt, horizon_s=config.horizon_s,
                           seed=config.seed, substeps=config.substeps,
                           baseline_kind=config.baseline)
     wall = time.perf_counter() - start
 
-    out_dir = Path(args.out_dir) / f"{config.scenario}_{config.seed}_mc"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.yaml").write_text(yaml.safe_dump(config.to_dict(), sort_keys=False))
+    out_dir = _artifact_dir(args, config, "_mc")
     shape_checks = {
         "sqrt_dt_slope_in_band": (abs(report.dt_slope - 0.5) <= 0.2
                                   if report.dt_slope is not None else None),
@@ -195,7 +190,7 @@ def cmd_mc(config: ExperimentConfig, args) -> int:
     }
     payload = {
         "library_version": VERSION,
-        "trials": trials,
+        "trials": config.trials,
         "cells": [asdict(c) for c in report.cells],
         "dt_slope": report.dt_slope,
         "sigma_ratios": list(report.sigma_ratios) if report.sigma_ratios else None,
@@ -219,7 +214,7 @@ def cmd_mc(config: ExperimentConfig, args) -> int:
             writer.writerow(["dt", "mean_offset"])
             for dt, offset in zip(bias.dts, bias.offsets):
                 writer.writerow([_fmt(dt), _fmt(offset)])
-    print(f"wrote {out_dir} ({len(report.cells)} cells x {trials} trials)")
+    print(f"wrote {out_dir} ({len(report.cells)} cells x {config.trials} trials)")
     return EXIT_OK
 
 
@@ -239,9 +234,7 @@ def cmd_diag(config: ExperimentConfig, args) -> int:
     gaps, norms = transition_norm_grid(w_of_t, scenario.ref_model, scenario.gains,
                                        t_grid, config.diag.fit_step)
     fit = fit_exponential_bound(gaps, norms)
-    out_dir = Path(args.out_dir) / f"{config.scenario}_{config.seed}_diag"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.yaml").write_text(yaml.safe_dump(config.to_dict(), sort_keys=False))
+    out_dir = _artifact_dir(args, config, "_diag")
     payload = {
         "library_version": VERSION,
         "pe": asdict(pe),

@@ -27,7 +27,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .basis import BasisSet, eval_learned_controller
+from .analysis import assemble_W, least_squares_gradient
+from .basis import BasisSet, controller_jacobian, eval_learned_controller
 from .errors import DimensionError, DivergenceError, SingularMatrixError
 from .linearize import GainMatrix, ReferenceModel
 from .plants import PlantModel, eval_dynamics, rk4_step
@@ -234,10 +235,11 @@ def discrete_reward(e: Array, e_next: Array, ref: ReferenceModel, gains: GainMat
 
 
 def grad_log_policy(u: Array, u_hat: Array, sigma2: float, jac: Array) -> Array:
-    """Score function of the Gaussian policy: ``jac.T @ (u - u_hat) / sigma2``."""
+    """Gaussian-policy score ``jac.T @ (u - u_hat) / sigma2``, broadcasting over lanes."""
     if sigma2 <= 0:
         raise ValueError(f"sigma2 must be positive for the score function, got {sigma2}")
-    return jac.T @ (np.asarray(u, dtype=float) - np.asarray(u_hat, dtype=float)) / sigma2
+    r = np.asarray(u, dtype=float) - np.asarray(u_hat, dtype=float)
+    return (np.asarray(jac).swapaxes(-1, -2) @ r[..., None])[..., 0] / sigma2
 
 
 def update_params(theta: Array, estimate: Array, dt: float) -> Array:
@@ -375,9 +377,6 @@ def _lockstep(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0: A
     theta0 = np.asarray(theta0, dtype=float)
     if theta0.shape != (bases.size,):
         raise DimensionError(f"theta0 must have shape ({bases.size},), got {theta0.shape}")
-    if update_rule == "ideal":
-        from .analysis import assemble_W  # deferred: analysis imports this module
-
     n_lanes, horizon = noise.shape[:2]
     dt = cfg.dt
     h = dt / substeps
@@ -420,21 +419,11 @@ def _lockstep(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0: A
                 if not learn:
                     theta_next = theta
                 elif update_rule == "policy_gradient":
-                    # the score jac.T @ (u - u_hat) / sigma2, entry by entry
-                    phi = bases.features(x)
-                    r = u - u_hat
-                    score1 = (bases.beta_scale * phi)[:, :, None] * r[:, None, :] / cfg.sigma2
-                    score2 = (bases.alpha_scale * (phi[:, :, None, None] * v[:, None, None, :])
-                              * r[:, None, :, None] / cfg.sigma2)
-                    score = np.concatenate([score1.reshape(n_lanes, -1),
-                                            score2.reshape(n_lanes, -1)], axis=1)
+                    score = grad_log_policy(u, u_hat, cfg.sigma2, controller_jacobian(bases, x, v))
                     theta_next = theta - dt * ((reward - b_val)[:, None] * score)
                 else:
-                    estimate = np.empty_like(theta)
-                    for b in range(n_lanes):
-                        W = assemble_W(plant, bases, x[b], y_dg[k], e[b], gains)
-                        estimate[b] = W.T @ (W @ (theta[b] - theta_star))
-                    theta_next = theta - dt * estimate
+                    W = assemble_W(plant, bases, x, y_dg[k], e, gains)
+                    theta_next = theta - dt * least_squares_gradient(W, theta - theta_star)
 
                 ok = (np.isfinite(x_next).all(axis=1) & np.isfinite(theta_next).all(axis=1)
                       & np.isfinite(reward) & (np.abs(x_next).max(axis=1) < STATE_BOUND))

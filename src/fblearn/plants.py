@@ -336,7 +336,8 @@ def make_inspan_plant(spec: InSpanPlantSpec) -> PlantModel:
                          "coordinates (output_chain must be the identity)")
 
     def linearizing(x):
-        beta_m, alpha_m = linearizing_terms(nominal, x)
+        # the plant's own linearizing_terms judges the state and the summed alpha_p
+        beta_m, alpha_m = nominal.linearizing(x)
         beta_c, alpha_c = eval_correction(bases, theta_star, x)
         return beta_m + beta_c, alpha_m + alpha_c
 

@@ -9,7 +9,7 @@ import numpy as np
 from .basis import BasisSet, build_rbf_grid, polynomial_basis
 from .config import BasisSection, ExperimentConfig
 from .errors import ConfigError
-from .learning import BaselineSpec, PolicyConfig
+from .learning import PolicyConfig
 from .linearize import GainMatrix, ReferenceModel, build_reference_model, design_gain
 from .plants import (DoublePendulumParams, InSpanPlantSpec, PlantModel,
                      make_chain_plant, make_double_pendulum, make_inspan_plant)
@@ -133,13 +133,7 @@ def build_scenario(config: ExperimentConfig) -> Scenario:
                     theta0=theta0, theta_star=theta_star, x0=x0)
 
 
-def policy_config(config: ExperimentConfig, sigma2: float | None = None,
-                  dt: float | None = None) -> PolicyConfig:
-    """Policy knobs from the config, with optional per-cell replacements."""
-    return PolicyConfig(sigma2=config.sigma2 if sigma2 is None else sigma2,
-                        dt=config.dt if dt is None else dt,
+def policy_config(config: ExperimentConfig, sigma2: float | None = None) -> PolicyConfig:
+    """Policy knobs from the config, with an optional noise-variance replacement."""
+    return PolicyConfig(sigma2=config.sigma2 if sigma2 is None else sigma2, dt=config.dt,
                         noise_clip=config.noise_clip)
-
-
-def make_baseline(config: ExperimentConfig) -> BaselineSpec:
-    return BaselineSpec(kind=config.baseline)

@@ -18,7 +18,7 @@ from .analysis import (assemble_W, interp_matrix_series, least_squares_gradient,
                        transition_matrix)
 from .basis import controller_jacobian, eval_learned_controller
 from .learning import (AdaptRunRecord, EnsembleRecord, PolicyConfig, discrete_reward,
-                       draw_noise, run_ensemble)
+                       draw_noise, grad_log_policy, run_ensemble)
 from .linearize import tracking_error
 from .plants import integrate_zoh
 from .reference import sample_reference
@@ -49,14 +49,10 @@ class DisturbanceSamples:
 
 
 def regressor_series(record: AdaptRunRecord, scenario: Scenario) -> Array:
-    """Recompute ``W_k`` at every node of a recorded run."""
-    n = record.steps
-    w_list = []
-    for k in range(n + 1):
-        ref_k = sample_reference(scenario.reference, scenario.ref_model.gamma, record.t[k])
-        w_list.append(assemble_W(scenario.plant, scenario.bases, record.x[k], ref_k.y_dgamma,
-                                 record.e[k], scenario.gains))
-    return np.asarray(w_list)
+    """Recompute ``W_k`` at every node of a recorded run, in one assembly."""
+    y_dg = np.array([sample_reference(scenario.reference, scenario.ref_model.gamma, t).y_dgamma
+                     for t in record.t])
+    return assemble_W(scenario.plant, scenario.bases, record.x, y_dg, record.e, scenario.gains)
 
 
 def measure_disturbances(record: AdaptRunRecord, scenario: Scenario,
@@ -133,7 +129,7 @@ def mc_gradient_samples(scenario: Scenario, theta: Array, cfg: PolicyConfig,
     e = tracking_error(xi, ref_k.xi_d)
     v = ref_k.y_dgamma + gains.K @ e
     u_hat = eval_learned_controller(bases, theta, nominal, x_k, v)
-    jac = controller_jacobian(bases, theta, nominal, x_k, v)
+    jac = controller_jacobian(bases, x_k, v)
     W = assemble_W(plant, bases, x_k, ref_k.y_dgamma, e, gains)
     target = least_squares_gradient(W, theta - scenario.theta_star)
 
@@ -146,7 +142,7 @@ def mc_gradient_samples(scenario: Scenario, theta: Array, cfg: PolicyConfig,
     e_next = plant.output_chain(x_next) - ref_next.xi_d
 
     rewards = discrete_reward(e, e_next, ref_model, gains, cfg.dt)
-    scores = (w / cfg.sigma2) @ jac
+    scores = grad_log_policy(u, u_hat, cfg.sigma2, jac)
     estimates = (rewards - baseline_value)[:, None] * scores
     return GradientStudy(estimates=estimates, scores=scores, rewards=rewards,
                          target=target, u_hat=u_hat, W=W)

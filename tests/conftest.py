@@ -86,6 +86,12 @@ def inspan_mc():
     return _inspan_scenario_mc()
 
 
+@pytest.fixture(scope="session")
+def pendulum_scenario():
+    """The shipped pendulum experiment: 100 RBF centers, the 1.3x nominal."""
+    return build_scenario(load_config(CONFIG_DIR / "pendulum.yaml"))
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(42)

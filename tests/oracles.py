@@ -1,5 +1,7 @@
 """Independent oracles the tests check the implementation against.
 
+The parameter-layout oracle builds ``left @ d u_hat / d theta`` from
+Kronecker products, one state at a time, as the layout's definition reads.
 The double-pendulum oracle derives accelerations numerically from the
 Lagrangian (point-mass positions differentiated by finite differences), so
 it shares no code or algebra with the closed-form dynamics in the package.
@@ -75,3 +77,9 @@ def loglog_slope(xs, ys):
     """Least-squares slope of log(y) against log(x)."""
     return float(np.polyfit(np.log(np.asarray(xs, dtype=float)),
                             np.log(np.asarray(ys, dtype=float)), 1)[0])
+
+
+def kron_columns(bases, phi, left, v):
+    """``left @ J`` for one state: ``kron(phi, left)`` and ``kron(phi, kron(left, v))``."""
+    return np.concatenate([bases.beta_scale * np.kron(phi, left),
+                           bases.alpha_scale * np.kron(phi, np.kron(left, v[None, :]))], axis=-1)

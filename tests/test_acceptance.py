@@ -91,7 +91,7 @@ def test_c03_gradient_correctness_chain(inspan_mc, rng):
         x = rng.uniform(-1.0, 1.0, 4)
         v = rng.standard_normal(2)
         theta = rng.standard_normal(bases.size)
-        jac = controller_jacobian(bases, theta, nominal, x, v)
+        jac = controller_jacobian(bases, x, v)
         idx = rng.integers(0, bases.size)
         dp = np.zeros(bases.size)
         dp[idx] = h

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from fblearn import (assemble_W, build_reference_model, continuous_reward, design_gain,
-                     eval_learned_controller, fit_exponential_bound, linearizing_terms,
-                     interp_matrix_series, least_squares_gradient, ltv_matrix, pe_check,
-                     simulate_ideal, transition_matrix, transition_norm_grid)
+from fblearn import (PolicyConfig, assemble_W, build_reference_model, continuous_reward,
+                     design_gain, eval_learned_controller, fit_exponential_bound,
+                     linearizing_terms, interp_matrix_series, least_squares_gradient, ltv_matrix,
+                     pe_check, regressor_series, run_episode, sample_reference, simulate_ideal,
+                     transition_matrix, transition_norm_grid)
 
-from oracles import expm
+from oracles import expm, kron_columns
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +50,50 @@ class TestRegressor:
         W = assemble_W(inspan1.plant, inspan1.bases, x, y_dg, e, inspan1.gains)
         np.testing.assert_array_equal(W[:, inspan1.bases.k1:],
                                       np.zeros((1, inspan1.bases.k2)))
+
+
+class TestRegressorLayout:
+    @pytest.mark.parametrize("name", ["pendulum_scenario", "inspan1", "inspan_mc"])
+    def test_matches_the_kron_layout(self, name, request, rng):
+        # pendulum RBFs (q = 2) and both in-span polynomial bases (q = 1, 2)
+        sc = request.getfixturevalue(name)
+        bases = sc.bases
+        x = rng.uniform(-0.7, 0.7, (40, sc.plant.n))
+        e = 0.3 * rng.standard_normal((40, sc.ref_model.total_degree))
+        y_dg = rng.standard_normal((40, bases.io_dim))
+        W = assemble_W(sc.plant, bases, x, y_dg, e, sc.gains)
+        for b in range(40):
+            A_p = np.linalg.inv(linearizing_terms(sc.plant, x[b])[1])
+            want = kron_columns(bases, bases.features(x[b]), A_p, y_dg[b] + sc.gains.K @ e[b])
+            np.testing.assert_array_equal(assemble_W(sc.plant, bases, x[b], y_dg[b], e[b],
+                                                     sc.gains), want)
+            if bases.io_dim > 1:
+                np.testing.assert_array_equal(W[b], want)
+            else:  # the in-span alpha_p of a batch may take another einsum kernel
+                np.testing.assert_allclose(W[b], want, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("name", ["inspan1", "inspan_mc"])
+    def test_series_is_the_per_node_regressor(self, name, request):
+        sc = request.getfixturevalue(name)
+        rec = run_episode(sc.plant, sc.nominal, sc.bases, sc.theta0, sc.reference,
+                          sc.ref_model, sc.gains, PolicyConfig(sigma2=0.0, dt=0.05),
+                          horizon=120, x0=sc.x0, learn=False, substeps=4)
+        series = regressor_series(rec, sc)
+        assert series.shape == (rec.steps + 1, sc.bases.io_dim, sc.bases.size)
+        for k in range(rec.steps + 1):
+            y_dg = sample_reference(sc.reference, sc.ref_model.gamma, rec.t[k]).y_dgamma
+            W = assemble_W(sc.plant, sc.bases, rec.x[k], y_dg, rec.e[k], sc.gains)
+            if sc.bases.io_dim > 1:
+                np.testing.assert_array_equal(series[k], W)
+            else:
+                np.testing.assert_allclose(series[k], W, rtol=1e-14, atol=0)
+
+    def test_batched_gradient_is_the_per_lane_gradient(self, rng):
+        W = rng.standard_normal((7, 2, 30))
+        phi = rng.standard_normal((7, 30))
+        grad = least_squares_gradient(W, phi)
+        for b in range(7):
+            np.testing.assert_array_equal(grad[b], least_squares_gradient(W[b], phi[b]))
 
 
 class TestContinuousReward:

@@ -7,6 +7,8 @@ from fblearn import (build_rbf_grid, controller_jacobian, eval_correction,
                      eval_learned_controller, feature_gram, polynomial_basis, rbf_basis)
 from fblearn.errors import DimensionError
 
+from oracles import kron_columns
+
 
 @pytest.fixture(scope="module")
 def small_rbf():
@@ -96,16 +98,15 @@ class TestLearnedController:
         v = rng.standard_normal(2)
         theta = rng.standard_normal(small_rbf.size)
         delta = rng.standard_normal(small_rbf.size)
-        jac = controller_jacobian(small_rbf, theta, pendulum, x, v)
+        jac = controller_jacobian(small_rbf, x, v)
         du = (eval_learned_controller(small_rbf, theta + delta, pendulum, x, v)
               - eval_learned_controller(small_rbf, theta, pendulum, x, v))
         np.testing.assert_allclose(du, jac @ delta, atol=1e-12)
 
 
 class TestJacobian:
-    def test_zero_v_zeroes_the_matrix_block(self, small_rbf, pendulum, rng):
-        jac = controller_jacobian(small_rbf, np.zeros(small_rbf.size), pendulum,
-                                  rng.standard_normal(4), np.zeros(2))
+    def test_zero_v_zeroes_the_matrix_block(self, small_rbf, rng):
+        jac = controller_jacobian(small_rbf, rng.standard_normal(4), np.zeros(2))
         np.testing.assert_array_equal(jac[:, small_rbf.k1:], np.zeros((2, small_rbf.k2)))
         assert np.any(jac[:, :small_rbf.k1] != 0)
 
@@ -115,7 +116,7 @@ class TestJacobian:
             x = rng.uniform(-0.6, 0.6, 4)
             v = rng.standard_normal(2)
             theta = rng.standard_normal(small_rbf.size)
-            jac = controller_jacobian(small_rbf, theta, pendulum, x, v)
+            jac = controller_jacobian(small_rbf, x, v)
             fd = np.empty_like(jac)
             for i in range(small_rbf.size):
                 dp = np.zeros(small_rbf.size)
@@ -126,23 +127,39 @@ class TestJacobian:
             scale = max(1.0, np.abs(jac).max())
             assert np.abs(jac - fd).max() <= 1e-6 * scale
 
-    def test_independent_of_theta(self, small_rbf, pendulum, rng):
-        x = rng.standard_normal(4)
-        v = rng.standard_normal(2)
-        j1 = controller_jacobian(small_rbf, rng.standard_normal(small_rbf.size),
-                                 pendulum, x, v)
-        j2 = controller_jacobian(small_rbf, rng.standard_normal(small_rbf.size),
-                                 pendulum, x, v)
-        np.testing.assert_array_equal(j1, j2)
+    def test_batch_is_the_per_state_jacobian(self, small_rbf, rng):
+        x = rng.standard_normal((3, 5, 4))
+        v = rng.standard_normal((3, 5, 2))
+        jac = controller_jacobian(small_rbf, x, v)
+        assert jac.shape == (3, 5, 2, small_rbf.size)
+        for idx in np.ndindex(3, 5):
+            np.testing.assert_array_equal(jac[idx], controller_jacobian(small_rbf, x[idx], v[idx]))
+        # one state against many outer-loop inputs broadcasts too
+        many_v = controller_jacobian(small_rbf, x[0, 0], v[:, 0])
+        for b in range(3):
+            np.testing.assert_array_equal(many_v[b], controller_jacobian(small_rbf, x[0, 0],
+                                                                         v[b, 0]))
 
-    def test_block_scales_enter_linearly(self, pendulum, rng):
+    @pytest.mark.parametrize("name", ["pendulum_scenario", "inspan1", "inspan_mc"])
+    def test_matches_the_kron_layout(self, name, request, rng):
+        # pendulum RBFs (q = 2) and both in-span polynomial bases (q = 1, 2)
+        sc = request.getfixturevalue(name)
+        bases, q = sc.bases, sc.bases.io_dim
+        x = rng.uniform(-0.7, 0.7, (40, sc.plant.n))
+        v = rng.standard_normal((40, q))
+        jac = controller_jacobian(bases, x, v)
+        for b in range(40):
+            want = kron_columns(bases, bases.features(x[b]), np.eye(q), v[b])
+            np.testing.assert_array_equal(controller_jacobian(bases, x[b], v[b]), want)
+            np.testing.assert_array_equal(jac[b], want)
+
+    def test_block_scales_enter_linearly(self, rng):
         plain = build_rbf_grid([(-1, 1)] * 4, (2, 2, 2, 2), 1.0, io_dim=2)
         scaled = build_rbf_grid([(-1, 1)] * 4, (2, 2, 2, 2), 1.0, io_dim=2,
                                 beta_scale=0.25, alpha_scale=2.0)
         x, v = rng.standard_normal(4), rng.standard_normal(2)
-        theta = np.zeros(plain.size)
-        jp = controller_jacobian(plain, theta, pendulum, x, v)
-        js = controller_jacobian(scaled, theta, pendulum, x, v)
+        jp = controller_jacobian(plain, x, v)
+        js = controller_jacobian(scaled, x, v)
         np.testing.assert_allclose(js[:, :plain.k1], 0.25 * jp[:, :plain.k1])
         np.testing.assert_allclose(js[:, plain.k1:], 2.0 * jp[:, plain.k1:])
 

@@ -158,7 +158,7 @@ class TestScore:
             mean = eval_learned_controller(bases, th, pendulum, x, v)
             return -0.5 * np.sum((u - mean) ** 2) / sigma2
 
-        jac = controller_jacobian(bases, theta, pendulum, x, v)
+        jac = controller_jacobian(bases, x, v)
         score = grad_log_policy(u, eval_learned_controller(bases, theta, pendulum, x, v),
                                 sigma2, jac)
         for i in rng.choice(bases.size, size=8, replace=False):
@@ -170,6 +170,13 @@ class TestScore:
     def test_positive_variance_required(self, rng):
         with pytest.raises(ValueError):
             grad_log_policy(np.zeros(2), np.zeros(2), 0.0, rng.standard_normal((2, 4)))
+
+    def test_batched_score_is_the_per_lane_score(self, rng):
+        jac = rng.standard_normal((7, 2, 30))
+        u, u_hat = rng.standard_normal((7, 2)), rng.standard_normal((7, 2))
+        score = grad_log_policy(u, u_hat, 0.1, jac)
+        for b in range(7):
+            np.testing.assert_array_equal(score[b], grad_log_policy(u[b], u_hat[b], 0.1, jac[b]))
 
 
 class TestGradientAndUpdate:
@@ -353,7 +360,7 @@ class TestRunEpisode:
                  + inspan1.gains.K @ rec.e[k])
             u_hat = eval_learned_controller(bases, rec.theta[k], nominal, rec.x[k], v)
             score = grad_log_policy(rec.u[k], u_hat, cfg.sigma2,
-                                    controller_jacobian(bases, rec.theta[k], nominal, rec.x[k], v))
+                                    controller_jacobian(bases, rec.x[k], v))
             want = update_params(rec.theta[k], (rec.rewards[k] - rec.baselines[k]) * score, cfg.dt)
             np.testing.assert_array_equal(rec.theta[k + 1], want)
 
