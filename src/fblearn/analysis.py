@@ -13,7 +13,9 @@ the linear time-varying system
     X' = [[A + B K, B W(t)], [0, -W(t).T W(t)]] X
 
 whose state-transition matrix, persistence-of-excitation window integrals,
-and exponential-decay envelope this module computes.
+and exponential-decay envelope this module computes.  ``simulate_ideal`` is
+its one integrator: every interval runs as a lane of one call, and ``A(t)``
+is applied matrix-free as ``[(A + B K) e + B (W p); -W.T (W p)]``.
 """
 
 from __future__ import annotations
@@ -68,71 +70,77 @@ def ltv_matrix(ref: ReferenceModel, gains: GainMatrix, W: Array) -> Array:
     return out
 
 
-def interp_matrix_series(times: Array, values: Array) -> Callable[[float], Array]:
-    """Entrywise linear interpolant of a matrix time series, clamped at the ends."""
+def interp_matrix_series(times: Array, values: Array) -> Callable[[float | Array], Array]:
+    """Entrywise linear interpolant of a matrix time series, clamped at the ends.
+
+    The interpolant broadcasts over an array of times, bit for bit.
+    """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     if len(times) != len(values):
         raise ValueError(f"{len(times)} sample times for {len(values)} matrices")
 
-    def w_of_t(t: float) -> Array:
-        i = np.searchsorted(times, t, side="right") - 1
-        i = min(max(i, 0), len(times) - 2)
-        frac = (t - times[i]) / (times[i + 1] - times[i])
-        frac = min(max(frac, 0.0), 1.0)
+    def w_of_t(t: float | Array) -> Array:
+        t = np.asarray(t, dtype=float)
+        i = np.clip(np.searchsorted(times, t, side="right") - 1, 0, len(times) - 2)
+        frac = np.clip((t - times[i]) / (times[i + 1] - times[i]), 0.0, 1.0)
+        frac = frac[(...,) + (None,) * (values.ndim - 1)]
         return (1.0 - frac) * values[i] + frac * values[i + 1]
 
-    return w_of_t if len(times) > 1 else (lambda t: values[0])
+    return w_of_t if len(times) > 1 else (
+        lambda t: np.broadcast_to(values[0], np.shape(t) + values.shape[1:]))
 
 
-def _rk4_ltv(rhs: Callable[[float, Array], Array], y0: Array, t0: float, t1: float,
-             step: float) -> Array:
-    n_steps = max(1, int(np.ceil((t1 - t0) / step - 1e-12)))
-    h = (t1 - t0) / n_steps
-    y, t = np.asarray(y0, dtype=float), t0
-    for _ in range(n_steps):
-        y = rk4_step(rhs, t, y, h)
-        t += h
-    return y
+def simulate_ideal(w_of_t: Callable[[float | Array], Array], ref: ReferenceModel,
+                   gains: GainMatrix, X0: Array, horizon: float, step: float,
+                   t0: float | Array = 0.0) -> tuple[Array, Array]:
+    """Integrate the idealized stacked dynamics ``X' = A(t) X`` by RK4.
 
-
-def simulate_ideal(w_of_t: Callable[[float], Array], ref: ReferenceModel, gains: GainMatrix,
-                   X0: Array, horizon: float, step: float) -> tuple[Array, Array]:
-    """Integrate the idealized stacked dynamics ``X' = A(t) X``.
-
-    ``w_of_t`` supplies the regressor at any time.  Returns ``(times, X)``
-    with one row per step node.
+    ``X0`` may stack lanes ``(..., d)``; ``t0``, one start time or one per
+    lane, broadcasts against them.  Every lane runs ``horizon`` in the fewest
+    steps no longer than ``step``.  ``w_of_t`` must broadcast over an array of
+    times.  Returns ``(times, X)`` with one leading row per step node.
     """
     X0 = np.asarray(X0, dtype=float)
-    n_steps = int(round(horizon / step))
-    times = np.arange(n_steps + 1) * step
-    out = np.empty((n_steps + 1, len(X0)))
+    n_steps = max(1, int(np.ceil(horizon / step - 1e-12)))
+    h = horizon / n_steps
+    times = np.arange(n_steps + 1).reshape((-1,) + (1,) * np.ndim(t0)) * h + t0
+    n_e, acl = ref.total_degree, ref.A + ref.B @ gains.K
+
+    def rate(t: Array, X: Array) -> Array:
+        W = w_of_t(t)
+        Wp = W @ X[..., n_e:, None]
+        return np.concatenate([(acl @ X[..., :n_e, None] + ref.B @ Wp)[..., 0],
+                               -(W.swapaxes(-1, -2) @ Wp)[..., 0]], axis=-1)
+
+    out = np.empty((n_steps + 1,) + np.broadcast(X0, times[0][..., None]).shape)
     out[0] = X0
-    rhs = lambda t, X: ltv_matrix(ref, gains, w_of_t(t)) @ X  # noqa: E731
     for i in range(n_steps):
-        out[i + 1] = _rk4_ltv(rhs, out[i], times[i], times[i + 1], step)
+        out[i + 1] = rk4_step(rate, times[i], out[i], h)
         if not np.all(np.isfinite(out[i + 1])):
-            raise RuntimeError(f"ideal-system integration diverged at t={times[i + 1]:.3f}")
+            raise RuntimeError(f"ideal-system integration diverged at step {i + 1}")
     return times, out
 
 
-def transition_matrix(w_of_t: Callable[[float], Array], ref: ReferenceModel,
-                      gains: GainMatrix, t_start: float, t_end: float,
+def transition_matrix(w_of_t: Callable[[float | Array], Array], ref: ReferenceModel,
+                      gains: GainMatrix, t_start: float | Array, t_end: float | Array,
                       step: float) -> Array:
     """State-transition matrix of the stacked dynamics from ``t_start`` to ``t_end``.
 
-    Integrates ``Phi' = A(t) Phi`` from the identity; ``t_end >= t_start``.
+    :func:`simulate_ideal` run from the identity's rows, then transposed.
+    Arrays of intervals run as lanes of one call; they must share one length,
+    as a ``np.linspace`` grid's do, and ``t_end >= t_start``.  ``w_of_t``
+    must broadcast over an array of times.
     """
-    if t_end < t_start:
-        raise ValueError(f"t_end ({t_end}) must be >= t_start ({t_start})")
-    dim = ltv_matrix(ref, gains, w_of_t(t_start)).shape[0]
-    if t_end == t_start:
-        return np.eye(dim)
-    rhs = lambda t, P: ltv_matrix(ref, gains, w_of_t(t)) @ P  # noqa: E731
-    phi = _rk4_ltv(rhs, np.eye(dim), t_start, t_end, step)
-    if not np.all(np.isfinite(phi)):
-        raise RuntimeError("transition-matrix integration diverged")
-    return phi
+    t_start, t_end = np.asarray(t_start, dtype=float), np.asarray(t_end, dtype=float)
+    spans = t_end - t_start
+    span = float(spans.max(initial=0.0))
+    if np.any(spans < 0) or np.any(span - spans > 1e-9 * max(1.0, span)):
+        raise ValueError(f"intervals {t_start} -> {t_end} must run forward and share one length")
+    dim = ref.total_degree + np.shape(w_of_t(t_start))[-1]
+    _, rows = simulate_ideal(w_of_t, ref, gains, np.eye(dim), span, step,
+                             t0=t_start[..., None])
+    return rows[-1].swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
@@ -168,19 +176,14 @@ def pe_check(times: Array, w_samples: Array, delta: float, stride: int = 1,
     cum = np.concatenate([np.zeros((1,) + wtw.shape[1:]), np.cumsum(seg, axis=0)])
 
     ends = np.searchsorted(times, times + delta * (1.0 - 1e-12), side="left")
-    c1, c2, n_windows = -np.inf, np.inf, 0
-    for i in range(0, len(times), max(1, int(stride))):
-        j = ends[i]
-        if j >= len(times):
-            break
-        evals = np.linalg.eigvalsh(cum[j] - cum[i])
-        c1 = max(c1, float(evals[-1]))
-        c2 = min(c2, float(evals[0]))
-        n_windows += 1
-    if n_windows == 0:
+    starts = np.arange(0, len(times), max(1, int(stride)))
+    starts = starts[ends[starts] < len(times)]
+    if len(starts) == 0:
         raise ValueError("no complete window fits in the sample series")
+    evals = np.linalg.eigvalsh(cum[ends[starts]] - cum[starts])
+    c1, c2 = float(evals[:, -1].max()), float(evals[:, 0].min())
     return PEReport(delta=float(delta), c1=c1, c2=c2,
-                    satisfied=bool(c2 > rel_tol * max(1.0, c1)), n_windows=n_windows)
+                    satisfied=bool(c2 > rel_tol * max(1.0, c1)), n_windows=len(starts))
 
 
 @dataclass(frozen=True)
@@ -235,21 +238,21 @@ def fit_exponential_bound(gaps: Array, norms: Array) -> StabilityFit:
                         exponential=bool(confident_decay), slope_stderr=stderr)
 
 
-def transition_norm_grid(w_of_t: Callable[[float], Array], ref: ReferenceModel,
+def transition_norm_grid(w_of_t: Callable[[float | Array], Array], ref: ReferenceModel,
                          gains: GainMatrix, t_grid: Array, step: float) -> tuple[Array, Array]:
     """Spectral norms of ``Phi(t1, t2)`` over all ordered grid pairs.
 
-    Integrates one propagator per adjacent grid interval and forms every
-    longer one as their product; returns flat ``(gaps, norms)`` arrays ready
-    for :func:`fit_exponential_bound`.
+    Integrates the propagators of all adjacent intervals of the uniform grid
+    in one :func:`transition_matrix` call (``w_of_t`` must broadcast over
+    times) and forms every longer one as their product; returns flat
+    ``(gaps, norms)`` arrays ready for :func:`fit_exponential_bound`.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     # RK4 is linear in its initial condition: started from a matrix P instead
     # of the identity, the integration over [t_i, t_{i+1}] returns P_i @ P in
     # exact arithmetic.  So Phi(t_j, t_i) = P_{j-1} ... P_i, and the product
     # differs from integrating each pair only by round-off.
-    props = [transition_matrix(w_of_t, ref, gains, t0, t1, step)
-             for t0, t1 in zip(t_grid[:-1], t_grid[1:])]
+    props = transition_matrix(w_of_t, ref, gains, t_grid[:-1], t_grid[1:], step)
     gaps, norms = [], []
     for j, t2 in enumerate(t_grid):
         gaps.append(0.0)

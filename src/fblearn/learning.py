@@ -380,11 +380,8 @@ def _lockstep(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0: A
     n_lanes, horizon = noise.shape[:2]
     dt = cfg.dt
     h = dt / substeps
-    xi_d = np.empty((horizon + 1, ref_model.total_degree))
-    y_dg = np.empty((horizon + 1, ref_model.q))
-    for k, t in enumerate(np.arange(horizon + 1) * dt):
-        ref_k = sample_reference(reference, ref_model.gamma, t)
-        xi_d[k], y_dg[k] = ref_k.xi_d, ref_k.y_dgamma
+    nodes = sample_reference(reference, ref_model.gamma, np.arange(horizon + 1) * dt)
+    xi_d, y_dg = nodes.xi_d, nodes.y_dgamma
 
     x_init = np.zeros(plant.n) if x0 is None else np.asarray(x0, dtype=float)
     x = np.broadcast_to(x_init, (n_lanes, plant.n)).copy()

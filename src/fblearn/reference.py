@@ -40,31 +40,28 @@ class SinusoidSum:
 
 @dataclass(frozen=True)
 class ReferenceSample:
-    """The reference at one instant: stacked derivatives and feedforward."""
+    """The reference at one instant, or along an array of times (leading axis)."""
 
-    t: float
+    t: float | Array
     xi_d: Array
     y_dgamma: Array
 
 
-def sample_reference(ref: SinusoidSum, gamma, t: float) -> ReferenceSample:
+def sample_reference(ref: SinusoidSum, gamma, t) -> ReferenceSample:
     """Evaluate ``xi_d(t)`` and the feedforward ``y_d^(gamma)(t)`` analytically.
 
     ``xi_d`` stacks channel ``j``'s derivatives of orders ``0 .. gamma_j - 1``
-    block by block; ``y_dgamma`` holds the ``gamma_j``-th derivatives.
+    block by block; ``y_dgamma`` holds the ``gamma_j``-th derivatives.  Both
+    broadcast over an array of times, entry for entry equal to per-time calls.
     """
     gamma = tuple(int(g) for g in gamma)
     if len(gamma) != ref.n_channels:
         raise DimensionError(f"reference has {ref.n_channels} channels for gamma {gamma}")
-    xi_d = np.empty(sum(gamma))
-    y_dgamma = np.empty(len(gamma))
-    row = 0
-    for j, g in enumerate(gamma):
-        for order in range(g):
-            xi_d[row + order] = ref.derivative(j, order, t)
-        y_dgamma[j] = ref.derivative(j, g, t)
-        row += g
-    return ReferenceSample(t=float(t), xi_d=xi_d, y_dgamma=y_dgamma)
+    t = np.asarray(t, dtype=float)
+    xi_d = np.stack([ref.derivative(j, order, t)
+                     for j, g in enumerate(gamma) for order in range(g)], axis=-1)
+    y_dgamma = np.stack([ref.derivative(j, g, t) for j, g in enumerate(gamma)], axis=-1)
+    return ReferenceSample(t=float(t) if t.ndim == 0 else t, xi_d=xi_d, y_dgamma=y_dgamma)
 
 
 def uniform_bound(ref: SinusoidSum, gamma) -> float:

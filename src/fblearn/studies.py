@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import (assemble_W, interp_matrix_series, least_squares_gradient,
-                       transition_matrix)
+                       simulate_ideal)
 from .basis import controller_jacobian, eval_learned_controller
 from .learning import (AdaptRunRecord, EnsembleRecord, PolicyConfig, discrete_reward,
                        draw_noise, grad_log_policy, run_ensemble)
@@ -50,8 +50,7 @@ class DisturbanceSamples:
 
 def regressor_series(record: AdaptRunRecord, scenario: Scenario) -> Array:
     """Recompute ``W_k`` at every node of a recorded run, in one assembly."""
-    y_dg = np.array([sample_reference(scenario.reference, scenario.ref_model.gamma, t).y_dgamma
-                     for t in record.t])
+    y_dg = sample_reference(scenario.reference, scenario.ref_model.gamma, record.t).y_dgamma
     return assemble_W(scenario.plant, scenario.bases, record.x, y_dg, record.e, scenario.gains)
 
 
@@ -61,24 +60,21 @@ def measure_disturbances(record: AdaptRunRecord, scenario: Scenario,
 
     Needs the parameter error series, so the record must come from a run
     with a known true parameter vector.  The ideal flow over each interval
-    uses the run's regressor, interpolated linearly between samples.
+    uses the run's regressor, interpolated linearly between samples; every
+    interval runs as one lane of a single :func:`simulate_ideal` call.
     """
     if record.phi is None:
         raise ValueError("disturbance measurement needs phi; record the run with theta_star")
-    n = record.steps
-    if n < 1:
+    if record.steps < 1:
         raise ValueError("record has no completed steps")
     dt = float(record.t[1] - record.t[0])
     step = dt / 8.0 if step is None else step
-    w_samples = regressor_series(record, scenario)
-    n_e = scenario.ref_model.total_degree
-    delta = np.empty((n, n_e + scenario.bases.size))
+    w_of_t = interp_matrix_series(record.t, regressor_series(record, scenario))
     X = np.concatenate([record.e, record.phi], axis=1)
-    for k in range(n):
-        w_of_t = interp_matrix_series(record.t[k:k + 2], w_samples[k:k + 2])
-        phi_mat = transition_matrix(w_of_t, scenario.ref_model, scenario.gains,
-                                    record.t[k], record.t[k + 1], step)
-        delta[k] = X[k + 1] - phi_mat @ X[k]
+    _, ideal = simulate_ideal(w_of_t, scenario.ref_model, scenario.gains, X[:-1], dt, step,
+                              t0=record.t[:-1])
+    delta = X[1:] - ideal[-1]
+    n_e = scenario.ref_model.total_degree
     return DisturbanceSamples(delta_e=delta[:, :n_e], delta_phi=delta[:, n_e:])
 
 

@@ -2,6 +2,9 @@
 
 The parameter-layout oracle builds ``left @ d u_hat / d theta`` from
 Kronecker products, one state at a time, as the layout's definition reads.
+The disturbance oracle forms one transition matrix per sampling interval
+from that interval's two regressor samples, as the definition
+``delta_k = X_{k+1} - Phi(t_{k+1}, t_k) X_k`` reads.
 The double-pendulum oracle derives accelerations numerically from the
 Lagrangian (point-mass positions differentiated by finite differences), so
 it shares no code or algebra with the closed-form dynamics in the package.
@@ -83,3 +86,19 @@ def kron_columns(bases, phi, left, v):
     """``left @ J`` for one state: ``kron(phi, left)`` and ``kron(phi, kron(left, v))``."""
     return np.concatenate([bases.beta_scale * np.kron(phi, left),
                            bases.alpha_scale * np.kron(phi, np.kron(left, v[None, :]))], axis=-1)
+
+
+def per_interval_disturbances(record, scenario, step=None):
+    """``X_{k+1} - Phi(t_{k+1}, t_k) X_k``, one propagator per interval."""
+    from fblearn import interp_matrix_series, regressor_series, transition_matrix
+    dt = float(record.t[1] - record.t[0])
+    step = dt / 8.0 if step is None else step
+    w_samples = regressor_series(record, scenario)
+    X = np.concatenate([record.e, record.phi], axis=1)
+    delta = np.empty((record.steps, X.shape[1]))
+    for k in range(record.steps):
+        w_of_t = interp_matrix_series(record.t[k:k + 2], w_samples[k:k + 2])
+        phi = transition_matrix(w_of_t, scenario.ref_model, scenario.gains,
+                                record.t[k], record.t[k + 1], step)
+        delta[k] = X[k + 1] - phi @ X[k]
+    return delta

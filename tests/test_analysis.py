@@ -133,7 +133,7 @@ class TestIdealSystem:
         np.testing.assert_allclose(X[-1], expm(A * 3.0) @ X0, atol=1e-8)
 
     def test_pe_regressor_contracts_the_parameters(self, ref1, gains1):
-        w_of_t = lambda t: np.array([[np.sin(t), np.cos(t)]])  # noqa: E731
+        w_of_t = lambda t: np.stack([np.sin(t), np.cos(t)], -1)[..., None, :]  # noqa: E731
         X0 = np.array([0.0, 0.0, 1.0, -1.0])
         times, X = simulate_ideal(w_of_t, ref1, gains1, X0, 30.0, 0.01)
         phi_norms = np.linalg.norm(X[:, 2:], axis=1)
@@ -142,6 +142,20 @@ class TestIdealSystem:
         fit = fit_exponential_bound(*transition_norm_grid(w_of_t, ref1, gains1,
                                                           t_grid, 0.01))
         assert fit.exponential and fit.zeta > 0.05
+
+    def test_stacked_lanes_with_own_start_times_are_their_own_runs(self, ref1, gains1, rng):
+        times = np.linspace(0.0, 6.0, 61)
+        w_of_t = interp_matrix_series(times, rng.standard_normal((61, 1, 3)))
+        X0 = rng.standard_normal((4, 5))
+        t0 = np.array([0.0, 0.7, 2.05, 3.3])
+        lane_times, X = simulate_ideal(w_of_t, ref1, gains1, X0, 1.5, 0.01, t0=t0)
+        assert X.shape == (151, 4, 5) and lane_times.shape == (151, 4)
+        for lane in range(4):
+            own_times, own = simulate_ideal(w_of_t, ref1, gains1, X0[lane], 1.5, 0.01,
+                                            t0=t0[lane])
+            np.testing.assert_array_equal(lane_times[:, lane], own_times)
+            scale = np.abs(own).max()
+            assert np.abs(X[:, lane] - own).max() <= 1e-14 * scale
 
     def test_ltv_block_structure(self, ref1, gains1, rng):
         W = rng.standard_normal((1, 4))
@@ -165,7 +179,8 @@ class TestTransitionMatrix:
         np.testing.assert_allclose(phi, expm(A * 1.5), atol=1e-8)
 
     def test_semigroup_property(self, ref1, gains1):
-        w_of_t = lambda t: np.array([[np.sin(0.9 * t), np.cos(1.3 * t)]])  # noqa: E731
+        w_of_t = lambda t: (  # noqa: E731
+            np.stack([np.sin(0.9 * t), np.cos(1.3 * t)], -1)[..., None, :])
         p31 = transition_matrix(w_of_t, ref1, gains1, 1.0, 3.0, 0.002)
         p21 = transition_matrix(w_of_t, ref1, gains1, 1.0, 2.0, 0.002)
         p32 = transition_matrix(w_of_t, ref1, gains1, 2.0, 3.0, 0.002)
@@ -174,6 +189,22 @@ class TestTransitionMatrix:
     def test_time_order_enforced(self, ref1, gains1):
         with pytest.raises(ValueError):
             transition_matrix(lambda t: np.ones((1, 2)), ref1, gains1, 2.0, 1.0, 0.01)
+
+    def test_array_of_intervals_is_the_per_interval_propagators(self, ref1, gains1, rng):
+        times = np.linspace(0.0, 12.0, 121)
+        w_of_t = interp_matrix_series(times, rng.standard_normal((121, 1, 3)))
+        grid = np.linspace(0.0, 12.0, 7)
+        props = transition_matrix(w_of_t, ref1, gains1, grid[:-1], grid[1:], 0.01)
+        assert props.shape == (6, 5, 5)
+        for k, (t0, t1) in enumerate(zip(grid[:-1], grid[1:])):
+            one = transition_matrix(w_of_t, ref1, gains1, t0, t1, 0.01)
+            assert np.abs(props[k] - one).max() <= 1e-13 * np.abs(one).max()
+
+    def test_unequal_interval_lengths_raise(self, ref1, gains1):
+        w_of_t = lambda t: np.ones(np.shape(t) + (1, 2))  # noqa: E731
+        with pytest.raises(ValueError, match="share one length"):
+            transition_matrix(w_of_t, ref1, gains1, np.array([0.0, 1.0]),
+                              np.array([1.0, 2.5]), 0.01)
 
 
 class TestPECheck:
@@ -246,3 +277,17 @@ class TestInterp:
         np.testing.assert_allclose(w_of_t(0.5), 0.5 * np.ones((1, 2)))
         np.testing.assert_allclose(w_of_t(1.0), np.ones((1, 2)))
         np.testing.assert_allclose(w_of_t(2.0), np.ones((1, 2)))  # clamped
+
+    def test_array_of_times_is_the_scalar_calls(self, rng):
+        times = np.cumsum(rng.uniform(0.05, 0.2, 40))
+        values = rng.standard_normal((40, 2, 3))
+        w_of_t = interp_matrix_series(times, values)
+        # clamped ends, every sample time, and points between samples
+        query = np.concatenate([[times[0] - 1.0, times[-1] + 1.0], times,
+                                rng.uniform(times[0], times[-1], 200)])
+        bulk = w_of_t(query)
+        assert bulk.shape == (len(query), 2, 3)
+        for k, t in enumerate(query):
+            np.testing.assert_array_equal(bulk[k], w_of_t(float(t)))
+        np.testing.assert_array_equal(w_of_t(query.reshape(2, -1)),
+                                      bulk.reshape(2, -1, 2, 3))

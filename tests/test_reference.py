@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fblearn import SinusoidSum, sample_reference, uniform_bound
+from fblearn import SinusoidSum, sample_reference, two_tone_reference, uniform_bound
 from fblearn.errors import DimensionError
 
 
@@ -50,6 +50,22 @@ class TestDerivatives:
     def test_channel_count_checked(self, two_tone2):
         with pytest.raises(DimensionError):
             sample_reference(two_tone2, (2,), 0.0)
+
+    @pytest.mark.parametrize("gamma, times", [
+        ((2,), np.linspace(0.0, 7.3, 31)),
+        ((2, 2), np.linspace(0.0, 7.3, 31)),
+        ((2, 2), np.arange(4801) * 0.05),
+    ])
+    def test_array_of_times_is_the_per_time_samples(self, gamma, times):
+        ref = two_tone_reference(len(gamma))
+        bulk = sample_reference(ref, gamma, times)
+        assert bulk.xi_d.shape == (len(times), sum(gamma))
+        assert bulk.y_dgamma.shape == (len(times), len(gamma))
+        np.testing.assert_array_equal(bulk.t, times)
+        for k, t in enumerate(times):
+            one = sample_reference(ref, gamma, t)
+            np.testing.assert_array_equal(bulk.xi_d[k], one.xi_d)
+            np.testing.assert_array_equal(bulk.y_dgamma[k], one.y_dgamma)
 
 
 class TestUniformBound:

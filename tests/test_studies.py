@@ -5,8 +5,26 @@ from fblearn import PolicyConfig, run_episode
 from fblearn.studies import (bias_study, concentration_study, mc_gradient_samples,
                              measure_disturbances, regressor_series)
 
+from oracles import per_interval_disturbances
+
 
 class TestMeasureDisturbances:
+    def test_matches_the_per_interval_propagators(self, inspan1):
+        signs = np.where(np.arange(inspan1.bases.size) % 2 == 0, 1.0, -1.0)
+        theta0 = inspan1.theta_star + 0.5 * signs / np.linalg.norm(signs)
+        rec = run_episode(inspan1.plant, inspan1.nominal, inspan1.bases, theta0,
+                          inspan1.reference, inspan1.ref_model, inspan1.gains,
+                          PolicyConfig(sigma2=0.0, dt=0.02), horizon=120, seed=0,
+                          x0=inspan1.x0, learn=True, theta_star=inspan1.theta_star,
+                          update_rule="ideal", substeps=8)
+        d = measure_disturbances(rec, inspan1)
+        delta = per_interval_disturbances(rec, inspan1)
+        np.testing.assert_allclose(d.norms, np.linalg.norm(delta, axis=1), rtol=1e-10)
+        n_e = inspan1.ref_model.total_degree
+        scale = np.abs(delta).max()
+        assert np.abs(d.delta_e - delta[:, :n_e]).max() <= 1e-10 * scale
+        assert np.abs(d.delta_phi - delta[:, n_e:]).max() <= 1e-10 * scale
+
     def test_needs_parameter_errors(self, inspan1):
         cfg = PolicyConfig(sigma2=0.0, dt=0.05)
         rec = run_episode(inspan1.plant, inspan1.nominal, inspan1.bases,
