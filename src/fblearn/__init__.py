@@ -10,7 +10,8 @@ from .config import ExperimentConfig, config_from_dict, load_config
 from .errors import (ConfigError, DimensionError, DivergenceError, FblearnError,
                      SingularMatrixError)
 from .learning import (AdaptRunRecord, BaselineSpec, PolicyConfig, derive_seed,
-                       discrete_reward, grad_log_policy, run_episode, step_rng, update_params)
+                       discrete_reward, grad_log_policy, run_episode, run_episodes, step_rng,
+                       update_params)
 from .linearize import (GainMatrix, ReferenceModel, build_reference_model, design_gain,
                         exact_tracking_control, tracking_error)
 from .plants import (DoublePendulumParams, InSpanPlantSpec, PlantModel, eval_dynamics,

@@ -29,7 +29,7 @@ import yaml
 from .analysis import fit_exponential_bound, interp_matrix_series, pe_check, transition_norm_grid
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, DivergenceError, FblearnError, SingularMatrixError
-from .learning import AdaptRunRecord, BaselineSpec, run_episode
+from .learning import AdaptRunRecord, BaselineSpec, run_episode, run_episodes
 from .scenarios import Scenario, build_scenario, policy_config
 from .studies import bias_study, concentration_study, regressor_series
 
@@ -49,16 +49,23 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
+def _episode_args(config: ExperimentConfig, scenario: Scenario,
+                  sigma2: float | None = None) -> tuple[tuple, dict]:
+    """Positional and keyword arguments of the config's episodes, bar seed and ``learn``."""
+    cfg = policy_config(config, sigma2=sigma2)
+    args = (scenario.plant, scenario.nominal, scenario.bases, scenario.theta0,
+            scenario.reference, scenario.ref_model, scenario.gains, cfg)
+    kwargs = dict(baseline=BaselineSpec(config.baseline),
+                  horizon=int(round(config.horizon_s / cfg.dt)), x0=scenario.x0,
+                  theta_star=scenario.theta_star, substeps=config.substeps,
+                  measure=config.measure, config_snapshot=config.to_dict())
+    return args, kwargs
+
+
 def _episode(config: ExperimentConfig, scenario: Scenario, learn: bool,
              sigma2: float | None = None) -> AdaptRunRecord:
-    cfg = policy_config(config, sigma2=sigma2)
-    return run_episode(
-        scenario.plant, scenario.nominal, scenario.bases, scenario.theta0,
-        scenario.reference, scenario.ref_model, scenario.gains, cfg,
-        baseline=BaselineSpec(config.baseline), horizon=int(round(config.horizon_s / cfg.dt)),
-        seed=config.seed, x0=scenario.x0, learn=learn, theta_star=scenario.theta_star,
-        substeps=config.substeps, measure=config.measure,
-        config_snapshot=config.to_dict())
+    positional, kwargs = _episode_args(config, scenario, sigma2)
+    return run_episode(*positional, seed=config.seed, learn=learn, **kwargs)
 
 
 def write_steps_csv(path: Path, record: AdaptRunRecord) -> None:
@@ -133,8 +140,10 @@ def cmd_run(config: ExperimentConfig, args) -> int:
 def cmd_compare(config: ExperimentConfig, args) -> int:
     scenario = build_scenario(config)
     start = time.perf_counter()
-    learning = _episode(config, scenario, learn=True)
-    frozen = _episode(config, scenario, learn=False)
+    # the twins share one noise draw and run as two lanes of one kernel
+    positional, kwargs = _episode_args(config, scenario)
+    learning, frozen = run_episodes(*positional, seeds=(config.seed, config.seed),
+                                    learn=(True, False), **kwargs)
     wall = time.perf_counter() - start
     out_dir = _artifact_dir(args, config, "_compare")
     write_steps_csv(out_dir / "learning.csv", learning)

@@ -12,12 +12,15 @@ class DimensionError(FblearnError, ValueError):
 class SingularMatrixError(FblearnError, ValueError):
     """A matrix that must be inverted is singular or numerically so.
 
-    Carries the condition-number estimate that triggered the failure.
+    Carries the worst condition-number estimate that triggered the failure
+    and, for a batch of matrices, ``lanes``: a boolean mask over the batch
+    entries that are singular (``None`` when unknown).
     """
 
-    def __init__(self, message: str, cond: float = float("inf")):
+    def __init__(self, message: str, cond: float = float("inf"), lanes=None):
         super().__init__(f"{message} (condition estimate {cond:.3e})")
         self.cond = cond
+        self.lanes = lanes
 
 
 class DivergenceError(FblearnError, RuntimeError):

@@ -8,9 +8,10 @@ with the one-step reward, form the score-function gradient estimate
 
 The loop is written once, as a private kernel that advances independent
 lanes in lockstep and yields their states after every interval.
-``run_episode`` is its one-lane run and records everything; ``run_ensemble``
-runs seeded trials as lanes and keeps only the tracking and parameter
-errors.  Both share one failure rule (see ``STATE_BOUND``).
+``run_episodes`` runs episodes with their own seeds and learning flags as
+lanes and records each one in full (``run_episode`` is its one-lane call);
+``run_ensemble`` runs seeded trials as lanes and keeps only the tracking and
+parameter errors.  All share one failure rule (see ``STATE_BOUND``).
 
 Randomness discipline: step ``k`` of the run seeded by ``seed`` draws from
 its own substream ``step_rng(seed, k)``, so runs with learning enabled and
@@ -23,7 +24,7 @@ equal to building each ``step_rng`` in turn; a test pins that mapping.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -350,18 +351,21 @@ class _Node(NamedTuple):
 def _lockstep(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0: Array,
               reference: SinusoidSum, ref_model: ReferenceModel, gains: GainMatrix,
               cfg: PolicyConfig, baseline: BaselineSpec, noise: Array, x0: Array | None,
-              learn: bool, theta_star: Array | None, update_rule: str, substeps: int,
-              measure: str):
+              learn: bool | Sequence[bool], theta_star: Array | None, update_rule: str,
+              substeps: int, measure: str):
     """Advance ``len(noise)`` lanes of the sampled-data loop one interval at a time.
 
     Every lane starts from ``x0`` and ``theta0`` and applies its own row of
-    ``noise``.  Yields the initial :class:`_Node`, then one per interval.
+    ``noise``.  ``learn`` (one bool, or one per lane) says which lanes update
+    their parameters; a frozen lane computes the update too and keeps its
+    ``theta`` bit for bit.  Yields the initial :class:`_Node`, then one per
+    interval.
 
-    A lane fails when its state, parameters or reward is non-finite, or when
-    ``max|x|`` reaches ``STATE_BOUND``.  It is then frozen: back at ``x0``,
-    with its last error and parameters.  A ``SingularMatrixError`` fails the
-    lane of a one-lane run; with several lanes the culprit is unknown and the
-    error propagates.
+    A lane fails when its state, parameters or reward is non-finite, when
+    ``max|x|`` reaches ``STATE_BOUND``, or when a decoupling matrix turns
+    singular on it; the ``SingularMatrixError`` names those lanes, and the
+    interval is run again for the others.  A failed lane is frozen: back at
+    ``x0``, with its last error and parameters.
     """
     if update_rule not in ("policy_gradient", "ideal"):
         raise ValueError(f"unknown update rule {update_rule!r}")
@@ -371,17 +375,50 @@ def _lockstep(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0: A
         raise ValueError("finite-difference measurement supports relative degree <= 2")
     if update_rule == "ideal" and theta_star is None:
         raise ValueError("the ideal update rule needs theta_star")
-    if learn and update_rule == "policy_gradient" and cfg.sigma2 <= 0:
+    n_lanes, horizon = noise.shape[:2]
+    learn = np.broadcast_to(np.asarray(learn, dtype=bool), (n_lanes,))
+    if learn.any() and update_rule == "policy_gradient" and cfg.sigma2 <= 0:
         raise ValueError("policy-gradient learning needs sigma2 > 0 "
                          "(use learn=False for a noise-free frozen run)")
     theta0 = np.asarray(theta0, dtype=float)
     if theta0.shape != (bases.size,):
         raise DimensionError(f"theta0 must have shape ({bases.size},), got {theta0.shape}")
-    n_lanes, horizon = noise.shape[:2]
     dt = cfg.dt
     h = dt / substeps
     nodes = sample_reference(reference, ref_model.gamma, np.arange(horizon + 1) * dt)
     xi_d, y_dg = nodes.xi_d, nodes.y_dgamma
+    # trailing shapes of what ``advance`` returns
+    widths = ((plant.n,), (ref_model.total_degree,), (ref_model.total_degree,),
+              (bases.size,), (plant.q,), ())
+
+    def advance(k, x, e, theta, w, learn, b_val):
+        """Interval ``k`` for the given lanes: ``x, xi, e, theta`` at its end, ``u``, reward."""
+        v = y_dg[k] + (gains.K @ e[..., None])[..., 0]
+        u_hat = eval_learned_controller(bases, theta, nominal, x, v)
+        u = u_hat + w
+
+        rate = lambda t, s: eval_dynamics(plant, s, u)  # noqa: E731
+        x_next = x
+        for _ in range(substeps):
+            x_prev, x_next = x_next, rk4_step(rate, 0.0, x_next, h)
+        if measure == "finite_difference":
+            xi_next = _fd_output_stack(plant, x_prev, x_next, h)
+        else:
+            xi_next = plant.output_chain(x_next)
+        e_next = xi_next - xi_d[k + 1]
+        reward = discrete_reward(e, e_next, ref_model, gains, dt)
+
+        if not learn.any():
+            return x_next, xi_next, e_next, theta, u, reward
+        if update_rule == "policy_gradient":
+            score = grad_log_policy(u, u_hat, cfg.sigma2, controller_jacobian(bases, x, v))
+            theta_next = theta - dt * ((reward - b_val)[:, None] * score)
+        else:
+            W = assemble_W(plant, bases, x, y_dg[k], e, gains)
+            theta_next = theta - dt * least_squares_gradient(W, theta - theta_star)
+        if not learn.all():
+            theta_next = np.where(learn[:, None], theta_next, theta)
+        return x_next, xi_next, e_next, theta_next, u, reward
 
     x_init = np.zeros(plant.n) if x0 is None else np.asarray(x0, dtype=float)
     x = np.broadcast_to(x_init, (n_lanes, plant.n)).copy()
@@ -393,43 +430,32 @@ def _lockstep(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0: A
     yield _Node(x, xi, e, theta, None, None, None, ~alive)
 
     for k in range(horizon):
-        b_val = baseline.value()
-        try:
-            # failing lanes produce non-finite intermediates until they are
-            # flagged below; silence the arithmetic warnings they would raise
-            with np.errstate(over="ignore", invalid="ignore"):
-                v = y_dg[k] + (gains.K @ e[..., None])[..., 0]
-                u_hat = eval_learned_controller(bases, theta, nominal, x, v)
-                u = u_hat + noise[:, k]
-
-                rate = lambda t, s: eval_dynamics(plant, s, u)  # noqa: E731
-                x_next = x
-                for _ in range(substeps):
-                    x_prev, x_next = x_next, rk4_step(rate, 0.0, x_next, h)
-                if measure == "finite_difference":
-                    xi_next = _fd_output_stack(plant, x_prev, x_next, h)
-                else:
-                    xi_next = plant.output_chain(x_next)
-                e_next = xi_next - xi_d[k + 1]
-                reward = discrete_reward(e, e_next, ref_model, gains, dt)
-
-                if not learn:
-                    theta_next = theta
-                elif update_rule == "policy_gradient":
-                    score = grad_log_policy(u, u_hat, cfg.sigma2, controller_jacobian(bases, x, v))
-                    theta_next = theta - dt * ((reward - b_val)[:, None] * score)
-                else:
-                    W = assemble_W(plant, bases, x, y_dg[k], e, gains)
-                    theta_next = theta - dt * least_squares_gradient(W, theta - theta_star)
-
-                ok = (np.isfinite(x_next).all(axis=1) & np.isfinite(theta_next).all(axis=1)
-                      & np.isfinite(reward) & (np.abs(x_next).max(axis=1) < STATE_BOUND))
-        except SingularMatrixError:
-            if n_lanes > 1:
-                raise
-            ok = np.zeros(1, dtype=bool)
-            u = xi_next = None
-            x_next, e_next, theta_next, reward = x.copy(), e, theta, np.zeros(1)
+        b_val = np.broadcast_to(baseline.value(), (n_lanes,))
+        lanes, singular, step = slice(None), np.zeros(n_lanes, dtype=bool), None
+        # failing lanes produce non-finite intermediates until they are
+        # flagged below; silence the arithmetic warnings they would raise
+        with np.errstate(over="ignore", invalid="ignore"):
+            while step is None and not singular.all():
+                try:
+                    step = advance(k, x[lanes], e[lanes], theta[lanes], noise[lanes, k],
+                                   learn[lanes], b_val[lanes])
+                except SingularMatrixError as exc:
+                    index = np.arange(n_lanes)[lanes]
+                    if (exc.lanes is None or np.shape(exc.lanes) != index.shape
+                            or not np.any(exc.lanes)):
+                        raise
+                    singular[index[exc.lanes]] = True
+                    lanes = np.flatnonzero(~singular)
+            if singular.any():
+                full = [np.zeros((n_lanes,) + width) for width in widths]
+                if step is not None:
+                    for whole, part in zip(full, step):
+                        whole[lanes] = part
+                step = full
+            x_next, xi_next, e_next, theta_next, u, reward = step
+            ok = (np.isfinite(x_next).all(axis=1) & np.isfinite(theta_next).all(axis=1)
+                  & np.isfinite(reward) & (np.abs(x_next).max(axis=1) < STATE_BOUND)
+                  & ~singular)
 
         failed = alive & ~ok
         alive &= ok
@@ -439,10 +465,92 @@ def _lockstep(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0: A
             e_next[dead] = e[dead]
             theta_next[dead] = theta[dead]
             reward[dead] = 0.0
-        yield _Node(x_next, xi_next, e_next, theta_next, u, reward,
-                    np.broadcast_to(b_val, (n_lanes,)), failed)
+        yield _Node(x_next, xi_next, e_next, theta_next, u, reward, b_val, failed)
         baseline.update(reward)
         x, e, theta = x_next, e_next, theta_next
+
+
+#: Which kernel fields are node series (``steps + 1`` entries); the rest are
+#: interval series (``steps`` entries).
+_NODE_FIELDS = ("x", "xi", "e", "theta")
+
+
+def _record(nodes, horizon: int, fields: dict) -> tuple[dict, Array]:
+    """Run the kernel to its end and stack the named fields of every lane.
+
+    ``fields`` maps a :class:`_Node` field to its trailing shape.  Returns
+    the stacked series, ``(lanes, horizon + 1, ...)`` for node fields and
+    ``(lanes, horizon, ...)`` for interval fields, and each lane's failure
+    step (-1 for lanes that never fail).  A failed lane's entries from its
+    failure step on are frozen; once every lane has failed the run stops and
+    the remaining nodes repeat the last one.
+    """
+    first = next(nodes)
+    n_lanes = len(first.e)
+    out = {name: np.zeros((n_lanes, horizon + (name in _NODE_FIELDS)) + tuple(width))
+           for name, width in fields.items()}
+    node_names = [name for name in fields if name in _NODE_FIELDS]
+    interval_names = [name for name in fields if name not in _NODE_FIELDS]
+    for name in node_names:
+        out[name][:, 0] = getattr(first, name)
+    diverged_step = np.full(n_lanes, -1, dtype=np.int64)
+    for k, node in enumerate(nodes, start=1):
+        for name in node_names:
+            out[name][:, k] = getattr(node, name)
+        for name in interval_names:
+            out[name][:, k - 1] = getattr(node, name)
+        diverged_step[node.failed] = k - 1
+        if (diverged_step >= 0).all():
+            for name in node_names:
+                out[name][:, k + 1:] = out[name][:, k, None]
+            break
+    return out, diverged_step
+
+
+def run_episodes(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0: Array,
+                 reference: SinusoidSum, ref_model: ReferenceModel, gains: GainMatrix,
+                 cfg: PolicyConfig, baseline: BaselineSpec | None = None, horizon: int = 1200,
+                 seeds: Sequence[int] = (0,), x0: Array | None = None,
+                 learn: bool | Sequence[bool] = True,
+                 theta_star: Array | None = None, update_rule: str = "policy_gradient",
+                 substeps: int = 10, measure: str = "exact",
+                 config_snapshot: dict | None = None) -> list[AdaptRunRecord]:
+    """Run several sampled-data episodes as lanes of one kernel; record each one.
+
+    Lane ``b`` runs the episode that :func:`run_episode` runs with
+    ``seed=seeds[b]`` and ``learn=learn[b]`` (``learn`` may be one bool for
+    every lane); the other arguments are shared.  Lanes with equal seeds see
+    one noise draw, so ``seeds=(s, s)`` with ``learn=(True, False)`` is the
+    paired learning and frozen comparison.  With two or more outputs each
+    record equals its sequential run bit for bit; with one output it can
+    differ in the last bit (see :func:`run_ensemble`).  A lane that fails
+    truncates and flags only its own record; the others run on.
+    """
+    seeds = list(seeds)
+    draws = {seed: draw_noise_series(cfg, plant.q, seed, horizon) for seed in set(seeds)}
+    noise = np.stack([draws[seed] for seed in seeds])
+    d = ref_model.total_degree
+    nodes = _lockstep(plant, nominal, bases, theta0, reference, ref_model, gains, cfg,
+                      baseline if baseline is not None else BaselineSpec(kind="none"),
+                      noise, x0, learn, theta_star, update_rule, substeps, measure)
+    rec, diverged_step = _record(nodes, horizon, {
+        "x": (plant.n,), "xi": (d,), "e": (d,), "theta": (bases.size,), "u": (plant.q,),
+        "reward": (), "baseline": ()})
+    t_nodes = np.arange(horizon + 1) * cfg.dt
+    records = []
+    for b, seed in enumerate(seeds):
+        n = horizon if diverged_step[b] < 0 else int(diverged_step[b])
+        theta = rec["theta"][b, :n + 1]
+        records.append(AdaptRunRecord(
+            t=t_nodes[:n + 1], x=rec["x"][b, :n + 1], xi=rec["xi"][b, :n + 1],
+            e=rec["e"][b, :n + 1], theta=theta,
+            phi=theta - np.asarray(theta_star, dtype=float) if theta_star is not None else None,
+            u=rec["u"][b, :n], w=noise[b, :n], rewards=rec["reward"][b, :n],
+            baselines=rec["baseline"][b, :n], seed=int(seed),
+            config=dict(config_snapshot or {}),
+            diverged=bool(diverged_step[b] >= 0),
+            diverged_step=int(diverged_step[b]) if diverged_step[b] >= 0 else None))
+    return records
 
 
 def run_episode(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0: Array,
@@ -469,44 +577,18 @@ def run_episode(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0:
     * ``theta_star`` - when given, the parameter error ``phi = theta -
       theta_star`` is recorded alongside the parameters.
 
-    The episode is the one-lane run of the lockstep kernel that
-    :func:`run_ensemble` runs with many lanes.  A failed step (non-finite
-    state, parameters or reward, a state reaching ``STATE_BOUND``, or a
-    decoupling matrix that turns singular) truncates the record and sets the
-    divergence flag instead of raising.
+    The episode is the one-lane run of :func:`run_episodes`, on the lockstep
+    kernel that :func:`run_ensemble` runs with many lanes.  A failed step
+    (non-finite state, parameters or reward, a state reaching
+    ``STATE_BOUND``, or a decoupling matrix that turns singular) truncates
+    the record and sets the divergence flag instead of raising.
     """
-    ws = draw_noise_series(cfg, plant.q, seed, horizon)
-    lanes = _lockstep(plant, nominal, bases, theta0, reference, ref_model, gains, cfg,
-                      baseline if baseline is not None else BaselineSpec(kind="none"),
-                      ws[None], x0, learn, theta_star, update_rule, substeps, measure)
-    node = next(lanes)
-    t_nodes = np.arange(horizon + 1) * cfg.dt
-    xs = np.zeros((horizon + 1, plant.n))
-    xis = np.zeros((horizon + 1, ref_model.total_degree))
-    es = np.zeros((horizon + 1, ref_model.total_degree))
-    thetas = np.zeros((horizon + 1, bases.size))
-    us = np.zeros((horizon, plant.q))
-    rewards = np.zeros(horizon)
-    baselines = np.zeros(horizon)
-    xs[0], xis[0], es[0], thetas[0] = node.x[0], node.xi[0], node.e[0], node.theta[0]
-
-    n, diverged_step = horizon, None
-    for k, node in enumerate(lanes):
-        if node.failed[0]:
-            n, diverged_step = k, k
-            break
-        us[k], rewards[k], baselines[k] = node.u[0], node.reward[0], node.baseline[0]
-        xs[k + 1], xis[k + 1], es[k + 1], thetas[k + 1] = (node.x[0], node.xi[0], node.e[0],
-                                                           node.theta[0])
-
-    phi = thetas[:n + 1] - np.asarray(theta_star, dtype=float) if theta_star is not None else None
-    return AdaptRunRecord(
-        t=t_nodes[:n + 1], x=xs[:n + 1], xi=xis[:n + 1], e=es[:n + 1],
-        theta=thetas[:n + 1], phi=phi,
-        u=us[:n], w=ws[:n], rewards=rewards[:n], baselines=baselines[:n],
-        seed=int(seed), config=dict(config_snapshot or {}),
-        diverged=diverged_step is not None, diverged_step=diverged_step,
-    )
+    (record,) = run_episodes(plant, nominal, bases, theta0, reference, ref_model, gains, cfg,
+                             baseline=baseline, horizon=horizon, seeds=(seed,), x0=x0,
+                             learn=learn, theta_star=theta_star, update_rule=update_rule,
+                             substeps=substeps, measure=measure,
+                             config_snapshot=config_snapshot)
+    return record
 
 
 def run_ensemble(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0: Array,
@@ -514,40 +596,28 @@ def run_ensemble(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0
                  cfg: PolicyConfig, n_trials: int, horizon: int,
                  baseline_kind: str = "mean_of_past", seed: int = 0, cell_key: int = 0,
                  x0: Array | None = None, theta_star: Array | None = None,
-                 substeps: int = 8, learn: bool = True) -> EnsembleRecord:
+                 substeps: int = 8) -> EnsembleRecord:
     """Run many policy-gradient episodes in lockstep, vectorized over trials.
 
     Trial ``b`` draws exactly the noise that ``run_episode`` would draw with
     master seed ``derive_seed(seed, cell_key, b)`` and runs the same kernel,
     with the same failure rule.  With two or more outputs its tracking and
     parameter errors equal that sequential run's bit for bit.  With one
-    output NumPy's ``einsum`` takes size-dependent kernels, so a lane can
-    differ from its sequential run in the last bit (at 200 random states of
-    ``inspan_diag``'s plant, 10 lanes of the plant rate and 35 of the
-    controller differ, each by at most 2.2e-16).  A trial that fails is
-    flagged and frozen in place; the others keep running, and once every
-    trial has failed the run stops.  Only ``e`` and ``theta`` are kept per
-    step.
+    output the two ``einsum`` calls of ``basis.eval_correction`` take
+    size-dependent kernels, so a lane can differ from its sequential run in
+    the last bit.  A trial that fails is flagged and frozen in place; the
+    others keep running, and once every trial has failed the run stops.
+    Only ``e`` and ``theta`` are kept per step.
     """
     seeds = np.array([derive_seed(seed, cell_key, b) for b in range(n_trials)], dtype=np.int64)
     noise = np.empty((n_trials, horizon, plant.q))
     for b in range(n_trials):
         noise[b] = draw_noise_series(cfg, plant.q, int(seeds[b]), horizon)
-    lanes = _lockstep(plant, nominal, bases, theta0, reference, ref_model, gains, cfg,
-                      BaselineSpec(kind=baseline_kind), noise, x0, learn, theta_star,
+    nodes = _lockstep(plant, nominal, bases, theta0, reference, ref_model, gains, cfg,
+                      BaselineSpec(kind=baseline_kind), noise, x0, True, theta_star,
                       "policy_gradient", substeps, "exact")
-
-    es = np.zeros((n_trials, horizon + 1, ref_model.total_degree))
-    thetas = np.zeros((n_trials, horizon + 1, bases.size))
-    diverged_step = np.full(n_trials, -1, dtype=np.int64)
-    for k, node in enumerate(lanes):
-        es[:, k], thetas[:, k] = node.e, node.theta
-        diverged_step[node.failed] = k - 1
-        if (diverged_step >= 0).all():
-            # every lane is frozen: the remaining nodes repeat this one
-            es[:, k + 1:], thetas[:, k + 1:] = node.e[:, None], node.theta[:, None]
-            break
-
-    phi = thetas - np.asarray(theta_star, dtype=float) if theta_star is not None else None
-    return EnsembleRecord(t=np.arange(horizon + 1) * cfg.dt, e=es, phi=phi,
+    rec, diverged_step = _record(nodes, horizon, {"e": (ref_model.total_degree,),
+                                                  "theta": (bases.size,)})
+    phi = rec["theta"] - np.asarray(theta_star, dtype=float) if theta_star is not None else None
+    return EnsembleRecord(t=np.arange(horizon + 1) * cfg.dt, e=rec["e"], phi=phi,
                           diverged=diverged_step >= 0, diverged_step=diverged_step, seeds=seeds)

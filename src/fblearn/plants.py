@@ -102,40 +102,43 @@ def eval_dynamics(model: PlantModel, x: Array, u: Array) -> Array:
     return model.rate(x, u)
 
 
-def frobenius_cond(mat: Array) -> float:
-    """Cheap conditioning estimate: the worst Frobenius condition in a batch.
+def frobenius_cond(mat: Array) -> Array:
+    """Cheap conditioning estimate: one Frobenius condition number per matrix.
 
     Exact for 1x1 and 2x2 matrices (where ``||A^-1||_F = ||A||_F / |det|``);
     larger matrices fall back to the SVD-based 2-norm condition number.  The
     Frobenius number upper-bounds the 2-norm one, so the singularity
-    threshold stays conservative.  A matrix and its inverse share it.
+    threshold stays conservative.  A matrix and its inverse share it; an
+    exactly singular matrix gets ``inf``.
     """
     mat = np.asarray(mat, dtype=float)
     q = mat.shape[-1]
     if q == 1:
-        return 1.0 if np.all(np.abs(mat[..., 0, 0]) > 0) else float("inf")
+        return np.where(np.abs(mat[..., 0, 0]) > 0, 1.0, np.inf)
     if q == 2:
         det = mat[..., 0, 0] * mat[..., 1, 1] - mat[..., 0, 1] * mat[..., 1, 0]
         fro2 = np.sum(mat * mat, axis=(-2, -1))
         with np.errstate(divide="ignore", invalid="ignore"):
-            cond = fro2 / np.abs(det)
-        return float(np.max(cond)) if np.all(det != 0) else float("inf")
-    return float(np.max(np.linalg.cond(mat)))
+            return np.where(det != 0, fro2 / np.abs(det), np.inf)
+    return np.linalg.cond(mat)
 
 
 def linearizing_terms(model: PlantModel, x: Array) -> tuple[Array, Array]:
     """The model's exact linearizing controller ``u(x, v) = beta(x) + alpha(x) v``.
 
     Raises ``SingularMatrixError`` when ``alpha`` (equivalently the
-    decoupling matrix ``alpha^{-1}``) is numerically singular at ``x``: its
-    Frobenius condition number exceeds ``COND_LIMIT``.
+    decoupling matrix ``alpha^{-1}``) is numerically singular at any state
+    of the batch ``x``: its Frobenius condition number exceeds
+    ``COND_LIMIT`` or is not a number.  The error's ``lanes`` marks those
+    states and its ``cond`` is the worst number of the batch.
     """
     x = _check_vector(x, model.n, "state")
     beta, alpha = model.linearizing(x)
     cond = frobenius_cond(alpha)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
+    singular = ~(cond <= COND_LIMIT)
+    if singular.any():
         raise SingularMatrixError(f"model '{model.name}' linearizing gain alpha is singular",
-                                  cond=cond)
+                                  cond=float(np.max(cond)), lanes=singular)
     return beta, alpha
 
 
@@ -214,17 +217,18 @@ def _pendulum_mcg(p: DoublePendulumParams, x: Array) -> tuple[Array, Array, Arra
     """Mass matrix, Coriolis/centrifugal vector and gravity vector."""
     q1, q2, dq1, dq2 = x[..., 0], x[..., 1], x[..., 2], x[..., 3]
     c2, s2 = np.cos(q2), np.sin(q2)
-    m11 = (p.m1 + p.m2) * p.l1 ** 2 + p.m2 * p.l2 ** 2 + 2.0 * p.m2 * p.l1 * p.l2 * c2
-    m12 = p.m2 * p.l2 ** 2 + p.m2 * p.l1 * p.l2 * c2
-    m22 = p.m2 * p.l2 ** 2 * np.ones_like(c2)
-    M = np.stack([np.stack([m11, m12], axis=-1),
-                  np.stack([m12, m22], axis=-1)], axis=-2)
+    M = np.empty(x.shape[:-1] + (2, 2))
+    M[..., 0, 0] = (p.m1 + p.m2) * p.l1 ** 2 + p.m2 * p.l2 ** 2 + 2.0 * p.m2 * p.l1 * p.l2 * c2
+    M[..., 0, 1] = M[..., 1, 0] = p.m2 * p.l2 ** 2 + p.m2 * p.l1 * p.l2 * c2
+    M[..., 1, 1] = p.m2 * p.l2 ** 2
     h = p.m2 * p.l1 * p.l2 * s2
-    cvec = np.stack([-h * (2.0 * dq1 * dq2 + dq2 ** 2), h * dq1 ** 2], axis=-1)
-    g1 = (p.m1 + p.m2) * p.gravity * p.l1 * np.sin(q1) \
-        + p.m2 * p.gravity * p.l2 * np.sin(q1 + q2)
-    g2 = p.m2 * p.gravity * p.l2 * np.sin(q1 + q2)
-    gvec = np.stack([g1, g2], axis=-1)
+    cvec = np.empty(x.shape[:-1] + (2,))
+    cvec[..., 0] = -h * (2.0 * dq1 * dq2 + dq2 ** 2)
+    cvec[..., 1] = h * dq1 ** 2
+    s12 = np.sin(q1 + q2)
+    gvec = np.empty(x.shape[:-1] + (2,))
+    gvec[..., 0] = (p.m1 + p.m2) * p.gravity * p.l1 * np.sin(q1) + p.m2 * p.gravity * p.l2 * s12
+    gvec[..., 1] = p.m2 * p.gravity * p.l2 * s12
     return M, cvec, gvec
 
 
@@ -245,7 +249,10 @@ def make_double_pendulum(params: DoublePendulumParams | None = None) -> PlantMod
     def rate(x, u):
         M, cvec, gvec = _pendulum_mcg(p, x)
         ddq = np.linalg.solve(M, (u - cvec - gvec)[..., None])[..., 0]
-        return np.concatenate([x[..., 2:4], ddq], axis=-1)
+        out = np.empty(ddq.shape[:-1] + (4,))
+        out[..., :2] = x[..., 2:4]
+        out[..., 2:] = ddq
+        return out
 
     return PlantModel(
         n=4, q=2,

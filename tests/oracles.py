@@ -8,6 +8,9 @@ from that interval's two regressor samples, as the definition
 The double-pendulum oracle derives accelerations numerically from the
 Lagrangian (point-mass positions differentiated by finite differences), so
 it shares no code or algebra with the closed-form dynamics in the package.
+The episode oracle steps one policy-gradient episode an interval at a time,
+as a plain loop over a batch of one state, the way the lane kernel's
+sequential predecessor did.
 """
 
 import numpy as np
@@ -102,3 +105,72 @@ def per_interval_disturbances(record, scenario, step=None):
                                 record.t[k], record.t[k + 1], step)
         delta[k] = X[k + 1] - phi @ X[k]
     return delta
+
+
+def sequential_episode(plant, nominal, bases, theta0, reference, ref_model, gains, cfg,
+                       horizon, seed, x0, learn=True, theta_star=None, substeps=10,
+                       baseline="none"):
+    """One policy-gradient episode stepped interval by interval; the record's arrays.
+
+    Every quantity is formed by the same calls, in the same order, as in the
+    lane kernel, so with two or more outputs a lane must match it bit for
+    bit.  A step fails on a non-finite state, parameter or reward, on
+    ``max|x| >= STATE_BOUND`` or on a singular decoupling matrix; the arrays
+    are then truncated there and ``diverged_step`` is that step.
+    """
+    from fblearn import (BaselineSpec, SingularMatrixError, controller_jacobian,
+                         discrete_reward, eval_dynamics, eval_learned_controller,
+                         grad_log_policy, rk4_step, sample_reference)
+    from fblearn.learning import STATE_BOUND, draw_noise_series
+
+    dt, h = cfg.dt, cfg.dt / substeps
+    w = draw_noise_series(cfg, plant.q, seed, horizon)
+    t = np.arange(horizon + 1) * dt
+    ref = sample_reference(reference, ref_model.gamma, t)
+    past = BaselineSpec(baseline)
+    x = np.asarray(x0, dtype=float)[None]
+    theta = np.asarray(theta0, dtype=float)[None]
+    xi = plant.output_chain(x)
+    e = xi - ref.xi_d[0]
+    nodes = {"x": [x[0]], "xi": [xi[0]], "e": [e[0]], "theta": [theta[0]]}
+    intervals = {"u": [], "rewards": [], "baselines": []}
+    diverged_step = None
+    for k in range(horizon):
+        b = past.value()
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                v = ref.y_dgamma[k] + (gains.K @ e[..., None])[..., 0]
+                u_hat = eval_learned_controller(bases, theta, nominal, x, v)
+                u = u_hat + w[k]
+                x_next = x
+                for _ in range(substeps):
+                    x_next = rk4_step(lambda t_, s: eval_dynamics(plant, s, u), 0.0, x_next, h)
+                xi_next = plant.output_chain(x_next)
+                e_next = xi_next - ref.xi_d[k + 1]
+                reward = discrete_reward(e, e_next, ref_model, gains, dt)
+                theta_next = theta
+                if learn:
+                    score = grad_log_policy(u, u_hat, cfg.sigma2,
+                                            controller_jacobian(bases, x, v))
+                    theta_next = theta - dt * ((reward - b)[:, None] * score)
+                ok = (np.isfinite(x_next).all() and np.isfinite(theta_next).all()
+                      and np.isfinite(reward).all() and np.abs(x_next).max() < STATE_BOUND)
+        except SingularMatrixError:
+            ok = False
+        if not ok:
+            diverged_step = k
+            break
+        for name, value in (("x", x_next), ("xi", xi_next), ("e", e_next),
+                            ("theta", theta_next)):
+            nodes[name].append(value[0])
+        for name, value in (("u", u), ("rewards", reward),
+                            ("baselines", np.broadcast_to(b, (1,)))):
+            intervals[name].append(value[0])
+        past.update(reward)
+        x, e, theta = x_next, e_next, theta_next
+    n = horizon if diverged_step is None else diverged_step
+    out = {name: np.array(values) for name, values in {**nodes, **intervals}.items()}
+    out["u"] = out["u"].reshape(n, plant.q)
+    out.update(t=t[:n + 1], w=w[:n], diverged_step=diverged_step,
+               phi=None if theta_star is None else out["theta"] - theta_star)
+    return out

@@ -17,7 +17,7 @@ from fblearn import (PolicyConfig, controller_jacobian,
                      fit_exponential_bound, interp_matrix_series, pe_check,
                      sample_reference, simulate_closed_loop, transition_norm_grid)
 from fblearn.cli import EXIT_OK, main
-from fblearn.learning import run_episode, derive_seed
+from fblearn.learning import derive_seed, run_episode, run_episodes
 from fblearn.studies import (concentration_study, mc_gradient_samples,
                              measure_disturbances, regressor_series)
 
@@ -197,16 +197,14 @@ def test_c07_disturbance_orders(inspan1, inspan_mc):
 
     # delta_phi spread against dt / sigma in the score-dominated regime
     def spread(dt, sigma2, key):
-        samples = []
-        for trial in range(24):
-            cfg = PolicyConfig(sigma2=sigma2, dt=dt)
-            rec = run_episode(inspan_mc.plant, inspan_mc.nominal, inspan_mc.bases,
-                              inspan_mc.theta0, inspan_mc.reference,
-                              inspan_mc.ref_model, inspan_mc.gains, cfg,
-                              horizon=int(2.0 / dt), seed=derive_seed(50, key, trial),
-                              x0=inspan_mc.x0, theta_star=inspan_mc.theta_star,
-                              substeps=4)
-            samples.append(measure_disturbances(rec, inspan_mc).delta_phi)
+        # the 24 trials run as lanes of one kernel, each equal to its own run
+        records = run_episodes(inspan_mc.plant, inspan_mc.nominal, inspan_mc.bases,
+                               inspan_mc.theta0, inspan_mc.reference, inspan_mc.ref_model,
+                               inspan_mc.gains, PolicyConfig(sigma2=sigma2, dt=dt),
+                               horizon=int(2.0 / dt),
+                               seeds=[derive_seed(50, key, trial) for trial in range(24)],
+                               x0=inspan_mc.x0, theta_star=inspan_mc.theta_star, substeps=4)
+        samples = [measure_disturbances(rec, inspan_mc).delta_phi for rec in records]
         return float(np.mean(np.std(np.stack(samples), axis=0)))
 
     base = spread(0.01, 0.00025, 0)

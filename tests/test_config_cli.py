@@ -225,6 +225,25 @@ class TestCli:
         summary = json.loads((tmp_path / "inspan_synthetic_11" / "summary.json").read_text())
         assert summary["diverged"] and summary["diverged_step"] is not None
 
+    def test_singular_compare_writes_its_artifact(self, tmp_path):
+        # one constant feature whose drawn gain entry, scaled by 0.39128...,
+        # is exactly -1 (theta_star_seed 3): the in-span plant's gain is zero
+        # at every state, so both twins fail at their first step and the run
+        # is a divergence with an artifact
+        code = main(["compare", "--config", str(CONFIG_DIR / "inspan_diag.yaml"),
+                     "--out-dir", str(tmp_path),
+                     "--override", "basis.degree=0",
+                     "--override", "inspan.theta_star_seed=3",
+                     "--override", "inspan.theta_star_scale=0.3912875857153224",
+                     "--override", "horizon_s=2"])
+        assert code == EXIT_DIVERGED
+        out_dir = tmp_path / "inspan_synthetic_11_compare"
+        data = json.loads((out_dir / "comparison.json").read_text())
+        assert data["diverged"] == {"learning": True, "no_learning": True}
+        for name in ("learning.csv", "no_learning.csv"):
+            with (out_dir / name).open() as fh:
+                assert len(list(csv.reader(fh))) == 1  # the header: no step completed
+
     def test_diverging_run_leaks_no_runtime_warning(self, tmp_path):
         # a run that blows up is flagged before any arithmetic overflows in
         # the open: exit 3 with an artifact, even with warnings as errors

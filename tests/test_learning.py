@@ -1,10 +1,13 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fblearn import (BaselineSpec, PolicyConfig, build_rbf_grid, discrete_reward,
-                     grad_log_policy, make_chain_plant, run_episode, update_params)
+from fblearn import (BaselineSpec, PolicyConfig, build_rbf_grid, build_reference_model,
+                     design_gain, discrete_reward, grad_log_policy, make_chain_plant,
+                     polynomial_basis, run_episode, run_episodes, two_tone_reference,
+                     update_params)
 from fblearn.learning import (derive_seed, draw_noise, draw_noise_series, run_ensemble,
                               step_normals, step_rng)
 from fblearn.basis import controller_jacobian, eval_learned_controller
@@ -13,7 +16,7 @@ from fblearn.errors import DimensionError, DivergenceError
 from fblearn.reference import sample_reference
 from fblearn.scenarios import build_scenario, policy_config
 
-from oracles import expm
+from oracles import expm, sequential_episode
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
 
@@ -458,10 +461,9 @@ class TestEnsemble:
                                       np.broadcast_to(ens.e[:, last + 1:last + 2],
                                                       ens.e[:, last + 1:].shape))
 
-    def test_singular_decoupling_fails_one_lane_and_propagates_in_a_batch(self, inspan1):
+    def test_singular_decoupling_fails_each_lane_on_its_own(self, inspan1):
         # a nominal whose learned gain cancels to zero: singular at every state
-        from fblearn import InSpanPlantSpec, make_inspan_plant, polynomial_basis
-        from fblearn.errors import SingularMatrixError
+        from fblearn import InSpanPlantSpec, make_inspan_plant
         singular = make_inspan_plant(InSpanPlantSpec(
             nominal=make_chain_plant((2,)), bases=polynomial_basis(2, 0, io_dim=1),
             theta_star=np.array([0.0, -1.0])))
@@ -470,11 +472,11 @@ class TestEnsemble:
                 inspan1.ref_model, inspan1.gains, cfg)
         rec = run_episode(*args, horizon=5, seed=0, x0=inspan1.x0, substeps=2)
         assert rec.diverged and rec.diverged_step == 0 and rec.steps == 0
-        one = run_ensemble(*args, n_trials=1, horizon=5, x0=inspan1.x0, substeps=2)
-        assert one.diverged_step.tolist() == [0]
-        np.testing.assert_array_equal(one.e[0, 1:], np.broadcast_to(one.e[0, 0], (5, 2)))
-        with pytest.raises(SingularMatrixError):
-            run_ensemble(*args, n_trials=2, horizon=5, x0=inspan1.x0, substeps=2)
+        for n_trials in (1, 2):
+            ens = run_ensemble(*args, n_trials=n_trials, horizon=5, x0=inspan1.x0, substeps=2)
+            assert ens.diverged_step.tolist() == [0] * n_trials
+            np.testing.assert_array_equal(ens.e[:, 1:], np.broadcast_to(ens.e[:, :1],
+                                                                       (n_trials, 5, 2)))
 
     def test_diverging_lanes_are_flagged_and_frozen(self, pendulum, pendulum_nominal,
                                                     ref22, gains22, two_tone2):
@@ -493,3 +495,89 @@ class TestEnsemble:
         assert k >= 0
         # frozen after death: the error stops moving
         np.testing.assert_array_equal(ens.e[dead, k + 1], ens.e[dead, k])
+
+
+def _assert_matches(record, want):
+    """``record`` is the oracle's sequential episode, every field bit for bit."""
+    for name in ("t", "x", "xi", "e", "theta", "u", "w", "rewards", "baselines"):
+        got = getattr(record, name)
+        assert got.shape == want[name].shape, name
+        np.testing.assert_array_equal(got, want[name], err_msg=name)
+    if want["phi"] is None:
+        assert record.phi is None
+    else:
+        np.testing.assert_array_equal(record.phi, want["phi"])
+    assert record.diverged_step == want["diverged_step"]
+    assert record.diverged is (want["diverged_step"] is not None)
+
+
+class TestPairedEpisodes:
+    @pytest.mark.parametrize("name", ["pendulum", "inspan_mc"])
+    def test_lanes_are_their_sequential_runs(self, name, pendulum_scenario, inspan_mc):
+        """Twins on one seed plus a third seed, each equal to the plain loop (q = 2)."""
+        if name == "pendulum":
+            sc, cfg, horizon, substeps = pendulum_scenario, PolicyConfig(0.1, 0.05), 40, 10
+        else:
+            sc, cfg, horizon, substeps = inspan_mc, PolicyConfig(0.001, 0.01), 60, 4
+        args = (sc.plant, sc.nominal, sc.bases, sc.theta0, sc.reference, sc.ref_model,
+                sc.gains, cfg)
+        kwargs = dict(horizon=horizon, x0=sc.x0, theta_star=sc.theta_star, substeps=substeps)
+        lanes = ((5, True), (5, False), (9, True))
+        records = run_episodes(*args, baseline=BaselineSpec("mean_of_past"),
+                               seeds=[seed for seed, _ in lanes],
+                               learn=[learn for _, learn in lanes], **kwargs)
+        for record, (seed, learn) in zip(records, lanes):
+            want = sequential_episode(*args, seed=seed, learn=learn,
+                                      baseline="mean_of_past", **kwargs)
+            assert want["diverged_step"] is None
+            _assert_matches(record, want)
+            assert record.seed == seed
+        _assert_matches(run_episode(*args, baseline=BaselineSpec("mean_of_past"), seed=9,
+                                    **kwargs),
+                        sequential_episode(*args, seed=9, baseline="mean_of_past", **kwargs))
+        # the frozen twin keeps theta0 at every node; its learning twin moves
+        learning, frozen = records[:2]
+        np.testing.assert_array_equal(frozen.theta,
+                                      np.broadcast_to(sc.theta0, frozen.theta.shape))
+        assert np.any(learning.theta[-1] != sc.theta0)
+        np.testing.assert_array_equal(learning.w, frozen.w)
+
+    def test_a_diverging_twin_truncates_only_its_own_record(self):
+        # learning blows up within a few steps; its frozen twin runs on
+        config = load_config(CONFIG_DIR / "inspan_mc.yaml",
+                             overrides=["sigma2=0.1", "dt=0.05", "basis.beta_scale=1.0",
+                                        "basis.alpha_scale=1.0"])
+        sc = build_scenario(config)
+        args = (sc.plant, sc.nominal, sc.bases, sc.theta0, sc.reference, sc.ref_model,
+                sc.gains, policy_config(config))
+        kwargs = dict(horizon=60, x0=sc.x0, theta_star=sc.theta_star, substeps=4)
+        learning, frozen = run_episodes(*args, seeds=(3, 3), learn=(True, False), **kwargs)
+        assert learning.diverged and 0 < learning.steps < 60
+        assert not frozen.diverged and frozen.steps == 60
+        _assert_matches(learning, sequential_episode(*args, seed=3, learn=True, **kwargs))
+        _assert_matches(frozen, sequential_episode(*args, seed=3, learn=False, **kwargs))
+
+    def test_a_lane_singular_in_part_of_the_state_space_fails_alone(self):
+        # the nominal's gain vanishes once the first output passes 1.0, which
+        # the reference (peak 0.965) leaves to the noise: seed 2 gets there
+        # within 60 steps, seed 0 does not
+        chain = make_chain_plant((2, 2))
+
+        def linearizing(x):
+            beta, alpha = chain.linearizing(x)
+            return beta, alpha * (x[..., 0] < 1.0)[..., None, None]
+
+        nominal = dataclasses.replace(chain, linearizing=linearizing, name="vanishing")
+        ref_model = build_reference_model((2, 2))
+        reference = two_tone_reference(2)
+        bases = polynomial_basis(4, 1, io_dim=2, beta_scale=0.1, alpha_scale=0.1)
+        args = (chain, nominal, bases, np.zeros(bases.size), reference, ref_model,
+                design_gain(ref_model, -1.5), PolicyConfig(sigma2=0.5, dt=0.05))
+        kwargs = dict(horizon=60, x0=sample_reference(reference, (2, 2), 0.0).xi_d,
+                      substeps=2)
+        clean, singular = run_episodes(*args, seeds=(0, 2), **kwargs)
+        assert not clean.diverged and clean.steps == 60
+        assert singular.diverged and 0 < singular.steps < 60
+        assert singular.x[-1, 0] >= 1.0
+        _assert_matches(clean, sequential_episode(*args, seed=0, **kwargs))
+        _assert_matches(singular, sequential_episode(*args, seed=2, **kwargs))
