@@ -32,7 +32,7 @@ from .analysis import assemble_W, least_squares_gradient
 from .basis import BasisSet, controller_jacobian, eval_learned_controller
 from .errors import DimensionError, DivergenceError, SingularMatrixError
 from .linearize import GainMatrix, ReferenceModel
-from .plants import PlantModel, eval_dynamics, rk4_step
+from .plants import PlantModel, rk4_step
 from .reference import SinusoidSum, sample_reference
 
 Array = np.ndarray
@@ -383,6 +383,9 @@ def _lockstep(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0: A
     theta0 = np.asarray(theta0, dtype=float)
     if theta0.shape != (bases.size,):
         raise DimensionError(f"theta0 must have shape ({bases.size},), got {theta0.shape}")
+    x_init = np.zeros(plant.n) if x0 is None else np.asarray(x0, dtype=float)
+    if x_init.shape != (plant.n,):
+        raise DimensionError(f"x0 must have shape ({plant.n},), got {x_init.shape}")
     dt = cfg.dt
     h = dt / substeps
     nodes = sample_reference(reference, ref_model.gamma, np.arange(horizon + 1) * dt)
@@ -397,7 +400,8 @@ def _lockstep(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0: A
         u_hat = eval_learned_controller(bases, theta, nominal, x, v)
         u = u_hat + w
 
-        rate = lambda t, s: eval_dynamics(plant, s, u)  # noqa: E731
+        # x and u have kernel-made shapes: skip eval_dynamics' checks
+        rate = lambda t, s: plant.rate(s, u)  # noqa: E731
         x_next = x
         for _ in range(substeps):
             x_prev, x_next = x_next, rk4_step(rate, 0.0, x_next, h)
@@ -420,7 +424,6 @@ def _lockstep(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0: A
             theta_next = np.where(learn[:, None], theta_next, theta)
         return x_next, xi_next, e_next, theta_next, u, reward
 
-    x_init = np.zeros(plant.n) if x0 is None else np.asarray(x0, dtype=float)
     x = np.broadcast_to(x_init, (n_lanes, plant.n)).copy()
     theta = np.broadcast_to(theta0, (n_lanes, bases.size)).copy()
     xi = plant.output_chain(x)

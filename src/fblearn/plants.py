@@ -135,10 +135,10 @@ def linearizing_terms(model: PlantModel, x: Array) -> tuple[Array, Array]:
     x = _check_vector(x, model.n, "state")
     beta, alpha = model.linearizing(x)
     cond = frobenius_cond(alpha)
-    singular = ~(cond <= COND_LIMIT)
-    if singular.any():
+    regular = cond <= COND_LIMIT
+    if not regular.all():
         raise SingularMatrixError(f"model '{model.name}' linearizing gain alpha is singular",
-                                  cond=float(np.max(cond)), lanes=singular)
+                                  cond=float(np.max(cond)), lanes=~regular)
     return beta, alpha
 
 
@@ -268,6 +268,31 @@ def make_double_pendulum(params: DoublePendulumParams | None = None) -> PlantMod
 # Chain-of-integrators plants
 # ---------------------------------------------------------------------------
 
+def _chain_rate(gamma: tuple[int, ...]) -> Callable[[Array, Array], Array]:
+    """``(x, top) -> x'`` of stacked integrator chains with relative degrees ``gamma``.
+
+    Inside each chain a state's rate is the next state; each chain's last
+    state has rate ``top[j]``.  The gather equals ``A x + B top`` of the
+    reference model, except for entries that are ``-0.0`` or non-finite.
+    """
+    ends = np.cumsum(gamma) - 1
+    inner = np.ones(ends[-1] + 1, dtype=bool)
+    inner[ends] = False
+    shift = np.flatnonzero(inner)
+    following = shift + 1
+
+    def rate(x, top):
+        lead = x.shape[:-1]
+        if top.shape[:-1] != lead:
+            lead = np.broadcast_shapes(lead, top.shape[:-1])
+        out = np.empty(lead + x.shape[-1:])
+        out[..., shift] = x[..., following]
+        out[..., ends] = top
+        return out
+
+    return rate
+
+
 def make_chain_plant(gamma) -> PlantModel:
     """Decoupled integrator chains ``y_j^(gamma_j) = u_j``.
 
@@ -277,7 +302,6 @@ def make_chain_plant(gamma) -> PlantModel:
     integrator used as a linear test plant.
     """
     ref = build_reference_model(gamma)
-    A, B = ref.A, ref.B
     n, q = ref.total_degree, ref.q
     beta = -np.zeros(q)  # -0.0 is the exact additive identity: beta + c == c bit for bit
     alpha = np.eye(q)
@@ -286,7 +310,7 @@ def make_chain_plant(gamma) -> PlantModel:
         n=n, q=q,
         gamma=ref.gamma,
         output_chain=lambda x: x,
-        rate=lambda x, u: np.einsum("ij,...j->...i", A, x) + np.einsum("ij,...j->...i", B, u),
+        rate=_chain_rate(ref.gamma),
         linearizing=lambda x: (np.broadcast_to(beta, x.shape[:-1] + (q,)),
                                np.broadcast_to(alpha, x.shape[:-1] + (q, q))),
         name=f"chain{gamma}",
@@ -322,17 +346,18 @@ class InSpanPlantSpec:
 def make_inspan_plant(spec: InSpanPlantSpec) -> PlantModel:
     """Build the plant whose exact linearizing controller is ``u_hat(theta_star)``.
 
-    The plant's controller is ``beta_p = beta_m + beta_corr`` and ``alpha_p =
-    alpha_m + alpha_corr`` evaluated at ``theta_star``; its dynamics are
-    back-solved from it, ``y^(gamma) = alpha_p^{-1} (u - beta_p)``, so
-    applying the controller yields ``y^(gamma) = v`` identically.  Raises
-    ``SingularMatrixError`` wherever ``alpha_p`` cannot be inverted.
+    The nominal must be a chain plant: identity output chain and controller
+    ``(0, I)``, both checked at probe states.  The plant's controller is then
+    ``beta_p = beta_corr`` and ``alpha_p = I + alpha_corr`` evaluated at
+    ``theta_star``, and its dynamics are the chain rate driven by
+    ``y^(gamma) = alpha_p^{-1} (u - beta_p)``, so applying the controller
+    yields ``y^(gamma) = v`` identically.  Raises ``SingularMatrixError``
+    wherever ``alpha_p`` cannot be inverted.
     """
     from .basis import eval_correction  # deferred: basis imports this module
 
     nominal, bases, theta_star = spec.nominal, spec.bases, spec.theta_star
     ref = build_reference_model(nominal.gamma)
-    A, B = ref.A, ref.B
     n, q = nominal.n, nominal.q
     if ref.total_degree != n:
         raise DimensionError(f"nominal relative degree {nominal.gamma} does not sum to n={n}")
@@ -341,17 +366,25 @@ def make_inspan_plant(spec: InSpanPlantSpec) -> PlantModel:
     if not np.allclose(nominal.output_chain(probes), probes):
         raise ValueError("in-span construction needs a nominal in output-chain "
                          "coordinates (output_chain must be the identity)")
+    eye = np.eye(q)
+    beta_m, alpha_m = nominal.linearizing(probes)
+    if not (np.array_equal(beta_m, np.zeros((4, q)))
+            and np.array_equal(alpha_m, np.broadcast_to(eye, (4, q, q)))):
+        raise ValueError("in-span construction needs a nominal whose linearizing "
+                         "controller is the chain's constant (0, I)")
+    chain_rate = _chain_rate(ref.gamma)
 
     def linearizing(x):
-        # the plant's own linearizing_terms judges the state and the summed alpha_p
-        beta_m, alpha_m = nominal.linearizing(x)
+        # the nominal's (-0.0, I) folded in: -0.0 + c == c, and I + c is the same sum
         beta_c, alpha_c = eval_correction(bases, theta_star, x)
-        return beta_m + beta_c, alpha_m + alpha_c
+        return beta_c, eye + alpha_c
 
     def rate(x, u):
+        # the plant's own linearizing_terms judges the state and alpha_p
         beta_p, alpha_p = linearizing_terms(plant, x)
-        top = np.linalg.solve(alpha_p, (u - beta_p)[..., None])[..., 0]
-        return np.einsum("ij,...j->...i", A, x) + np.einsum("ij,...j->...i", B, top)
+        if q == 1:  # equals LAPACK's 1x1 solve bit for bit
+            return chain_rate(x, (u - beta_p) / alpha_p[..., 0])
+        return chain_rate(x, np.linalg.solve(alpha_p, (u - beta_p)[..., None])[..., 0])
 
     plant = PlantModel(
         n=n, q=q,

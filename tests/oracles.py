@@ -11,6 +11,10 @@ it shares no code or algebra with the closed-form dynamics in the package.
 The episode oracle steps one policy-gradient episode an interval at a time,
 as a plain loop over a batch of one state, the way the lane kernel's
 sequential predecessor did.
+The chain oracles are the generic forms the specialised plants must equal
+bit for bit: the chain rate as ``A x + B u`` of the reference model, and the
+in-span plant built from any nominal, its ``(beta_m, alpha_m)`` added to the
+correction at every call and ``alpha_p`` inverted by ``np.linalg.solve``.
 """
 
 import numpy as np
@@ -105,6 +109,35 @@ def per_interval_disturbances(record, scenario, step=None):
                                 record.t[k], record.t[k + 1], step)
         delta[k] = X[k + 1] - phi @ X[k]
     return delta
+
+
+def chain_rate_matmul(gamma):
+    """``(x, u) -> A x + B u`` of the chain-of-integrators reference model."""
+    from fblearn.linearize import build_reference_model
+    ref = build_reference_model(gamma)
+    return lambda x, u: (np.einsum("ij,...j->...i", ref.A, x)
+                         + np.einsum("ij,...j->...i", ref.B, u))
+
+
+def generic_inspan_plant(nominal, bases, theta_star):
+    """The in-span plant for any nominal in output-chain coordinates."""
+    from fblearn import PlantModel, linearizing_terms
+    from fblearn.basis import eval_correction
+    chain = chain_rate_matmul(nominal.gamma)
+
+    def linearizing(x):
+        beta_m, alpha_m = nominal.linearizing(x)
+        beta_c, alpha_c = eval_correction(bases, theta_star, x)
+        return beta_m + beta_c, alpha_m + alpha_c
+
+    def rate(x, u):
+        beta_p, alpha_p = linearizing_terms(plant, x)
+        return chain(x, np.linalg.solve(alpha_p, (u - beta_p)[..., None])[..., 0])
+
+    plant = PlantModel(n=nominal.n, q=nominal.q, gamma=nominal.gamma,
+                       output_chain=lambda x: x, rate=rate, linearizing=linearizing,
+                       name="inspan-generic")
+    return plant
 
 
 def sequential_episode(plant, nominal, bases, theta0, reference, ref_model, gains, cfg,

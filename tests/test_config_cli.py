@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -7,6 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
+import fblearn
 from fblearn.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, EXIT_UNSUPPORTED, main
 from fblearn.config import apply_overrides, config_from_dict, load_config
 from fblearn.errors import ConfigError
@@ -189,6 +193,24 @@ class TestCli:
         data = json.loads((tmp_path / "inspan_synthetic_11_diag" / "diag.json").read_text())
         assert data["pe"]["satisfied"] is True
         assert data["stability"]["residual"] <= 0.0
+
+    def test_run_compare_and_diag_never_import_numpy_ma(self, tmp_path):
+        # numpy.ma adds 1-2 MB of resident memory; np.setdiff1d pulls it in
+        # (mc does import it, through np.quantile in the studies)
+        commands = [
+            ["run", "--config", str(CONFIG_DIR / "pendulum.yaml"), "--override", "horizon_s=1"],
+            ["compare", "--config", str(CONFIG_DIR / "inspan_diag.yaml"),
+             "--override", "horizon_s=2"],
+            ["diag", "--config", str(CONFIG_DIR / "inspan_diag.yaml"),
+             "--override", "horizon_s=20", "--override", "diag.window_s=10"]]
+        commands = [argv + ["--out-dir", str(tmp_path)] for argv in commands]
+        script = ("import sys\nfrom fblearn.cli import main\n"
+                  f"codes = [main(argv) for argv in {commands!r}]\n"
+                  "print(codes, 'numpy.ma' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=str(Path(fblearn.__file__).parent.parent))
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.splitlines()[-1] == f"{[EXIT_OK] * 3} False"
 
     def test_diag_window_longer_than_run(self, tmp_path, capsys):
         code = main(["diag", "--config", str(CONFIG_DIR / "inspan_diag.yaml"),

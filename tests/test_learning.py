@@ -4,15 +4,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fblearn import (BaselineSpec, PolicyConfig, build_rbf_grid, build_reference_model,
-                     design_gain, discrete_reward, grad_log_policy, make_chain_plant,
-                     polynomial_basis, run_episode, run_episodes, two_tone_reference,
-                     update_params)
+from fblearn import (BaselineSpec, InSpanPlantSpec, PolicyConfig, build_rbf_grid,
+                     build_reference_model, design_gain, discrete_reward, grad_log_policy,
+                     make_chain_plant, make_inspan_plant, polynomial_basis, run_episode,
+                     run_episodes, two_tone_reference, update_params)
 from fblearn.learning import (derive_seed, draw_noise, draw_noise_series, run_ensemble,
                               step_normals, step_rng)
-from fblearn.basis import controller_jacobian, eval_learned_controller
+from fblearn.basis import BasisSet, controller_jacobian, eval_learned_controller
 from fblearn.config import load_config
-from fblearn.errors import DimensionError, DivergenceError
+from fblearn.errors import DimensionError, DivergenceError, SingularMatrixError
 from fblearn.reference import sample_reference
 from fblearn.scenarios import build_scenario, policy_config
 
@@ -302,6 +302,17 @@ class TestRunEpisode:
                         inspan1.gains, cfg, horizon=5, seed=0, x0=inspan1.x0,
                         update_rule="ideal")
 
+    @pytest.mark.parametrize("x0", [np.zeros(3), np.zeros((2, 2))], ids=["length3", "2x2"])
+    def test_wrong_x0_shape_raises_dimension_error(self, inspan1, x0):
+        # a (2, 2) x0 would broadcast silently over two lanes
+        args = (inspan1.plant, inspan1.nominal, inspan1.bases, inspan1.theta_star,
+                inspan1.reference, inspan1.ref_model, inspan1.gains,
+                PolicyConfig(sigma2=0.01, dt=0.05))
+        with pytest.raises(DimensionError, match="x0"):
+            run_episode(*args, horizon=5, seed=0, x0=x0)
+        with pytest.raises(DimensionError, match="x0"):
+            run_episodes(*args, horizon=5, seeds=(0, 1), x0=x0)
+
     def test_finite_difference_measurement_close_to_exact(self, inspan1):
         cfg = PolicyConfig(sigma2=0.01, dt=0.05)
         kwargs = dict(horizon=60, seed=4, x0=inspan1.x0,
@@ -434,28 +445,26 @@ class TestEnsemble:
             assert rec.diverged_step == ens.diverged_step[b]
             np.testing.assert_array_equal(ens.e[b, :rec.steps + 1], rec.e)
 
-    def test_stops_integrating_once_every_lane_has_failed(self, monkeypatch):
+    def test_stops_integrating_once_every_lane_has_failed(self):
         # the scenario above: all 4 lanes fail within a few of the 400 steps
-        import fblearn.learning
         config = load_config(CONFIG_DIR / "inspan_mc.yaml",
                              overrides=["sigma2=0.1", "dt=0.05", "basis.beta_scale=1.0",
                                         "basis.alpha_scale=1.0"])
         sc = build_scenario(config)
         calls = []
-        real = fblearn.learning.eval_dynamics
 
-        def counting(*args):
+        def counting(x, u):
             calls.append(None)
-            return real(*args)
+            return sc.plant.rate(x, u)
 
-        monkeypatch.setattr(fblearn.learning, "eval_dynamics", counting)
-        ens = run_ensemble(sc.plant, sc.nominal, sc.bases, sc.theta0, sc.reference,
+        plant = dataclasses.replace(sc.plant, rate=counting)
+        ens = run_ensemble(plant, sc.nominal, sc.bases, sc.theta0, sc.reference,
                            sc.ref_model, sc.gains, policy_config(config), n_trials=4,
                            horizon=400, baseline_kind="none", seed=11, x0=sc.x0,
                            theta_star=sc.theta_star, substeps=4)
         last = int(ens.diverged_step.max())
         assert ens.diverged.all() and last < 50
-        assert len(calls) <= (last + 1) * 4 * 4  # substeps x RK4 stages per step
+        assert 0 < len(calls) <= (last + 1) * 4 * 4  # substeps x RK4 stages per step
         # the frozen lanes fill the rest of the record
         np.testing.assert_array_equal(ens.e[:, last + 1:],
                                       np.broadcast_to(ens.e[:, last + 1:last + 2],
@@ -463,7 +472,6 @@ class TestEnsemble:
 
     def test_singular_decoupling_fails_each_lane_on_its_own(self, inspan1):
         # a nominal whose learned gain cancels to zero: singular at every state
-        from fblearn import InSpanPlantSpec, make_inspan_plant
         singular = make_inspan_plant(InSpanPlantSpec(
             nominal=make_chain_plant((2,)), bases=polynomial_basis(2, 0, io_dim=1),
             theta_star=np.array([0.0, -1.0])))
@@ -581,3 +589,40 @@ class TestPairedEpisodes:
         assert singular.x[-1, 0] >= 1.0
         _assert_matches(clean, sequential_episode(*args, seed=0, **kwargs))
         _assert_matches(singular, sequential_episode(*args, seed=2, **kwargs))
+
+    def test_a_lane_in_the_singular_region_of_a_q1_inspan_plant_fails_alone(self):
+        # the in-span plant's gain alpha_p = 1 - [y >= 1] vanishes once the
+        # output passes 1.0, which the reference (peak 0.96) leaves to the
+        # noise: of seeds 1, 2 and 3 only seed 2 gets there within 60 steps
+        nominal = make_chain_plant((2,))
+        step = BasisSet(kind="step", state_dim=2, io_dim=1, n_scalar=3,
+                        feature_fn=lambda x: np.stack(
+                            [np.ones(x.shape[:-1]), 1.0 * (x[..., 0] >= 1.0), x[..., 1]], -1))
+        singular_lanes = []
+
+        def rate(x, u):
+            try:
+                return inspan.rate(x, u)
+            except SingularMatrixError as exc:
+                singular_lanes.append(exc.lanes.tolist())
+                raise
+
+        inspan = make_inspan_plant(InSpanPlantSpec(
+            nominal=nominal, bases=step, theta_star=np.array([0.0, 0.0, 0.0, 0.0, -1.0, 0.0])))
+        plant = dataclasses.replace(inspan, rate=rate)
+        ref_model = build_reference_model((2,))
+        reference = two_tone_reference(1)
+        bases = polynomial_basis(2, 1, io_dim=1)
+        args = (plant, nominal, bases, np.zeros(bases.size), reference, ref_model,
+                design_gain(ref_model, -1.5), PolicyConfig(sigma2=1.0, dt=0.05))
+        kwargs = dict(horizon=60, x0=sample_reference(reference, (2,), 0.0).xi_d, substeps=2)
+        records = run_episodes(*args, seeds=(1, 2, 3), **kwargs)
+        assert [r.diverged for r in records] == [False, True, False]
+        assert [r.steps for r in records[::2]] == [60, 60]
+        assert 0 < records[1].steps < 60 and records[1].x[-1, 0] < 1.0
+        # the plant's mask named the one lane, and the others ran on alone
+        assert singular_lanes == [[False, True, False]]
+        for record, seed in zip(records, (1, 2, 3)):
+            alone = run_episode(*args, seed=seed, **kwargs)
+            assert alone.diverged_step == record.diverged_step
+            np.testing.assert_allclose(record.x, alone.x, rtol=1e-12, atol=1e-12)

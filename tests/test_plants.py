@@ -1,3 +1,4 @@
+import dataclasses
 from functools import cache
 from pathlib import Path
 
@@ -10,13 +11,14 @@ from hypothesis.extra.numpy import arrays
 from fblearn import (DoublePendulumParams, InSpanPlantSpec, PlantModel, eval_dynamics,
                      integrate_zoh, linearizing_terms, make_chain_plant,
                      make_double_pendulum, make_inspan_plant, polynomial_basis,
-                     eval_learned_controller)
+                     eval_learned_controller, rbf_basis)
 from fblearn.config import load_config
 from fblearn.errors import DimensionError, DivergenceError, SingularMatrixError
 from fblearn.linearize import build_reference_model
 from fblearn.scenarios import build_scenario
 
-from oracles import expm, loglog_slope, pendulum_accel, pendulum_mass_matrix
+from oracles import (chain_rate_matmul, expm, generic_inspan_plant, loglog_slope,
+                     pendulum_accel, pendulum_mass_matrix)
 
 
 def linear_plant(F, G):
@@ -260,3 +262,61 @@ class TestInSpanPlant:
                                                   theta_star=theta_star))
         with pytest.raises(SingularMatrixError):
             linearizing_terms(plant, np.zeros(2))
+
+    def test_nominal_without_the_chain_controller_rejected(self):
+        # identity output chain, but alpha = 2I
+        chain = make_chain_plant((2,))
+        doubled = dataclasses.replace(chain, name="doubled", linearizing=lambda x: (
+            np.zeros(x.shape[:-1] + (1,)), np.full(x.shape[:-1] + (1, 1), 2.0)))
+        bases = polynomial_basis(2, 1, io_dim=1)
+        with pytest.raises(ValueError, match="linearizing controller"):
+            make_inspan_plant(InSpanPlantSpec(nominal=doubled, bases=bases,
+                                              theta_star=np.zeros(bases.size)))
+
+    def test_q1_singular_mask_through_the_division(self):
+        # phi = [1, x1, x0]; theta2* = [0, -1, 0] makes alpha_p = 1 - x1, zero at x1 = 1
+        bases = polynomial_basis(2, 1, io_dim=1)
+        plant = make_inspan_plant(InSpanPlantSpec(
+            nominal=make_chain_plant((2,)), bases=bases,
+            theta_star=np.array([0.0, 0.0, 0.0, 0.0, -1.0, 0.0])))
+        x = np.array([[0.3, 0.5], [0.3, 1.0], [-0.2, -0.5]])
+        with pytest.raises(SingularMatrixError) as err:
+            plant.rate(x, np.ones((3, 1)))
+        assert err.value.lanes.tolist() == [False, True, False]
+        np.testing.assert_array_equal(plant.rate(x[::2], np.ones((2, 1)))[:, 1],
+                                      [1.0 / 0.5, 1.0 / 1.5])
+
+
+ORACLE_GAMMAS = [(1,), (2,), (3,), (2, 2), (2, 1)]
+
+
+class TestChainOracles:
+    """The specialised chain and in-span plants equal their generic forms bit for bit."""
+
+    @pytest.mark.parametrize("lanes", [1, 200])
+    @pytest.mark.parametrize("gamma", ORACLE_GAMMAS, ids=str)
+    def test_chain_rate_is_a_x_plus_b_u(self, gamma, lanes, rng):
+        plant, oracle = make_chain_plant(gamma), chain_rate_matmul(gamma)
+        x = rng.standard_normal((lanes, plant.n))
+        u = rng.standard_normal((lanes, plant.q))
+        assert np.array_equal(plant.rate(x, u), oracle(x, u))
+        assert np.array_equal(plant.rate(x, u[0]), oracle(x, u[0]))  # one input, many states
+
+    @pytest.mark.parametrize("lanes", [1, 200])
+    @pytest.mark.parametrize("kind", ["poly1", "poly2", "rbf"])
+    @pytest.mark.parametrize("gamma", ORACLE_GAMMAS, ids=str)
+    def test_inspan_plant_is_the_generic_construction(self, gamma, kind, lanes, rng):
+        nominal = make_chain_plant(gamma)
+        n, q = nominal.n, nominal.q
+        bases = {"poly1": lambda: polynomial_basis(n, 1, io_dim=q),
+                 "poly2": lambda: polynomial_basis(n, 2, io_dim=q),
+                 "rbf": lambda: rbf_basis(rng.uniform(-1, 1, (5, n)), 0.8, io_dim=q)}[kind]()
+        theta_star = 0.1 * rng.standard_normal(bases.size)
+        plant = make_inspan_plant(InSpanPlantSpec(nominal=nominal, bases=bases,
+                                                  theta_star=theta_star))
+        oracle = generic_inspan_plant(nominal, bases, theta_star)
+        x = rng.uniform(-1, 1, (lanes, n))
+        u = rng.standard_normal((lanes, q))
+        for got, want in zip(plant.linearizing(x), oracle.linearizing(x)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(plant.rate(x, u), oracle.rate(x, u))
