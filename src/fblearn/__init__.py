@@ -9,7 +9,7 @@ from .basis import (BasisSet, build_rbf_grid, controller_jacobian, eval_correcti
 from .config import ExperimentConfig, config_from_dict, load_config
 from .errors import (ConfigError, DimensionError, DivergenceError, FblearnError,
                      SingularMatrixError)
-from .learning import (AdaptRunRecord, BaselineSpec, PolicyConfig, derive_seed,
+from .learning import (BASELINES, AdaptRunRecord, PolicyConfig, derive_seed,
                        discrete_reward, grad_log_policy, run_episode, run_episodes, step_rng,
                        update_params)
 from .linearize import (GainMatrix, ReferenceModel, build_reference_model, design_gain,

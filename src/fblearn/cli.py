@@ -29,7 +29,7 @@ import yaml
 from .analysis import fit_exponential_bound, interp_matrix_series, pe_check, transition_norm_grid
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, DivergenceError, FblearnError, SingularMatrixError
-from .learning import AdaptRunRecord, BaselineSpec, run_episode, run_episodes
+from .learning import AdaptRunRecord, run_episode, run_episodes
 from .scenarios import Scenario, build_scenario, policy_config
 from .studies import bias_study, concentration_study, regressor_series
 
@@ -55,17 +55,11 @@ def _episode_args(config: ExperimentConfig, scenario: Scenario,
     cfg = policy_config(config, sigma2=sigma2)
     args = (scenario.plant, scenario.nominal, scenario.bases, scenario.theta0,
             scenario.reference, scenario.ref_model, scenario.gains, cfg)
-    kwargs = dict(baseline=BaselineSpec(config.baseline),
+    kwargs = dict(baseline_kind=config.baseline,
                   horizon=int(round(config.horizon_s / cfg.dt)), x0=scenario.x0,
                   theta_star=scenario.theta_star, substeps=config.substeps,
                   measure=config.measure, config_snapshot=config.to_dict())
     return args, kwargs
-
-
-def _episode(config: ExperimentConfig, scenario: Scenario, learn: bool,
-             sigma2: float | None = None) -> AdaptRunRecord:
-    positional, kwargs = _episode_args(config, scenario, sigma2)
-    return run_episode(*positional, seed=config.seed, learn=learn, **kwargs)
 
 
 def write_steps_csv(path: Path, record: AdaptRunRecord) -> None:
@@ -128,7 +122,8 @@ def _artifact_dir(args, config: ExperimentConfig, suffix: str) -> Path:
 def cmd_run(config: ExperimentConfig, args) -> int:
     scenario = build_scenario(config)
     start = time.perf_counter()
-    record = _episode(config, scenario, learn=not args.no_learning)
+    positional, kwargs = _episode_args(config, scenario)
+    record = run_episode(*positional, seed=config.seed, learn=not args.no_learning, **kwargs)
     wall = time.perf_counter() - start
     out_dir = _artifact_dir(args, config, "_frozen" if args.no_learning else "")
     write_steps_csv(out_dir / "steps.csv", record)
@@ -229,7 +224,8 @@ def cmd_mc(config: ExperimentConfig, args) -> int:
 
 def cmd_diag(config: ExperimentConfig, args) -> int:
     scenario = build_scenario(config)
-    record = _episode(config, scenario, learn=False, sigma2=0.0)
+    positional, kwargs = _episode_args(config, scenario, sigma2=0.0)
+    record = run_episode(*positional, seed=config.seed, learn=False, **kwargs)
     if record.diverged:
         print("diagnostic run diverged; no report written", file=sys.stderr)
         return EXIT_DIVERGED

@@ -16,10 +16,9 @@ from pathlib import Path
 import yaml
 
 from .errors import ConfigError
+from .learning import BASELINES, MEASURES
 
 SCENARIOS = ("double_pendulum", "inspan_synthetic", "linear_test")
-BASELINES = ("none", "sum_of_past", "mean_of_past")
-MEASURES = ("exact", "finite_difference")
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,11 @@ One episode alternates, every ``dt`` seconds: draw a noisy input from the
 Gaussian exploration policy around the learned controller, hold it over the
 interval, measure the tracking error at the next sample, score the interval
 with the one-step reward, form the score-function gradient estimate
-(optionally baselined), and take a gradient step on the parameters.
+(minus a baseline of past rewards, one of ``BASELINES``), and take a
+gradient step on the parameters.
 
 The loop is written once, as a private kernel that advances independent
-lanes in lockstep and yields their states after every interval.
+lanes in lockstep and records the series its caller keeps.
 ``run_episodes`` runs episodes with their own seeds and learning flags as
 lanes and records each one in full (``run_episode`` is its one-lane call);
 ``run_ensemble`` runs seeded trials as lanes and keeps only the tracking and
@@ -23,8 +24,8 @@ equal to building each ``step_rng`` in turn; a test pins that mapping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -154,38 +155,12 @@ class PolicyConfig:
             raise ValueError(f"noise_clip must be positive, got {self.noise_clip}")
 
 
-@dataclass
-class BaselineSpec:
-    """Reward baseline fed by past rewards only.
-
-    ``value()`` at step k uses rewards from steps < k exclusively, so the
-    baseline never depends on the current input and adds no bias.  Fed an
-    array of per-lane rewards, it keeps one total per lane.
-    """
-
-    kind: str = "mean_of_past"
-    _total: float = field(default=0.0, repr=False)
-    _count: int = field(default=0, repr=False)
-
-    KINDS = ("none", "sum_of_past", "mean_of_past")
-
-    def __post_init__(self):
-        if self.kind not in self.KINDS:
-            raise ValueError(f"baseline kind must be one of {self.KINDS}, got {self.kind!r}")
-
-    def value(self) -> float | Array:
-        if self.kind == "none" or self._count == 0:
-            return 0.0
-        if self.kind == "sum_of_past":
-            return self._total
-        return self._total / self._count
-
-    def update(self, reward: float | Array) -> None:
-        self._total = self._total + reward
-        self._count += 1
-
-    def reset(self) -> None:
-        self._total, self._count = 0.0, 0
+#: Reward baselines.  Each uses past rewards only (at step ``k``: 0 for
+#: ``"none"`` and at ``k = 0``, else the sum or the mean of steps ``0 .. k - 1``),
+#: so it never depends on the current input and adds no bias.
+BASELINES = ("none", "sum_of_past", "mean_of_past")
+#: Measurement modes of ``xi`` (see :func:`run_episode`).
+MEASURES = ("exact", "finite_difference")
 
 
 def draw_noise(cfg: PolicyConfig, q: int | tuple[int, ...], rng: np.random.Generator) -> Array:
@@ -333,50 +308,50 @@ def _fd_output_stack(model: PlantModel, x_prev: Array, x_end: Array, h: float) -
     return xi
 
 
-class _Node(NamedTuple):
-    """Every lane at one sampling node.  ``u``, ``reward`` and ``baseline``
-    belong to the interval into the node (``None`` at the start); ``failed``
-    marks the lanes that failed on that interval."""
-
-    x: Array
-    xi: Array | None
-    e: Array
-    theta: Array
-    u: Array | None
-    reward: Array | None
-    baseline: Array | None
-    failed: Array
+#: Series the kernel can record, the first six in the order ``advance`` returns
+#: them: node series (``steps + 1`` entries), then interval series (``steps``).
+_SERIES = ("x", "xi", "e", "theta", "u", "reward", "baseline")
+_NODE_SERIES = _SERIES[:4]
 
 
 def _lockstep(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0: Array,
               reference: SinusoidSum, ref_model: ReferenceModel, gains: GainMatrix,
-              cfg: PolicyConfig, baseline: BaselineSpec, noise: Array, x0: Array | None,
+              cfg: PolicyConfig, baseline_kind: str, noise: Array, x0: Array | None,
               learn: bool | Sequence[bool], theta_star: Array | None, update_rule: str,
-              substeps: int, measure: str):
-    """Advance ``len(noise)`` lanes of the sampled-data loop one interval at a time.
+              substeps: int, measure: str, keep: tuple[str, ...]) -> tuple[dict, Array]:
+    """Run ``len(noise)`` lanes of the sampled-data loop in lockstep; record ``keep``.
 
     Every lane starts from ``x0`` and ``theta0`` and applies its own row of
     ``noise``.  ``learn`` (one bool, or one per lane) says which lanes update
     their parameters; a frozen lane computes the update too and keeps its
-    ``theta`` bit for bit.  Yields the initial :class:`_Node`, then one per
-    interval.
+    ``theta`` bit for bit.  Returns the series named in ``keep`` (see
+    ``_SERIES``), ``(lanes, steps + 1, ...)`` for node series and ``(lanes,
+    steps, ...)`` for interval series, and each lane's failure step (-1 for
+    lanes that never fail).
 
     A lane fails when its state, parameters or reward is non-finite, when
     ``max|x|`` reaches ``STATE_BOUND``, or when a decoupling matrix turns
     singular on it; the ``SingularMatrixError`` names those lanes, and the
     interval is run again for the others.  A failed lane is frozen: back at
-    ``x0``, with its last error and parameters.
+    ``x0``, with its last error and parameters, and its reward 0.  Once every
+    lane has failed the run stops and the remaining nodes repeat the last one.
     """
     if update_rule not in ("policy_gradient", "ideal"):
         raise ValueError(f"unknown update rule {update_rule!r}")
-    if measure not in ("exact", "finite_difference"):
-        raise ValueError(f"unknown measurement mode {measure!r}")
+    if baseline_kind not in BASELINES:
+        raise ValueError(f"baseline kind must be one of {BASELINES}, got {baseline_kind!r}")
+    if measure not in MEASURES:
+        raise ValueError(f"measurement mode must be one of {MEASURES}, got {measure!r}")
     if measure == "finite_difference" and any(g > 2 for g in plant.gamma):
         raise ValueError("finite-difference measurement supports relative degree <= 2")
     if update_rule == "ideal" and theta_star is None:
         raise ValueError("the ideal update rule needs theta_star")
     n_lanes, horizon = noise.shape[:2]
-    learn = np.broadcast_to(np.asarray(learn, dtype=bool), (n_lanes,))
+    learn = np.asarray(learn, dtype=bool)
+    if learn.shape not in ((), (n_lanes,)):
+        raise DimensionError(f"learn must be one bool or one per lane ({n_lanes}), "
+                             f"got shape {learn.shape}")
+    learn = np.broadcast_to(learn, (n_lanes,))
     if learn.any() and update_rule == "policy_gradient" and cfg.sigma2 <= 0:
         raise ValueError("policy-gradient learning needs sigma2 > 0 "
                          "(use learn=False for a noise-free frozen run)")
@@ -390,9 +365,8 @@ def _lockstep(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0: A
     h = dt / substeps
     nodes = sample_reference(reference, ref_model.gamma, np.arange(horizon + 1) * dt)
     xi_d, y_dg = nodes.xi_d, nodes.y_dgamma
-    # trailing shapes of what ``advance`` returns
-    widths = ((plant.n,), (ref_model.total_degree,), (ref_model.total_degree,),
-              (bases.size,), (plant.q,), ())
+    d = ref_model.total_degree
+    shapes = dict(zip(_SERIES, ((plant.n,), (d,), (d,), (bases.size,), (plant.q,), (), ())))
 
     def advance(k, x, e, theta, w, learn, b_val):
         """Interval ``k`` for the given lanes: ``x, xi, e, theta`` at its end, ``u``, reward."""
@@ -424,16 +398,25 @@ def _lockstep(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0: A
             theta_next = np.where(learn[:, None], theta_next, theta)
         return x_next, xi_next, e_next, theta_next, u, reward
 
+    series = {name: np.zeros((n_lanes, horizon + (name in _NODE_SERIES)) + shapes[name])
+              for name in keep}
     x = np.broadcast_to(x_init, (n_lanes, plant.n)).copy()
     theta = np.broadcast_to(theta0, (n_lanes, bases.size)).copy()
     xi = plant.output_chain(x)
     e = xi - xi_d[0]
+    for name, value in zip(_NODE_SERIES, (x, xi, e, theta)):
+        if name in series:
+            series[name][:, 0] = value
     alive = np.ones(n_lanes, dtype=bool)
-    baseline.reset()
-    yield _Node(x, xi, e, theta, None, None, None, ~alive)
+    diverged_step = np.full(n_lanes, -1, dtype=np.int64)
+    total = 0.0  # each lane's sum of past rewards
 
     for k in range(horizon):
-        b_val = np.broadcast_to(baseline.value(), (n_lanes,))
+        if k == 0 or baseline_kind == "none":
+            b_val = 0.0
+        else:
+            b_val = total if baseline_kind == "sum_of_past" else total / k
+        b_val = np.broadcast_to(b_val, (n_lanes,))
         lanes, singular, step = slice(None), np.zeros(n_lanes, dtype=bool), None
         # failing lanes produce non-finite intermediates until they are
         # flagged below; silence the arithmetic warnings they would raise
@@ -450,7 +433,7 @@ def _lockstep(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0: A
                     singular[index[exc.lanes]] = True
                     lanes = np.flatnonzero(~singular)
             if singular.any():
-                full = [np.zeros((n_lanes,) + width) for width in widths]
+                full = [np.zeros((n_lanes,) + shapes[name]) for name in _SERIES[:6]]
                 if step is not None:
                     for whole, part in zip(full, step):
                         whole[lanes] = part
@@ -460,7 +443,7 @@ def _lockstep(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0: A
                   & np.isfinite(reward) & (np.abs(x_next).max(axis=1) < STATE_BOUND)
                   & ~singular)
 
-        failed = alive & ~ok
+        diverged_step[alive & ~ok] = k
         alive &= ok
         if not alive.all():
             dead = ~alive
@@ -468,51 +451,22 @@ def _lockstep(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0: A
             e_next[dead] = e[dead]
             theta_next[dead] = theta[dead]
             reward[dead] = 0.0
-        yield _Node(x_next, xi_next, e_next, theta_next, u, reward, b_val, failed)
-        baseline.update(reward)
-        x, e, theta = x_next, e_next, theta_next
-
-
-#: Which kernel fields are node series (``steps + 1`` entries); the rest are
-#: interval series (``steps`` entries).
-_NODE_FIELDS = ("x", "xi", "e", "theta")
-
-
-def _record(nodes, horizon: int, fields: dict) -> tuple[dict, Array]:
-    """Run the kernel to its end and stack the named fields of every lane.
-
-    ``fields`` maps a :class:`_Node` field to its trailing shape.  Returns
-    the stacked series, ``(lanes, horizon + 1, ...)`` for node fields and
-    ``(lanes, horizon, ...)`` for interval fields, and each lane's failure
-    step (-1 for lanes that never fail).  A failed lane's entries from its
-    failure step on are frozen; once every lane has failed the run stops and
-    the remaining nodes repeat the last one.
-    """
-    first = next(nodes)
-    n_lanes = len(first.e)
-    out = {name: np.zeros((n_lanes, horizon + (name in _NODE_FIELDS)) + tuple(width))
-           for name, width in fields.items()}
-    node_names = [name for name in fields if name in _NODE_FIELDS]
-    interval_names = [name for name in fields if name not in _NODE_FIELDS]
-    for name in node_names:
-        out[name][:, 0] = getattr(first, name)
-    diverged_step = np.full(n_lanes, -1, dtype=np.int64)
-    for k, node in enumerate(nodes, start=1):
-        for name in node_names:
-            out[name][:, k] = getattr(node, name)
-        for name in interval_names:
-            out[name][:, k - 1] = getattr(node, name)
-        diverged_step[node.failed] = k - 1
-        if (diverged_step >= 0).all():
-            for name in node_names:
-                out[name][:, k + 1:] = out[name][:, k, None]
+        for name, value in zip(_SERIES, (x_next, xi_next, e_next, theta_next, u, reward, b_val)):
+            if name in series:
+                series[name][:, k + (name in _NODE_SERIES)] = value
+        if not alive.any():
+            for name in series:
+                if name in _NODE_SERIES:
+                    series[name][:, k + 2:] = series[name][:, k + 1, None]
             break
-    return out, diverged_step
+        total = total + reward
+        x, e, theta = x_next, e_next, theta_next
+    return series, diverged_step
 
 
 def run_episodes(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0: Array,
                  reference: SinusoidSum, ref_model: ReferenceModel, gains: GainMatrix,
-                 cfg: PolicyConfig, baseline: BaselineSpec | None = None, horizon: int = 1200,
+                 cfg: PolicyConfig, baseline_kind: str = "none", horizon: int = 1200,
                  seeds: Sequence[int] = (0,), x0: Array | None = None,
                  learn: bool | Sequence[bool] = True,
                  theta_star: Array | None = None, update_rule: str = "policy_gradient",
@@ -530,15 +484,13 @@ def run_episodes(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0
     truncates and flags only its own record; the others run on.
     """
     seeds = list(seeds)
+    if not seeds:
+        raise DimensionError("seeds must name at least one episode")
     draws = {seed: draw_noise_series(cfg, plant.q, seed, horizon) for seed in set(seeds)}
     noise = np.stack([draws[seed] for seed in seeds])
-    d = ref_model.total_degree
-    nodes = _lockstep(plant, nominal, bases, theta0, reference, ref_model, gains, cfg,
-                      baseline if baseline is not None else BaselineSpec(kind="none"),
-                      noise, x0, learn, theta_star, update_rule, substeps, measure)
-    rec, diverged_step = _record(nodes, horizon, {
-        "x": (plant.n,), "xi": (d,), "e": (d,), "theta": (bases.size,), "u": (plant.q,),
-        "reward": (), "baseline": ()})
+    rec, diverged_step = _lockstep(plant, nominal, bases, theta0, reference, ref_model, gains,
+                                   cfg, baseline_kind, noise, x0, learn, theta_star,
+                                   update_rule, substeps, measure, _SERIES)
     t_nodes = np.arange(horizon + 1) * cfg.dt
     records = []
     for b, seed in enumerate(seeds):
@@ -558,7 +510,7 @@ def run_episodes(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0
 
 def run_episode(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0: Array,
                 reference: SinusoidSum, ref_model: ReferenceModel, gains: GainMatrix,
-                cfg: PolicyConfig, baseline: BaselineSpec | None = None, horizon: int = 1200,
+                cfg: PolicyConfig, baseline_kind: str = "none", horizon: int = 1200,
                 seed: int = 0, x0: Array | None = None, learn: bool = True,
                 theta_star: Array | None = None, update_rule: str = "policy_gradient",
                 substeps: int = 10, measure: str = "exact",
@@ -567,6 +519,8 @@ def run_episode(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0:
 
     Parameters beyond the component objects:
 
+    * ``baseline_kind`` - the reward baseline of the policy-gradient step,
+      one of ``BASELINES``.
     * ``learn`` - with ``False`` the loop runs identically (same noise
       stream) but skips the parameter update, giving the paired no-learning
       baseline.
@@ -574,9 +528,9 @@ def run_episode(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0:
       ``"ideal"`` replaces it with the exact least-squares gradient
       ``W_k.T W_k phi_k`` (requires ``theta_star``), realizing the noiseless
       discretization of the idealized parameter flow for diagnostics.
-    * ``measure`` - ``"exact"`` reads ``xi`` from the simulator state;
-      ``"finite_difference"`` estimates output derivatives from substep
-      samples, for measurement-noise realism studies.
+    * ``measure`` - one of ``MEASURES``: ``"exact"`` reads ``xi`` from the
+      simulator state; ``"finite_difference"`` estimates output derivatives
+      from substep samples, for measurement-noise realism studies.
     * ``theta_star`` - when given, the parameter error ``phi = theta -
       theta_star`` is recorded alongside the parameters.
 
@@ -587,9 +541,9 @@ def run_episode(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0:
     the record and sets the divergence flag instead of raising.
     """
     (record,) = run_episodes(plant, nominal, bases, theta0, reference, ref_model, gains, cfg,
-                             baseline=baseline, horizon=horizon, seeds=(seed,), x0=x0,
-                             learn=learn, theta_star=theta_star, update_rule=update_rule,
-                             substeps=substeps, measure=measure,
+                             baseline_kind=baseline_kind, horizon=horizon, seeds=(seed,),
+                             x0=x0, learn=learn, theta_star=theta_star,
+                             update_rule=update_rule, substeps=substeps, measure=measure,
                              config_snapshot=config_snapshot)
     return record
 
@@ -616,11 +570,9 @@ def run_ensemble(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0
     noise = np.empty((n_trials, horizon, plant.q))
     for b in range(n_trials):
         noise[b] = draw_noise_series(cfg, plant.q, int(seeds[b]), horizon)
-    nodes = _lockstep(plant, nominal, bases, theta0, reference, ref_model, gains, cfg,
-                      BaselineSpec(kind=baseline_kind), noise, x0, True, theta_star,
-                      "policy_gradient", substeps, "exact")
-    rec, diverged_step = _record(nodes, horizon, {"e": (ref_model.total_degree,),
-                                                  "theta": (bases.size,)})
+    rec, diverged_step = _lockstep(plant, nominal, bases, theta0, reference, ref_model, gains,
+                                   cfg, baseline_kind, noise, x0, True, theta_star,
+                                   "policy_gradient", substeps, "exact", ("e", "theta"))
     phi = rec["theta"] - np.asarray(theta_star, dtype=float) if theta_star is not None else None
     return EnsembleRecord(t=np.arange(horizon + 1) * cfg.dt, e=rec["e"], phi=phi,
                           diverged=diverged_step >= 0, diverged_step=diverged_step, seeds=seeds)

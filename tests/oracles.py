@@ -142,16 +142,18 @@ def generic_inspan_plant(nominal, bases, theta_star):
 
 def sequential_episode(plant, nominal, bases, theta0, reference, ref_model, gains, cfg,
                        horizon, seed, x0, learn=True, theta_star=None, substeps=10,
-                       baseline="none"):
+                       baseline_kind="none"):
     """One policy-gradient episode stepped interval by interval; the record's arrays.
 
     Every quantity is formed by the same calls, in the same order, as in the
     lane kernel, so with two or more outputs a lane must match it bit for
     bit.  A step fails on a non-finite state, parameter or reward, on
     ``max|x| >= STATE_BOUND`` or on a singular decoupling matrix; the arrays
-    are then truncated there and ``diverged_step`` is that step.
+    are then truncated there and ``diverged_step`` is that step.  The
+    baseline is formed here from the list of past rewards: 0 for ``"none"``
+    and at step 0, else their sum or their mean, summed from the left.
     """
-    from fblearn import (BaselineSpec, SingularMatrixError, controller_jacobian,
+    from fblearn import (SingularMatrixError, controller_jacobian,
                          discrete_reward, eval_dynamics, eval_learned_controller,
                          grad_log_policy, rk4_step, sample_reference)
     from fblearn.learning import STATE_BOUND, draw_noise_series
@@ -160,7 +162,7 @@ def sequential_episode(plant, nominal, bases, theta0, reference, ref_model, gain
     w = draw_noise_series(cfg, plant.q, seed, horizon)
     t = np.arange(horizon + 1) * dt
     ref = sample_reference(reference, ref_model.gamma, t)
-    past = BaselineSpec(baseline)
+    past = []
     x = np.asarray(x0, dtype=float)[None]
     theta = np.asarray(theta0, dtype=float)[None]
     xi = plant.output_chain(x)
@@ -169,7 +171,10 @@ def sequential_episode(plant, nominal, bases, theta0, reference, ref_model, gain
     intervals = {"u": [], "rewards": [], "baselines": []}
     diverged_step = None
     for k in range(horizon):
-        b = past.value()
+        if not past or baseline_kind == "none":
+            b = 0.0
+        else:
+            b = sum(past) if baseline_kind == "sum_of_past" else sum(past) / len(past)
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 v = ref.y_dgamma[k] + (gains.K @ e[..., None])[..., 0]
@@ -199,7 +204,7 @@ def sequential_episode(plant, nominal, bases, theta0, reference, ref_model, gain
         for name, value in (("u", u), ("rewards", reward),
                             ("baselines", np.broadcast_to(b, (1,)))):
             intervals[name].append(value[0])
-        past.update(reward)
+        past.append(reward)
         x, e, theta = x_next, e_next, theta_next
     n = horizon if diverged_step is None else diverged_step
     out = {name: np.array(values) for name, values in {**nodes, **intervals}.items()}

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fblearn import (BaselineSpec, InSpanPlantSpec, PolicyConfig, build_rbf_grid,
+from fblearn import (BASELINES, InSpanPlantSpec, PolicyConfig, build_rbf_grid,
                      build_reference_model, design_gain, discrete_reward, grad_log_policy,
                      make_chain_plant, make_inspan_plant, polynomial_basis, run_episode,
                      run_episodes, two_tone_reference, update_params)
@@ -194,26 +194,23 @@ class TestGradientAndUpdate:
         with pytest.raises(DimensionError):
             update_params(np.zeros(2), np.zeros(3), 0.05)
 
-    def test_baseline_kinds(self):
-        with pytest.raises(ValueError):
-            BaselineSpec(kind="bogus")
-        sumb = BaselineSpec(kind="sum_of_past")
-        meanb = BaselineSpec(kind="mean_of_past")
-        noneb = BaselineSpec(kind="none")
-        for r in (1.0, 3.0):
-            for b in (sumb, meanb, noneb):
-                b.update(r)
-        assert sumb.value() == pytest.approx(4.0)
-        assert meanb.value() == pytest.approx(2.0)
-        assert noneb.value() == 0.0
-        sumb.reset()
-        assert sumb.value() == 0.0
+    def test_baseline_kinds(self, inspan1):
+        """Every runner rejects a baseline kind outside ``BASELINES``."""
+        args = (inspan1.plant, inspan1.nominal, inspan1.bases, inspan1.theta_star,
+                inspan1.reference, inspan1.ref_model, inspan1.gains,
+                PolicyConfig(sigma2=0.01, dt=0.05))
+        kwargs = dict(horizon=3, baseline_kind="bogus", x0=inspan1.x0)
+        for call in (lambda: run_episode(*args, **kwargs),
+                     lambda: run_episodes(*args, seeds=(0, 1), **kwargs),
+                     lambda: run_ensemble(*args, n_trials=2, **kwargs)):
+            with pytest.raises(ValueError, match="bogus"):
+                call()
 
 
 class TestRunEpisode:
     def test_bitwise_replay(self, inspan1):
         cfg = PolicyConfig(sigma2=0.05, dt=0.05)
-        kwargs = dict(baseline=BaselineSpec("mean_of_past"), horizon=60, seed=12,
+        kwargs = dict(baseline_kind="mean_of_past", horizon=60, seed=12,
                       x0=inspan1.x0, theta_star=inspan1.theta_star, substeps=4)
         theta0 = inspan1.theta_star + 0.3
         a = run_episode(inspan1.plant, inspan1.nominal, inspan1.bases, theta0,
@@ -281,7 +278,7 @@ class TestRunEpisode:
         x0 = sample_reference(two_tone2, (2, 2), 0.0).xi_d[[0, 2, 1, 3]]
         rec = run_episode(pendulum, pendulum_nominal, bases, np.zeros(bases.size),
                           two_tone2, ref22, gains22, cfg,
-                          baseline=BaselineSpec("mean_of_past"), horizon=400, seed=42,
+                          baseline_kind="mean_of_past", horizon=400, seed=42,
                           x0=x0, substeps=5)
         assert rec.diverged and rec.diverged_step is not None
         assert rec.steps == rec.diverged_step
@@ -312,6 +309,17 @@ class TestRunEpisode:
             run_episode(*args, horizon=5, seed=0, x0=x0)
         with pytest.raises(DimensionError, match="x0"):
             run_episodes(*args, horizon=5, seeds=(0, 1), x0=x0)
+
+    @pytest.mark.parametrize("seeds,learn,name", [
+        ((1, 2), (True, False, True), "learn"), ((1, 2), [[True], [False]], "learn"),
+        ((), True, "seeds")], ids=["learn-length3", "learn-2x1", "no-seeds"])
+    def test_malformed_lanes_raise_dimension_error(self, inspan1, seeds, learn, name):
+        # each once leaked a NumPy broadcasting or stacking error
+        args = (inspan1.plant, inspan1.nominal, inspan1.bases, inspan1.theta_star,
+                inspan1.reference, inspan1.ref_model, inspan1.gains,
+                PolicyConfig(sigma2=0.01, dt=0.05))
+        with pytest.raises(DimensionError, match=name):
+            run_episodes(*args, horizon=5, seeds=seeds, learn=learn, x0=inspan1.x0)
 
     def test_finite_difference_measurement_close_to_exact(self, inspan1):
         cfg = PolicyConfig(sigma2=0.01, dt=0.05)
@@ -355,19 +363,20 @@ class TestRunEpisode:
                                             rec.x[k], v)
             np.testing.assert_array_equal(rec.u[k], u_hat + rec.w[k])
 
-    @pytest.mark.parametrize("kind", BaselineSpec.KINDS)
+    @pytest.mark.parametrize("kind", BASELINES)
     def test_update_is_the_baselined_score_step(self, inspan1, kind):
         cfg = PolicyConfig(sigma2=0.05, dt=0.05)
         bases, nominal = inspan1.bases, inspan1.nominal
         rec = run_episode(inspan1.plant, nominal, bases, inspan1.theta_star + 0.2,
                           inspan1.reference, inspan1.ref_model, inspan1.gains, cfg,
-                          baseline=BaselineSpec(kind), horizon=20, seed=3, x0=inspan1.x0,
+                          baseline_kind=kind, horizon=20, seed=3, x0=inspan1.x0,
                           substeps=2)
         assert rec.steps == 20
-        past = BaselineSpec(kind)
         for k in range(rec.steps):
-            assert rec.baselines[k] == past.value()
-            past.update(rec.rewards[k])
+            past = sum(rec.rewards[:k].tolist())  # summed from the left, as the loop adds
+            want = {"none": 0.0, "sum_of_past": past,
+                    "mean_of_past": past / k if k else 0.0}[kind]
+            assert rec.baselines[k] == want
             assert rec.rewards[k] == discrete_reward(rec.e[k], rec.e[k + 1], inspan1.ref_model,
                                                      inspan1.gains, cfg.dt)
             v = (sample_reference(inspan1.reference, (2,), rec.t[k]).y_dgamma
@@ -404,7 +413,7 @@ class TestEnsemble:
         for trial in (0, 3):
             rec = run_episode(inspan_mc.plant, inspan_mc.nominal, inspan_mc.bases,
                               inspan_mc.theta0, inspan_mc.reference, inspan_mc.ref_model,
-                              inspan_mc.gains, cfg, baseline=BaselineSpec("none"),
+                              inspan_mc.gains, cfg, baseline_kind="none",
                               horizon=60, seed=derive_seed(21, 2, trial), x0=inspan_mc.x0,
                               theta_star=inspan_mc.theta_star, substeps=4)
             np.testing.assert_array_equal(ens.e[trial], rec.e)
@@ -419,7 +428,7 @@ class TestEnsemble:
                            ref22, gains22, cfg, n_trials=3, horizon=40,
                            baseline_kind="mean_of_past", seed=8, cell_key=1, **kwargs)
         rec = run_episode(pendulum, pendulum_nominal, bases, np.zeros(bases.size), two_tone2,
-                          ref22, gains22, cfg, baseline=BaselineSpec("mean_of_past"),
+                          ref22, gains22, cfg, baseline_kind="mean_of_past",
                           horizon=40, seed=derive_seed(8, 1, 2), **kwargs)
         assert not rec.diverged
         np.testing.assert_array_equal(ens.e[2], rec.e)
@@ -439,7 +448,7 @@ class TestEnsemble:
         assert ens.diverged.all()
         for b in range(4):
             rec = run_episode(sc.plant, sc.nominal, sc.bases, sc.theta0, sc.reference,
-                              sc.ref_model, sc.gains, cfg, baseline=BaselineSpec("none"),
+                              sc.ref_model, sc.gains, cfg, baseline_kind="none",
                               horizon=400, seed=derive_seed(11, 0, b), x0=sc.x0,
                               theta_star=sc.theta_star, substeps=4)
             assert rec.diverged_step == ens.diverged_step[b]
@@ -531,18 +540,18 @@ class TestPairedEpisodes:
                 sc.gains, cfg)
         kwargs = dict(horizon=horizon, x0=sc.x0, theta_star=sc.theta_star, substeps=substeps)
         lanes = ((5, True), (5, False), (9, True))
-        records = run_episodes(*args, baseline=BaselineSpec("mean_of_past"),
+        records = run_episodes(*args, baseline_kind="mean_of_past",
                                seeds=[seed for seed, _ in lanes],
                                learn=[learn for _, learn in lanes], **kwargs)
         for record, (seed, learn) in zip(records, lanes):
             want = sequential_episode(*args, seed=seed, learn=learn,
-                                      baseline="mean_of_past", **kwargs)
+                                      baseline_kind="mean_of_past", **kwargs)
             assert want["diverged_step"] is None
             _assert_matches(record, want)
             assert record.seed == seed
-        _assert_matches(run_episode(*args, baseline=BaselineSpec("mean_of_past"), seed=9,
+        _assert_matches(run_episode(*args, baseline_kind="mean_of_past", seed=9,
                                     **kwargs),
-                        sequential_episode(*args, seed=9, baseline="mean_of_past", **kwargs))
+                        sequential_episode(*args, seed=9, baseline_kind="mean_of_past", **kwargs))
         # the frozen twin keeps theta0 at every node; its learning twin moves
         learning, frozen = records[:2]
         np.testing.assert_array_equal(frozen.theta,
