@@ -47,14 +47,8 @@ def assemble_W(plant: PlantModel, bases: BasisSet, x: Array, y_dgamma: Array, e:
     return layout_columns(bases, bases.features(x), A_p, v)
 
 
-def continuous_reward(W: Array, phi: Array) -> float:
-    """Instantaneous least-squares cost ``0.5 * ||W phi||^2``."""
-    r = np.asarray(W) @ np.asarray(phi, dtype=float)
-    return 0.5 * float(r @ r)
-
-
 def least_squares_gradient(W: Array, phi: Array) -> Array:
-    """Gradient ``W.T W phi`` of the continuous cost in ``phi``, broadcasting over lanes."""
+    """Gradient ``W.T W phi`` of the cost ``0.5 * ||W phi||^2``, broadcasting over lanes."""
     W, phi = np.asarray(W), np.asarray(phi, dtype=float)
     return (W.swapaxes(-1, -2) @ (W @ phi[..., None]))[..., 0]
 

@@ -239,13 +239,3 @@ def controller_jacobian(bases: BasisSet, x: Array, v: Array) -> Array:
     """Jacobian ``d u_hat / d theta`` (free of ``theta``), broadcasting over ``x`` and ``v``."""
     return layout_columns(bases, bases.features(x), np.eye(bases.io_dim),
                           np.asarray(v, dtype=float))
-
-
-def feature_gram(bases: BasisSet, points: Array) -> Array:
-    """Gram matrix of the scalar features over probe points.
-
-    A strictly positive minimum eigenvalue certifies linear independence of
-    the features on the probed region.
-    """
-    feats = bases.features(np.atleast_2d(np.asarray(points, dtype=float)))
-    return feats.T @ feats / feats.shape[0]

@@ -58,7 +58,7 @@ def _episode_args(config: ExperimentConfig, scenario: Scenario,
     kwargs = dict(baseline_kind=config.baseline,
                   horizon=int(round(config.horizon_s / cfg.dt)), x0=scenario.x0,
                   theta_star=scenario.theta_star, substeps=config.substeps,
-                  measure=config.measure, config_snapshot=config.to_dict())
+                  measure=config.measure)
     return args, kwargs
 
 

@@ -176,8 +176,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         problems.append(f"scenario: must be one of {SCENARIOS}, got {kwargs['scenario']!r}")
     if "seed" not in kwargs:
         problems.append("seed: required (runs never draw ambient entropy)")
-    elif not isinstance(kwargs["seed"], int) or isinstance(kwargs["seed"], bool):
-        problems.append(f"seed: must be an integer, got {kwargs['seed']!r}")
+    elif not _integer(kwargs["seed"], 0) or kwargs["seed"] >= 2 ** 128:
+        problems.append(f"seed: must be an integer in [0, 2**128), got {kwargs['seed']!r}")
     if problems:
         raise ConfigError(problems)
 
@@ -188,30 +188,49 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     return cfg
 
 
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _integer(value, minimum: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
+
+
 def _validate(cfg: ExperimentConfig, problems: list) -> None:
     def positive(name, value):
-        if not isinstance(value, (int, float)) or value <= 0:
+        if not _number(value) or value <= 0:
             problems.append(f"{name}: must be a positive number, got {value!r}")
+
+    def integer(name, value, minimum):
+        if not _integer(value, minimum):
+            problems.append(f"{name}: must be an integer >= {minimum}, got {value!r}")
 
     positive("dt", cfg.dt)
     positive("sigma2", cfg.sigma2)
     positive("noise_clip", cfg.noise_clip)
     positive("horizon_s", cfg.horizon_s)
-    if not isinstance(cfg.pole, (int, float)) or cfg.pole >= 0:
+    if not _number(cfg.pole) or cfg.pole >= 0:
         problems.append(f"pole: must be a negative number, got {cfg.pole!r}")
     if cfg.baseline not in BASELINES:
         problems.append(f"baseline: must be one of {BASELINES}, got {cfg.baseline!r}")
     if cfg.measure not in MEASURES:
         problems.append(f"measure: must be one of {MEASURES}, got {cfg.measure!r}")
-    if not isinstance(cfg.substeps, int) or cfg.substeps < 1:
-        problems.append(f"substeps: must be an integer >= 1, got {cfg.substeps!r}")
-    if not isinstance(cfg.trials, int) or cfg.trials < 1:
-        problems.append(f"trials: must be an integer >= 1, got {cfg.trials!r}")
+    integer("substeps", cfg.substeps, 1)
+    integer("trials", cfg.trials, 1)
+    if cfg.reference is not None and not (isinstance(cfg.reference, tuple) and all(
+            isinstance(channel, tuple) and all(
+                isinstance(term, tuple) and len(term) == 3 and all(map(_number, term))
+                for term in channel) for channel in cfg.reference)):
+        problems.append("reference: must list each channel's (amplitude, frequency, phase) "
+                        f"triples of numbers, got {cfg.reference!r}")
     for name in ("m1", "m2", "l1", "l2", "gravity", "nominal_scale"):
         positive(f"pendulum.{name}", getattr(cfg.pendulum, name))
-    if any((not isinstance(g, int)) or g < 1 for g in cfg.inspan.gamma):
-        problems.append(f"inspan.gamma: entries must be integers >= 1, got {cfg.inspan.gamma!r}")
+    gamma = cfg.inspan.gamma
+    if not (isinstance(gamma, tuple) and gamma and all(_integer(g, 1) for g in gamma)):
+        problems.append(f"inspan.gamma: must be a non-empty list of integers >= 1, "
+                        f"got {gamma!r}")
     positive("inspan.theta_star_scale", cfg.inspan.theta_star_scale)
+    integer("inspan.theta_star_seed", cfg.inspan.theta_star_seed, 0)
     if cfg.basis is not None:
         if cfg.basis.kind not in ("rbf_grid", "polynomial"):
             problems.append(f"basis.kind: must be 'rbf_grid' or 'polynomial', "
@@ -220,8 +239,7 @@ def _validate(cfg: ExperimentConfig, problems: list) -> None:
             if len(cfg.basis.box) != len(cfg.basis.counts):
                 problems.append("basis: box and counts must have matching lengths")
             positive("basis.width_rule", cfg.basis.width_rule)
-        if not isinstance(cfg.basis.degree, int) or cfg.basis.degree < 0:
-            problems.append(f"basis.degree: must be an integer >= 0, got {cfg.basis.degree!r}")
+        integer("basis.degree", cfg.basis.degree, 0)
         positive("basis.beta_scale", cfg.basis.beta_scale)
         positive("basis.alpha_scale", cfg.basis.alpha_scale)
     for dt in cfg.sweep.dt:
@@ -229,12 +247,12 @@ def _validate(cfg: ExperimentConfig, problems: list) -> None:
     for s2 in cfg.sweep.sigma2:
         positive("sweep.sigma2 entry", s2)
     for lam in cfg.sweep.lam:
-        if not isinstance(lam, (int, float)) or not 0 < lam < 1:
+        if not _number(lam) or not 0 < lam < 1:
             problems.append(f"sweep.lambda entry: must lie in (0, 1), got {lam!r}")
     positive("diag.window_s", cfg.diag.window_s)
     positive("diag.fit_step", cfg.diag.fit_step)
-    if not isinstance(cfg.diag.grid_points, int) or cfg.diag.grid_points < 3:
-        problems.append(f"diag.grid_points: must be an integer >= 3, got {cfg.diag.grid_points!r}")
+    integer("diag.grid_points", cfg.diag.grid_points, 3)
+    integer("diag.stride", cfg.diag.stride, 1)
 
 
 def apply_overrides(data: dict, overrides) -> dict:

@@ -19,12 +19,13 @@ its own substream ``step_rng(seed, k)``, so runs with learning enabled and
 disabled see the identical noise sequence and paired comparisons are exact.
 Replaying a seed reproduces a run bit for bit.  The runners compute the
 whole horizon's substream draws in bulk (``step_normals``), bit for bit
-equal to building each ``step_rng`` in turn; a test pins that mapping.
+equal to building each ``step_rng`` in turn; a test pins that mapping.  The
+bulk draw is the only noise path: seeds are integers in ``[0, 2**128)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -81,14 +82,14 @@ def step_normals(seed: int, horizon: int, q: int) -> Array:
     seed's four 32-bit words followed by the spawn key ``(0, k)``, and only
     the last word depends on ``k``.  PCG64's seeding step then gives each
     step's 128-bit state and increment, which are set on one reused
-    generator.  Any other seed takes the per-step path.
+    generator.  Raises ``ValueError`` for any other seed, and
+    ``DimensionError`` for a horizon outside ``[0, 2**32]``.
     """
+    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2 ** 128):
+        raise ValueError(f"seed must be an integer in [0, 2**128), got {seed!r}")
+    if not 0 <= horizon <= 2 ** 32:
+        raise DimensionError(f"horizon must lie in [0, 2**32], got {horizon}")
     out = np.empty((horizon, q))
-    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2 ** 128
-            and horizon <= 2 ** 32):
-        for k in range(horizon):
-            out[k] = step_rng(seed, k).standard_normal(q)
-        return out
 
     # SeedSequence.mix_entropy over [seed words, 0, k]: the pool is fixed by
     # the seed words and the 0; the step index k enters last
@@ -181,6 +182,8 @@ def draw_noise_series(cfg: PolicyConfig, q: int, seed: int, horizon: int) -> Arr
 
     With ``sigma2 == 0`` no generator is built at all.
     """
+    if horizon < 0:
+        raise DimensionError(f"horizon must be >= 0, got {horizon}")
     if cfg.sigma2 == 0.0:
         return np.zeros((horizon, q))
     return _scale_and_clip(cfg, step_normals(seed, horizon, q))
@@ -250,7 +253,7 @@ class AdaptRunRecord:
     rewards: Array
     baselines: Array
     seed: int
-    config: dict
+    config: dict = field(default_factory=dict)  # never filled by the runners
     diverged: bool = False
     diverged_step: int | None = None
 
@@ -470,8 +473,7 @@ def run_episodes(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0
                  seeds: Sequence[int] = (0,), x0: Array | None = None,
                  learn: bool | Sequence[bool] = True,
                  theta_star: Array | None = None, update_rule: str = "policy_gradient",
-                 substeps: int = 10, measure: str = "exact",
-                 config_snapshot: dict | None = None) -> list[AdaptRunRecord]:
+                 substeps: int = 10, measure: str = "exact") -> list[AdaptRunRecord]:
     """Run several sampled-data episodes as lanes of one kernel; record each one.
 
     Lane ``b`` runs the episode that :func:`run_episode` runs with
@@ -502,7 +504,6 @@ def run_episodes(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0
             phi=theta - np.asarray(theta_star, dtype=float) if theta_star is not None else None,
             u=rec["u"][b, :n], w=noise[b, :n], rewards=rec["reward"][b, :n],
             baselines=rec["baseline"][b, :n], seed=int(seed),
-            config=dict(config_snapshot or {}),
             diverged=bool(diverged_step[b] >= 0),
             diverged_step=int(diverged_step[b]) if diverged_step[b] >= 0 else None))
     return records
@@ -513,8 +514,7 @@ def run_episode(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0:
                 cfg: PolicyConfig, baseline_kind: str = "none", horizon: int = 1200,
                 seed: int = 0, x0: Array | None = None, learn: bool = True,
                 theta_star: Array | None = None, update_rule: str = "policy_gradient",
-                substeps: int = 10, measure: str = "exact",
-                config_snapshot: dict | None = None) -> AdaptRunRecord:
+                substeps: int = 10, measure: str = "exact") -> AdaptRunRecord:
     """Run one sampled-data episode and record everything.
 
     Parameters beyond the component objects:
@@ -543,8 +543,7 @@ def run_episode(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0:
     (record,) = run_episodes(plant, nominal, bases, theta0, reference, ref_model, gains, cfg,
                              baseline_kind=baseline_kind, horizon=horizon, seeds=(seed,),
                              x0=x0, learn=learn, theta_star=theta_star,
-                             update_rule=update_rule, substeps=substeps, measure=measure,
-                             config_snapshot=config_snapshot)
+                             update_rule=update_rule, substeps=substeps, measure=measure)
     return record
 
 
@@ -566,10 +565,10 @@ def run_ensemble(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0
     others keep running, and once every trial has failed the run stops.
     Only ``e`` and ``theta`` are kept per step.
     """
+    if n_trials < 1:
+        raise DimensionError(f"n_trials must be >= 1, got {n_trials}")
     seeds = np.array([derive_seed(seed, cell_key, b) for b in range(n_trials)], dtype=np.int64)
-    noise = np.empty((n_trials, horizon, plant.q))
-    for b in range(n_trials):
-        noise[b] = draw_noise_series(cfg, plant.q, int(seeds[b]), horizon)
+    noise = np.stack([draw_noise_series(cfg, plant.q, int(s), horizon) for s in seeds])
     rec, diverged_step = _lockstep(plant, nominal, bases, theta0, reference, ref_model, gains,
                                    cfg, baseline_kind, noise, x0, True, theta_star,
                                    "policy_gradient", substeps, "exact", ("e", "theta"))

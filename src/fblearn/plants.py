@@ -7,6 +7,9 @@ its exact linearizing controller in closed form, the pair ``(beta(x),
 alpha(x))`` for which ``u = beta + alpha v`` gives ``y^(gamma) = v``, and
 the map from state to the stacked outputs-and-derivatives vector ``xi``.
 ``linearizing_terms`` is the one place that judges ``alpha`` singular.
+``make_inspan_plant(gamma, bases, theta_star)`` builds integrator chains of
+relative degrees ``gamma`` whose true controller is the learned one at
+``theta_star``.
 
 All plant callables broadcast over leading batch dimensions: ``x`` may be
 ``(n,)`` or ``(m, n)`` and the results gain the same leading shape.  This
@@ -321,61 +324,30 @@ def make_chain_plant(gamma) -> PlantModel:
 # In-span synthetic plants
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class InSpanPlantSpec:
-    """Recipe for a plant whose exact linearizing controller is representable.
-
-    The generated plant's controller is the learned parameterization
-    evaluated at ``theta_star``, so the true parameter vector exists by
-    construction and every parameter-error diagnostic is computable.
-    ``nominal`` must live in output-chain coordinates (its ``output_chain``
-    is the identity), which all chain plants do.
-    """
-
-    nominal: PlantModel
-    bases: "BasisSet"  # noqa: F821 - resolved at runtime via fblearn.basis
-    theta_star: Array
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta_star", np.asarray(self.theta_star, dtype=float))
-        if self.theta_star.shape != (self.bases.size,):
-            raise DimensionError(
-                f"theta_star has shape {self.theta_star.shape}, bases expect ({self.bases.size},)")
-
-
-def make_inspan_plant(spec: InSpanPlantSpec) -> PlantModel:
+def make_inspan_plant(gamma, bases: "BasisSet", theta_star: Array) -> PlantModel:  # noqa: F821
     """Build the plant whose exact linearizing controller is ``u_hat(theta_star)``.
 
-    The nominal must be a chain plant: identity output chain and controller
-    ``(0, I)``, both checked at probe states.  The plant's controller is then
-    ``beta_p = beta_corr`` and ``alpha_p = I + alpha_corr`` evaluated at
-    ``theta_star``, and its dynamics are the chain rate driven by
-    ``y^(gamma) = alpha_p^{-1} (u - beta_p)``, so applying the controller
-    yields ``y^(gamma) = v`` identically.  Raises ``SingularMatrixError``
-    wherever ``alpha_p`` cannot be inverted.
+    The state is the ``xi`` of integrator chains with relative degrees
+    ``gamma`` (controller ``(0, I)``), so the plant's controller is ``beta_p
+    = beta_corr`` and ``alpha_p = I + alpha_corr`` at ``theta_star``: the
+    true parameter vector exists by construction.  The dynamics are the chain
+    rate driven by ``y^(gamma) = alpha_p^{-1} (u - beta_p)``, so applying the
+    controller yields ``y^(gamma) = v`` identically.  Raises
+    ``SingularMatrixError`` wherever ``alpha_p`` cannot be inverted.
     """
     from .basis import eval_correction  # deferred: basis imports this module
 
-    nominal, bases, theta_star = spec.nominal, spec.bases, spec.theta_star
-    ref = build_reference_model(nominal.gamma)
-    n, q = nominal.n, nominal.q
-    if ref.total_degree != n:
-        raise DimensionError(f"nominal relative degree {nominal.gamma} does not sum to n={n}")
-    rng = np.random.default_rng(0)
-    probes = rng.standard_normal((4, n))
-    if not np.allclose(nominal.output_chain(probes), probes):
-        raise ValueError("in-span construction needs a nominal in output-chain "
-                         "coordinates (output_chain must be the identity)")
+    ref = build_reference_model(gamma)
+    n, q = ref.total_degree, ref.q
+    theta_star = np.asarray(theta_star, dtype=float)
+    if theta_star.shape != (bases.size,):
+        raise DimensionError(
+            f"theta_star has shape {theta_star.shape}, bases expect ({bases.size},)")
     eye = np.eye(q)
-    beta_m, alpha_m = nominal.linearizing(probes)
-    if not (np.array_equal(beta_m, np.zeros((4, q)))
-            and np.array_equal(alpha_m, np.broadcast_to(eye, (4, q, q)))):
-        raise ValueError("in-span construction needs a nominal whose linearizing "
-                         "controller is the chain's constant (0, I)")
     chain_rate = _chain_rate(ref.gamma)
 
     def linearizing(x):
-        # the nominal's (-0.0, I) folded in: -0.0 + c == c, and I + c is the same sum
+        # the chain controller (-0.0, I) folded in: -0.0 + c == c, and I + c is the same sum
         beta_c, alpha_c = eval_correction(bases, theta_star, x)
         return beta_c, eye + alpha_c
 

@@ -64,22 +64,6 @@ def sample_reference(ref: SinusoidSum, gamma, t) -> ReferenceSample:
     return ReferenceSample(t=float(t) if t.ndim == 0 else t, xi_d=xi_d, y_dgamma=y_dgamma)
 
 
-def uniform_bound(ref: SinusoidSum, gamma) -> float:
-    """Certified upper bound on every tracked derivative, all channels.
-
-    ``|d^m/dt^m a sin(w t + p)| <= |a| w^m <= |a| max(1, w)^gamma_j`` for all
-    orders ``m <= gamma_j``, summed over terms and channels.
-    """
-    gamma = tuple(int(g) for g in gamma)
-    if len(gamma) != ref.n_channels:
-        raise DimensionError(f"reference has {ref.n_channels} channels for gamma {gamma}")
-    total = 0.0
-    for terms, g in zip(ref.channels, gamma):
-        for amp, omega, _ in terms:
-            total += abs(amp) * max(1.0, abs(omega)) ** g
-    return total
-
-
 def two_tone_reference(n_channels: int, amplitude: float = 0.5,
                        base_frequency: float = 0.7) -> SinusoidSum:
     """Default persistently exciting reference: two incommensurate tones.

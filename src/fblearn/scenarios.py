@@ -11,8 +11,8 @@ from .config import BasisSection, ExperimentConfig
 from .errors import ConfigError
 from .learning import PolicyConfig
 from .linearize import GainMatrix, ReferenceModel, build_reference_model, design_gain
-from .plants import (DoublePendulumParams, InSpanPlantSpec, PlantModel,
-                     make_chain_plant, make_double_pendulum, make_inspan_plant)
+from .plants import (DoublePendulumParams, PlantModel, make_chain_plant, make_double_pendulum,
+                     make_inspan_plant)
 from .reference import SinusoidSum, sample_reference, two_tone_reference
 
 Array = np.ndarray
@@ -51,12 +51,11 @@ class Scenario:
 def _reference_for(config: ExperimentConfig, q: int) -> SinusoidSum:
     if config.reference is None:
         return two_tone_reference(q)
-    channels = tuple(tuple((float(a), float(w), float(p)) for a, w, p in ch)
-                     for ch in config.reference)
-    if len(channels) != q:
+    # validated: a tuple of channels, each a tuple of number triples
+    if len(config.reference) != q:
         raise ConfigError([f"reference: scenario has {q} output channels, "
-                           f"config defines {len(channels)}"])
-    return SinusoidSum(channels=channels)
+                           f"config defines {len(config.reference)}"])
+    return SinusoidSum(channels=config.reference)
 
 
 def _basis_for(config: ExperimentConfig, default: BasisSection, io_dim: int,
@@ -99,13 +98,11 @@ def build_scenario(config: ExperimentConfig) -> Scenario:
         theta_star = None
         theta0 = np.zeros(bases.size)
     elif config.scenario == "inspan_synthetic":
-        gamma = tuple(int(g) for g in config.inspan.gamma)
-        nominal = make_chain_plant(gamma)
+        nominal = make_chain_plant(config.inspan.gamma)
         bases = _basis_for(config, _INSPAN_BASIS, nominal.q, nominal.n)
         rng = np.random.default_rng(config.inspan.theta_star_seed)
         theta_star = config.inspan.theta_star_scale * rng.standard_normal(bases.size)
-        plant = make_inspan_plant(InSpanPlantSpec(nominal=nominal, bases=bases,
-                                                  theta_star=theta_star))
+        plant = make_inspan_plant(config.inspan.gamma, bases, theta_star)
         theta0 = theta_star + _phi0(bases.size, config.inspan.phi0_scale)
     elif config.scenario == "linear_test":
         plant = make_chain_plant((2, 2))

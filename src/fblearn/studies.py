@@ -166,8 +166,6 @@ class ConcentrationReport:
 
     cells: tuple
     lambdas: tuple
-    base_dt: float
-    base_sigma2: float
     dt_slope: float | None
     sigma_ratios: tuple | None
     lambda_slope: float | None
@@ -263,8 +261,7 @@ def concentration_study(scenario: Scenario, base_cfg: PolicyConfig, trials: int,
                                    1)[0]) for c in cells]
         lambda_slope = float(np.mean(slopes))
 
-    return ConcentrationReport(cells=tuple(cells), lambdas=lambdas, base_dt=base_cfg.dt,
-                               base_sigma2=base_cfg.sigma2, dt_slope=dt_slope,
+    return ConcentrationReport(cells=tuple(cells), lambdas=lambdas, dt_slope=dt_slope,
                                sigma_ratios=sigma_ratios, lambda_slope=lambda_slope)
 
 

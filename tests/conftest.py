@@ -8,7 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from fblearn import (DoublePendulumParams, InSpanPlantSpec, build_reference_model,
+from fblearn import (DoublePendulumParams, build_reference_model,
                      design_gain, make_chain_plant, make_double_pendulum,
                      make_inspan_plant, polynomial_basis, sample_reference,
                      two_tone_reference)
@@ -56,8 +56,7 @@ def _inspan_scenario_1d():
     reference = two_tone_reference(1)
     bases = polynomial_basis(2, 1, io_dim=1)
     theta_star = 0.15 * np.random.default_rng(7).standard_normal(bases.size)
-    plant = make_inspan_plant(InSpanPlantSpec(nominal=nominal, bases=bases,
-                                              theta_star=theta_star))
+    plant = make_inspan_plant((2,), bases, theta_star)
     x0 = sample_reference(reference, (2,), 0.0).xi_d
     return Scenario(name="inspan1d", plant=plant, nominal=nominal, bases=bases,
                     reference=reference, ref_model=ref_model, gains=gains,

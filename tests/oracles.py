@@ -111,6 +111,11 @@ def per_interval_disturbances(record, scenario, step=None):
     return delta
 
 
+def least_squares_cost(W, phi):
+    """The cost ``0.5 * ||W phi||^2`` whose gradient is ``W.T W phi``."""
+    return 0.5 * float((W @ phi) @ (W @ phi))
+
+
 def chain_rate_matmul(gamma):
     """``(x, u) -> A x + B u`` of the chain-of-integrators reference model."""
     from fblearn.linearize import build_reference_model

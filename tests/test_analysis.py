@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from fblearn import (PolicyConfig, assemble_W, build_reference_model, continuous_reward,
-                     design_gain, eval_learned_controller, fit_exponential_bound,
-                     linearizing_terms, interp_matrix_series, least_squares_gradient, ltv_matrix,
-                     pe_check, regressor_series, run_episode, sample_reference, simulate_ideal,
+from fblearn import (PolicyConfig, assemble_W, build_reference_model, design_gain,
+                     eval_learned_controller, fit_exponential_bound, linearizing_terms,
+                     interp_matrix_series, least_squares_gradient, ltv_matrix, pe_check,
+                     regressor_series, run_episode, sample_reference, simulate_ideal,
                      transition_matrix, transition_norm_grid)
 
-from oracles import expm, kron_columns
+from oracles import expm, kron_columns, least_squares_cost
 
 
 @pytest.fixture(scope="module")
@@ -97,12 +97,6 @@ class TestRegressorLayout:
 
 
 class TestContinuousReward:
-    def test_zero_error(self):
-        assert continuous_reward(np.eye(2), np.zeros(2)) == 0.0
-
-    def test_arithmetic(self):
-        assert continuous_reward(np.eye(2), np.array([3.0, 4.0])) == pytest.approx(12.5)
-
     def test_gradient_matches_finite_differences(self, rng):
         W = rng.standard_normal((2, 6))
         phi = rng.standard_normal(6)
@@ -111,7 +105,7 @@ class TestContinuousReward:
         for i in range(6):
             dp = np.zeros(6)
             dp[i] = h
-            fd = (continuous_reward(W, phi + dp) - continuous_reward(W, phi - dp)) / (2 * h)
+            fd = (least_squares_cost(W, phi + dp) - least_squares_cost(W, phi - dp)) / (2 * h)
             assert abs(fd - grad[i]) <= 1e-7 * max(1.0, abs(grad[i]))
 
 

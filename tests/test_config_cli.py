@@ -289,6 +289,23 @@ class TestCli:
             == EXIT_CONFIG
         assert "mystery" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override,key", [
+        ("seed=-1", "seed"), (f"seed={2**128}", "seed"),
+        ("inspan.theta_star_seed=-1", "inspan.theta_star_seed"),
+        ("reference=[[[0.5,0.7]]]", "reference"), ("reference=[[0.5,0.7,0.0]]", "reference"),
+        ("inspan.gamma=[]", "inspan.gamma"), ("inspan.gamma=2", "inspan.gamma"),
+        ("substeps=true", "substeps"), ("trials=true", "trials"),
+        ("basis.degree=true", "basis.degree"), ("dt=true", "dt"),
+        ("diag.stride=0", "diag.stride")])
+    def test_bad_values_exit_with_a_config_error(self, tmp_path, capsys, override, key):
+        # each once crashed with a traceback (or, for bools, passed as an integer)
+        code = main(["run", "--config", str(CONFIG_DIR / "inspan_diag.yaml"),
+                     "--out-dir", str(tmp_path), "--override", override])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert f"{key}:" in err and "Traceback" not in err
+        assert not any(tmp_path.iterdir())
+
     def test_missing_config_exit_code(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.yaml"),
                      "--out-dir", str(tmp_path)]) == EXIT_CONFIG

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fblearn import (BASELINES, InSpanPlantSpec, PolicyConfig, build_rbf_grid,
+from fblearn import (BASELINES, PolicyConfig, build_rbf_grid,
                      build_reference_model, design_gain, discrete_reward, grad_log_policy,
                      make_chain_plant, make_inspan_plant, polynomial_basis, run_episode,
                      run_episodes, two_tone_reference, update_params)
@@ -79,7 +79,7 @@ class TestBulkNoise:
     """``step_normals`` is the per-step ``step_rng`` stream, computed in bulk."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**100 + 3,
-                                      2**128 + 7])
+                                      2**128 - 1])
     @pytest.mark.parametrize("q", [1, 2, 3])
     def test_bit_equal_to_per_step_generators(self, seed, q):
         for horizon in (0, 1, 900):
@@ -95,11 +95,17 @@ class TestBulkNoise:
                                       _as_bits(long[:50]))
 
     def test_negative_seed_raises_like_seed_sequence(self):
-        with pytest.raises(ValueError) as want:
+        with pytest.raises(ValueError):
             np.random.SeedSequence(-3)
-        with pytest.raises(ValueError) as got:
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*128\)"):
             step_normals(-3, 4, 1)
-        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("seed,horizon", [(2**128, 4), (2**128 + 7, 4), (1.5, 4),
+                                              ("3", 4), (0, -1), (0, 2**32 + 1)])
+    def test_seeds_and_horizons_outside_the_bulk_domain_are_rejected(self, seed, horizon):
+        # there is no per-step fallback: the bulk draw is the only noise path
+        with pytest.raises(ValueError, match="seed|horizon"):
+            step_normals(seed, horizon, 1)
 
     def test_zero_variance_series_is_zero(self):
         cfg = PolicyConfig(sigma2=0.0, dt=0.05)
@@ -310,16 +316,24 @@ class TestRunEpisode:
         with pytest.raises(DimensionError, match="x0"):
             run_episodes(*args, horizon=5, seeds=(0, 1), x0=x0)
 
-    @pytest.mark.parametrize("seeds,learn,name", [
-        ((1, 2), (True, False, True), "learn"), ((1, 2), [[True], [False]], "learn"),
-        ((), True, "seeds")], ids=["learn-length3", "learn-2x1", "no-seeds"])
-    def test_malformed_lanes_raise_dimension_error(self, inspan1, seeds, learn, name):
-        # each once leaked a NumPy broadcasting or stacking error
+    @pytest.mark.parametrize("runner,kwargs,name", [
+        ("episodes", dict(seeds=(1, 2), learn=(True, False, True)), "learn"),
+        ("episodes", dict(seeds=(1, 2), learn=[[True], [False]]), "learn"),
+        ("episodes", dict(seeds=()), "seeds"),
+        ("episodes", dict(seeds=(1,), horizon=-1), "horizon"),
+        ("episodes", dict(seeds=(1,), horizon=-1, sigma2=0.0), "horizon"),
+        ("ensemble", dict(n_trials=0), "n_trials"),
+        ("ensemble", dict(n_trials=2, horizon=-1, sigma2=0.0), "horizon")],
+        ids=["learn-length3", "learn-2x1", "no-seeds", "negative-horizon",
+             "noise-free-negative-horizon", "no-trials", "ensemble-negative-horizon"])
+    def test_malformed_lanes_raise_dimension_error(self, inspan1, runner, kwargs, name):
+        # each once leaked a NumPy broadcasting, stacking or unpacking error
+        kwargs = {"horizon": 5, "x0": inspan1.x0, **kwargs}
         args = (inspan1.plant, inspan1.nominal, inspan1.bases, inspan1.theta_star,
                 inspan1.reference, inspan1.ref_model, inspan1.gains,
-                PolicyConfig(sigma2=0.01, dt=0.05))
+                PolicyConfig(sigma2=kwargs.pop("sigma2", 0.01), dt=0.05))
         with pytest.raises(DimensionError, match=name):
-            run_episodes(*args, horizon=5, seeds=seeds, learn=learn, x0=inspan1.x0)
+            (run_episodes if runner == "episodes" else run_ensemble)(*args, **kwargs)
 
     def test_finite_difference_measurement_close_to_exact(self, inspan1):
         cfg = PolicyConfig(sigma2=0.01, dt=0.05)
@@ -481,9 +495,8 @@ class TestEnsemble:
 
     def test_singular_decoupling_fails_each_lane_on_its_own(self, inspan1):
         # a nominal whose learned gain cancels to zero: singular at every state
-        singular = make_inspan_plant(InSpanPlantSpec(
-            nominal=make_chain_plant((2,)), bases=polynomial_basis(2, 0, io_dim=1),
-            theta_star=np.array([0.0, -1.0])))
+        singular = make_inspan_plant((2,), polynomial_basis(2, 0, io_dim=1),
+                                     np.array([0.0, -1.0]))
         cfg = PolicyConfig(sigma2=0.01, dt=0.05)
         args = (inspan1.plant, singular, inspan1.bases, inspan1.theta_star, inspan1.reference,
                 inspan1.ref_model, inspan1.gains, cfg)
@@ -616,8 +629,7 @@ class TestPairedEpisodes:
                 singular_lanes.append(exc.lanes.tolist())
                 raise
 
-        inspan = make_inspan_plant(InSpanPlantSpec(
-            nominal=nominal, bases=step, theta_star=np.array([0.0, 0.0, 0.0, 0.0, -1.0, 0.0])))
+        inspan = make_inspan_plant((2,), step, np.array([0.0, 0.0, 0.0, 0.0, -1.0, 0.0]))
         plant = dataclasses.replace(inspan, rate=rate)
         ref_model = build_reference_model((2,))
         reference = two_tone_reference(1)

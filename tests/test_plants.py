@@ -1,4 +1,3 @@
-import dataclasses
 from functools import cache
 from pathlib import Path
 
@@ -8,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fblearn import (DoublePendulumParams, InSpanPlantSpec, PlantModel, eval_dynamics,
+from fblearn import (DoublePendulumParams, PlantModel, eval_dynamics,
                      integrate_zoh, linearizing_terms, make_chain_plant,
                      make_double_pendulum, make_inspan_plant, polynomial_basis,
                      eval_learned_controller, rbf_basis)
@@ -234,51 +233,28 @@ class TestInSpanPlant:
     def test_zero_correction_reproduces_nominal(self, rng):
         nominal = make_chain_plant((2,))
         bases = polynomial_basis(2, 1, io_dim=1)
-        plant = make_inspan_plant(InSpanPlantSpec(nominal=nominal, bases=bases,
-                                                  theta_star=np.zeros(bases.size)))
+        plant = make_inspan_plant((2,), bases, np.zeros(bases.size))
         for _ in range(5):
             x, u = rng.standard_normal(2), rng.standard_normal(1)
             np.testing.assert_allclose(eval_dynamics(plant, x, u),
                                        eval_dynamics(nominal, x, u), atol=1e-13)
 
     def test_theta_star_dimension_checked(self):
-        nominal = make_chain_plant((2,))
         bases = polynomial_basis(2, 1, io_dim=1)
         with pytest.raises(DimensionError):
-            InSpanPlantSpec(nominal=nominal, bases=bases, theta_star=np.zeros(3))
-
-    def test_non_chain_nominal_rejected(self, pendulum):
-        bases = polynomial_basis(4, 1, io_dim=2)
-        with pytest.raises(ValueError, match="output-chain"):
-            make_inspan_plant(InSpanPlantSpec(nominal=pendulum, bases=bases,
-                                              theta_star=np.zeros(bases.size)))
+            make_inspan_plant((2,), bases, np.zeros(3))
 
     def test_singular_alpha_reported(self):
         # constant feature with theta2* = -1 cancels the nominal gain exactly
-        nominal = make_chain_plant((2,))
         bases = polynomial_basis(2, 0, io_dim=1)
-        theta_star = np.array([0.0, -1.0])
-        plant = make_inspan_plant(InSpanPlantSpec(nominal=nominal, bases=bases,
-                                                  theta_star=theta_star))
+        plant = make_inspan_plant((2,), bases, np.array([0.0, -1.0]))
         with pytest.raises(SingularMatrixError):
             linearizing_terms(plant, np.zeros(2))
-
-    def test_nominal_without_the_chain_controller_rejected(self):
-        # identity output chain, but alpha = 2I
-        chain = make_chain_plant((2,))
-        doubled = dataclasses.replace(chain, name="doubled", linearizing=lambda x: (
-            np.zeros(x.shape[:-1] + (1,)), np.full(x.shape[:-1] + (1, 1), 2.0)))
-        bases = polynomial_basis(2, 1, io_dim=1)
-        with pytest.raises(ValueError, match="linearizing controller"):
-            make_inspan_plant(InSpanPlantSpec(nominal=doubled, bases=bases,
-                                              theta_star=np.zeros(bases.size)))
 
     def test_q1_singular_mask_through_the_division(self):
         # phi = [1, x1, x0]; theta2* = [0, -1, 0] makes alpha_p = 1 - x1, zero at x1 = 1
         bases = polynomial_basis(2, 1, io_dim=1)
-        plant = make_inspan_plant(InSpanPlantSpec(
-            nominal=make_chain_plant((2,)), bases=bases,
-            theta_star=np.array([0.0, 0.0, 0.0, 0.0, -1.0, 0.0])))
+        plant = make_inspan_plant((2,), bases, np.array([0.0, 0.0, 0.0, 0.0, -1.0, 0.0]))
         x = np.array([[0.3, 0.5], [0.3, 1.0], [-0.2, -0.5]])
         with pytest.raises(SingularMatrixError) as err:
             plant.rate(x, np.ones((3, 1)))
@@ -312,8 +288,7 @@ class TestChainOracles:
                  "poly2": lambda: polynomial_basis(n, 2, io_dim=q),
                  "rbf": lambda: rbf_basis(rng.uniform(-1, 1, (5, n)), 0.8, io_dim=q)}[kind]()
         theta_star = 0.1 * rng.standard_normal(bases.size)
-        plant = make_inspan_plant(InSpanPlantSpec(nominal=nominal, bases=bases,
-                                                  theta_star=theta_star))
+        plant = make_inspan_plant(gamma, bases, theta_star)
         oracle = generic_inspan_plant(nominal, bases, theta_star)
         x = rng.uniform(-1, 1, (lanes, n))
         u = rng.standard_normal((lanes, q))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fblearn import SinusoidSum, sample_reference, two_tone_reference, uniform_bound
+from fblearn import SinusoidSum, sample_reference, two_tone_reference
 from fblearn.errors import DimensionError
 
 
@@ -66,28 +66,6 @@ class TestDerivatives:
             one = sample_reference(ref, gamma, t)
             np.testing.assert_array_equal(bulk.xi_d[k], one.xi_d)
             np.testing.assert_array_equal(bulk.y_dgamma[k], one.y_dgamma)
-
-
-class TestUniformBound:
-    def test_unit_case(self):
-        ref = SinusoidSum(channels=(((1.0, 1.0, 0.0),),))
-        assert uniform_bound(ref, (2,)) == pytest.approx(1.0)
-
-    def test_empty_terms(self):
-        assert uniform_bound(SinusoidSum(channels=((),)), (2,)) == 0.0
-
-    def test_bound_dominates_dense_sampling(self, rng):
-        channels = tuple(
-            tuple((float(rng.uniform(0.1, 2.0)), float(rng.uniform(0.3, 3.0)),
-                   float(rng.uniform(0, np.pi))) for _ in range(3))
-            for _ in range(2))
-        ref = SinusoidSum(channels=channels)
-        gamma = (2, 2)
-        bound = uniform_bound(ref, gamma)
-        t = np.linspace(0.0, 200.0, 1_000_000)
-        for ch in range(2):
-            for order in range(gamma[ch] + 1):
-                assert np.abs(ref.derivative(ch, order, t)).max() <= bound + 1e-12
 
 
 class TestRichness:
