@@ -148,15 +148,15 @@ class PEReport:
     n_windows: int
 
 
-def pe_check(times: Array, w_samples: Array, delta: float, stride: int = 1,
-             rel_tol: float = 1e-9) -> PEReport:
+def pe_check(times: Array, w_samples: Array, delta: float, stride: int = 1) -> PEReport:
     """Check persistence of excitation over sliding windows of length ``delta``.
 
     Integrates ``W.T W`` by the trapezoid rule over every window (start
     indices advancing by ``stride`` samples); ``c2`` is the smallest minimum
-    eigenvalue over windows, ``c1`` the largest maximum.  ``satisfied`` uses
-    a relative floor so rank-deficient integrals with eigenvalues at
-    round-off scale count as failures.
+    eigenvalue over windows, ``c1`` the largest maximum.  ``satisfied``
+    needs ``c2 > 1e-9 * max(1, c1)``: the relative floor makes
+    rank-deficient integrals, whose eigenvalues sit at round-off scale,
+    count as failures.
     """
     times = np.asarray(times, dtype=float)
     w_samples = np.asarray(w_samples, dtype=float)
@@ -177,7 +177,7 @@ def pe_check(times: Array, w_samples: Array, delta: float, stride: int = 1,
     evals = np.linalg.eigvalsh(cum[ends[starts]] - cum[starts])
     c1, c2 = float(evals[:, -1].max()), float(evals[:, 0].min())
     return PEReport(delta=float(delta), c1=c1, c2=c2,
-                    satisfied=bool(c2 > rel_tol * max(1.0, c1)), n_windows=len(starts))
+                    satisfied=bool(c2 > 1e-9 * max(1.0, c1)), n_windows=len(starts))
 
 
 @dataclass(frozen=True)

@@ -46,13 +46,10 @@ class BasisSet:
     smaller one because it multiplies the loop gain.
     """
 
-    kind: str
     state_dim: int
     io_dim: int
     n_scalar: int
     feature_fn: Callable[[Array], Array] = field(compare=False)
-    centers: Array | None = None
-    widths: Array | None = None
     beta_scale: float = 1.0
     alpha_scale: float = 1.0
 
@@ -111,9 +108,8 @@ def rbf_basis(centers: Array, widths, io_dim: int, beta_scale: float = 1.0,
         raise ValueError("all widths must be strictly positive")
     if beta_scale <= 0 or alpha_scale <= 0:
         raise ValueError("basis scales must be strictly positive")
-    return BasisSet(kind="gaussian-rbf", state_dim=centers.shape[1], io_dim=int(io_dim),
-                    n_scalar=centers.shape[0], feature_fn=_gaussian_features(centers, widths),
-                    centers=centers, widths=widths,
+    return BasisSet(state_dim=centers.shape[1], io_dim=int(io_dim), n_scalar=centers.shape[0],
+                    feature_fn=_gaussian_features(centers, widths),
                     beta_scale=float(beta_scale), alpha_scale=float(alpha_scale))
 
 
@@ -179,13 +175,15 @@ def polynomial_basis(state_dim: int, degree: int, io_dim: int, beta_scale: float
     if width == 1:
         index = factors[:, 0]
 
+        # the gather is not C-contiguous for two or more lanes, and einsum
+        # would then sum each lane in another order than a one-lane call
         def feature_fn(x):
-            return with_ones(x)[..., index]
+            return np.ascontiguousarray(with_ones(x)[..., index])
     else:
         def feature_fn(x):
             return np.prod(with_ones(x)[..., factors], axis=-1)
 
-    return BasisSet(kind="polynomial", state_dim=int(state_dim), io_dim=int(io_dim),
+    return BasisSet(state_dim=int(state_dim), io_dim=int(io_dim),
                     n_scalar=len(exponents), feature_fn=feature_fn,
                     beta_scale=float(beta_scale), alpha_scale=float(alpha_scale))
 

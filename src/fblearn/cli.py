@@ -57,8 +57,7 @@ def _episode_args(config: ExperimentConfig, scenario: Scenario,
             scenario.reference, scenario.ref_model, scenario.gains, cfg)
     kwargs = dict(baseline_kind=config.baseline,
                   horizon=int(round(config.horizon_s / cfg.dt)), x0=scenario.x0,
-                  theta_star=scenario.theta_star, substeps=config.substeps,
-                  measure=config.measure)
+                  theta_star=scenario.theta_star, substeps=config.substeps)
     return args, kwargs
 
 

@@ -10,13 +10,14 @@ Python).
 from __future__ import annotations
 
 import dataclasses
+import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import yaml
 
 from .errors import ConfigError
-from .learning import BASELINES, MEASURES
+from .learning import BASELINES
 
 SCENARIOS = ("double_pendulum", "inspan_synthetic", "linear_test")
 
@@ -92,7 +93,6 @@ class ExperimentConfig:
     baseline: str = "mean_of_past"
     substeps: int = 10
     trials: int = 200
-    measure: str = "exact"
     x0: tuple | None = None
     reference: tuple | None = None
     pendulum: PendulumSection = field(default_factory=PendulumSection)
@@ -189,7 +189,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 
 def _number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """An int or float, not a bool, that converts to a finite float."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def _integer(value, minimum: int) -> bool:
@@ -205,6 +207,12 @@ def _validate(cfg: ExperimentConfig, problems: list) -> None:
         if not _integer(value, minimum):
             problems.append(f"{name}: must be an integer >= {minimum}, got {value!r}")
 
+    def entries(name, value, valid, what) -> bool:
+        ok = isinstance(value, tuple) and all(map(valid, value))
+        if not ok:
+            problems.append(f"{name}: must be a list of {what}, got {value!r}")
+        return ok
+
     positive("dt", cfg.dt)
     positive("sigma2", cfg.sigma2)
     positive("noise_clip", cfg.noise_clip)
@@ -213,10 +221,10 @@ def _validate(cfg: ExperimentConfig, problems: list) -> None:
         problems.append(f"pole: must be a negative number, got {cfg.pole!r}")
     if cfg.baseline not in BASELINES:
         problems.append(f"baseline: must be one of {BASELINES}, got {cfg.baseline!r}")
-    if cfg.measure not in MEASURES:
-        problems.append(f"measure: must be one of {MEASURES}, got {cfg.measure!r}")
     integer("substeps", cfg.substeps, 1)
     integer("trials", cfg.trials, 1)
+    if cfg.x0 is not None:
+        entries("x0", cfg.x0, _number, "numbers")
     if cfg.reference is not None and not (isinstance(cfg.reference, tuple) and all(
             isinstance(channel, tuple) and all(
                 isinstance(term, tuple) and len(term) == 3 and all(map(_number, term))
@@ -231,24 +239,27 @@ def _validate(cfg: ExperimentConfig, problems: list) -> None:
                         f"got {gamma!r}")
     positive("inspan.theta_star_scale", cfg.inspan.theta_star_scale)
     integer("inspan.theta_star_seed", cfg.inspan.theta_star_seed, 0)
+    if not _number(cfg.inspan.phi0_scale):
+        problems.append(f"inspan.phi0_scale: must be a number, got {cfg.inspan.phi0_scale!r}")
     if cfg.basis is not None:
         if cfg.basis.kind not in ("rbf_grid", "polynomial"):
             problems.append(f"basis.kind: must be 'rbf_grid' or 'polynomial', "
                             f"got {cfg.basis.kind!r}")
+        lists_ok = [
+            entries("basis.box", cfg.basis.box, lambda b: isinstance(b, tuple) and len(b) == 2
+                    and all(map(_number, b)) and b[0] < b[1], "(lo, hi) pairs with lo < hi"),
+            entries("basis.counts", cfg.basis.counts, lambda c: _integer(c, 1), "integers >= 1")]
         if cfg.basis.kind == "rbf_grid":
-            if len(cfg.basis.box) != len(cfg.basis.counts):
+            if all(lists_ok) and len(cfg.basis.box) != len(cfg.basis.counts):
                 problems.append("basis: box and counts must have matching lengths")
             positive("basis.width_rule", cfg.basis.width_rule)
         integer("basis.degree", cfg.basis.degree, 0)
         positive("basis.beta_scale", cfg.basis.beta_scale)
         positive("basis.alpha_scale", cfg.basis.alpha_scale)
-    for dt in cfg.sweep.dt:
-        positive("sweep.dt entry", dt)
-    for s2 in cfg.sweep.sigma2:
-        positive("sweep.sigma2 entry", s2)
-    for lam in cfg.sweep.lam:
-        if not _number(lam) or not 0 < lam < 1:
-            problems.append(f"sweep.lambda entry: must lie in (0, 1), got {lam!r}")
+    entries("sweep.dt", cfg.sweep.dt, lambda v: _number(v) and v > 0, "positive numbers")
+    entries("sweep.sigma2", cfg.sweep.sigma2, lambda v: _number(v) and v > 0, "positive numbers")
+    entries("sweep.lambda", cfg.sweep.lam, lambda v: _number(v) and 0 < v < 1,
+            "numbers in (0, 1)")
     positive("diag.window_s", cfg.diag.window_s)
     positive("diag.fit_step", cfg.diag.fit_step)
     integer("diag.grid_points", cfg.diag.grid_points, 3)

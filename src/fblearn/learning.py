@@ -160,8 +160,6 @@ class PolicyConfig:
 #: ``"none"`` and at ``k = 0``, else the sum or the mean of steps ``0 .. k - 1``),
 #: so it never depends on the current input and adds no bias.
 BASELINES = ("none", "sum_of_past", "mean_of_past")
-#: Measurement modes of ``xi`` (see :func:`run_episode`).
-MEASURES = ("exact", "finite_difference")
 
 
 def draw_noise(cfg: PolicyConfig, q: int | tuple[int, ...], rng: np.random.Generator) -> Array:
@@ -275,12 +273,10 @@ class EnsembleRecord:
     ignored; ``diverged_step`` is -1 for clean trials.
     """
 
-    t: Array
     e: Array
     phi: Array | None
     diverged: Array
     diverged_step: Array
-    seeds: Array
 
     @property
     def n_trials(self) -> int:
@@ -293,24 +289,6 @@ class EnsembleRecord:
 STATE_BOUND = 1e9
 
 
-def _fd_output_stack(model: PlantModel, x_prev: Array, x_end: Array, h: float) -> Array:
-    """Measure ``xi`` from output samples by backward differences.
-
-    ``x_prev`` and ``x_end`` are the last two substep states of the interval
-    just integrated; the first derivative of each output is estimated from
-    their outputs.  Only relative degrees up to 2 are supported, which
-    covers every shipped plant.
-    """
-    xi = model.output_chain(x_end).copy()  # may be x_end itself
-    xi_prev = model.output_chain(x_prev)
-    row = 0
-    for g in model.gamma:
-        if g == 2:
-            xi[..., row + 1] = (xi[..., row] - xi_prev[..., row]) / h
-        row += g
-    return xi
-
-
 #: Series the kernel can record, the first six in the order ``advance`` returns
 #: them: node series (``steps + 1`` entries), then interval series (``steps``).
 _SERIES = ("x", "xi", "e", "theta", "u", "reward", "baseline")
@@ -321,7 +299,7 @@ def _lockstep(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0: A
               reference: SinusoidSum, ref_model: ReferenceModel, gains: GainMatrix,
               cfg: PolicyConfig, baseline_kind: str, noise: Array, x0: Array | None,
               learn: bool | Sequence[bool], theta_star: Array | None, update_rule: str,
-              substeps: int, measure: str, keep: tuple[str, ...]) -> tuple[dict, Array]:
+              substeps: int, keep: tuple[str, ...]) -> tuple[dict, Array]:
     """Run ``len(noise)`` lanes of the sampled-data loop in lockstep; record ``keep``.
 
     Every lane starts from ``x0`` and ``theta0`` and applies its own row of
@@ -343,10 +321,6 @@ def _lockstep(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0: A
         raise ValueError(f"unknown update rule {update_rule!r}")
     if baseline_kind not in BASELINES:
         raise ValueError(f"baseline kind must be one of {BASELINES}, got {baseline_kind!r}")
-    if measure not in MEASURES:
-        raise ValueError(f"measurement mode must be one of {MEASURES}, got {measure!r}")
-    if measure == "finite_difference" and any(g > 2 for g in plant.gamma):
-        raise ValueError("finite-difference measurement supports relative degree <= 2")
     if update_rule == "ideal" and theta_star is None:
         raise ValueError("the ideal update rule needs theta_star")
     n_lanes, horizon = noise.shape[:2]
@@ -381,11 +355,8 @@ def _lockstep(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0: A
         rate = lambda t, s: plant.rate(s, u)  # noqa: E731
         x_next = x
         for _ in range(substeps):
-            x_prev, x_next = x_next, rk4_step(rate, 0.0, x_next, h)
-        if measure == "finite_difference":
-            xi_next = _fd_output_stack(plant, x_prev, x_next, h)
-        else:
-            xi_next = plant.output_chain(x_next)
+            x_next = rk4_step(rate, 0.0, x_next, h)
+        xi_next = plant.output_chain(x_next)
         e_next = xi_next - xi_d[k + 1]
         reward = discrete_reward(e, e_next, ref_model, gains, dt)
 
@@ -473,17 +444,16 @@ def run_episodes(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0
                  seeds: Sequence[int] = (0,), x0: Array | None = None,
                  learn: bool | Sequence[bool] = True,
                  theta_star: Array | None = None, update_rule: str = "policy_gradient",
-                 substeps: int = 10, measure: str = "exact") -> list[AdaptRunRecord]:
+                 substeps: int = 10) -> list[AdaptRunRecord]:
     """Run several sampled-data episodes as lanes of one kernel; record each one.
 
     Lane ``b`` runs the episode that :func:`run_episode` runs with
     ``seed=seeds[b]`` and ``learn=learn[b]`` (``learn`` may be one bool for
     every lane); the other arguments are shared.  Lanes with equal seeds see
     one noise draw, so ``seeds=(s, s)`` with ``learn=(True, False)`` is the
-    paired learning and frozen comparison.  With two or more outputs each
-    record equals its sequential run bit for bit; with one output it can
-    differ in the last bit (see :func:`run_ensemble`).  A lane that fails
-    truncates and flags only its own record; the others run on.
+    paired learning and frozen comparison.  Each record equals its
+    sequential run bit for bit.  A lane that fails truncates and flags only
+    its own record; the others run on.
     """
     seeds = list(seeds)
     if not seeds:
@@ -492,7 +462,7 @@ def run_episodes(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0
     noise = np.stack([draws[seed] for seed in seeds])
     rec, diverged_step = _lockstep(plant, nominal, bases, theta0, reference, ref_model, gains,
                                    cfg, baseline_kind, noise, x0, learn, theta_star,
-                                   update_rule, substeps, measure, _SERIES)
+                                   update_rule, substeps, _SERIES)
     t_nodes = np.arange(horizon + 1) * cfg.dt
     records = []
     for b, seed in enumerate(seeds):
@@ -514,7 +484,7 @@ def run_episode(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0:
                 cfg: PolicyConfig, baseline_kind: str = "none", horizon: int = 1200,
                 seed: int = 0, x0: Array | None = None, learn: bool = True,
                 theta_star: Array | None = None, update_rule: str = "policy_gradient",
-                substeps: int = 10, measure: str = "exact") -> AdaptRunRecord:
+                substeps: int = 10) -> AdaptRunRecord:
     """Run one sampled-data episode and record everything.
 
     Parameters beyond the component objects:
@@ -528,13 +498,11 @@ def run_episode(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0:
       ``"ideal"`` replaces it with the exact least-squares gradient
       ``W_k.T W_k phi_k`` (requires ``theta_star``), realizing the noiseless
       discretization of the idealized parameter flow for diagnostics.
-    * ``measure`` - one of ``MEASURES``: ``"exact"`` reads ``xi`` from the
-      simulator state; ``"finite_difference"`` estimates output derivatives
-      from substep samples, for measurement-noise realism studies.
     * ``theta_star`` - when given, the parameter error ``phi = theta -
       theta_star`` is recorded alongside the parameters.
 
-    The episode is the one-lane run of :func:`run_episodes`, on the lockstep
+    At every sample ``xi`` is read exactly from the simulated state.  The
+    episode is the one-lane run of :func:`run_episodes`, on the lockstep
     kernel that :func:`run_ensemble` runs with many lanes.  A failed step
     (non-finite state, parameters or reward, a state reaching
     ``STATE_BOUND``, or a decoupling matrix that turns singular) truncates
@@ -543,7 +511,7 @@ def run_episode(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0:
     (record,) = run_episodes(plant, nominal, bases, theta0, reference, ref_model, gains, cfg,
                              baseline_kind=baseline_kind, horizon=horizon, seeds=(seed,),
                              x0=x0, learn=learn, theta_star=theta_star,
-                             update_rule=update_rule, substeps=substeps, measure=measure)
+                             update_rule=update_rule, substeps=substeps)
     return record
 
 
@@ -557,21 +525,18 @@ def run_ensemble(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0
 
     Trial ``b`` draws exactly the noise that ``run_episode`` would draw with
     master seed ``derive_seed(seed, cell_key, b)`` and runs the same kernel,
-    with the same failure rule.  With two or more outputs its tracking and
-    parameter errors equal that sequential run's bit for bit.  With one
-    output the two ``einsum`` calls of ``basis.eval_correction`` take
-    size-dependent kernels, so a lane can differ from its sequential run in
-    the last bit.  A trial that fails is flagged and frozen in place; the
-    others keep running, and once every trial has failed the run stops.
-    Only ``e`` and ``theta`` are kept per step.
+    with the same failure rule, and its tracking and parameter errors equal
+    that sequential run's bit for bit.  A trial that fails is flagged and
+    frozen in place; the others keep running, and once every trial has
+    failed the run stops.  Only ``e`` and ``theta`` are kept per step.
     """
     if n_trials < 1:
         raise DimensionError(f"n_trials must be >= 1, got {n_trials}")
-    seeds = np.array([derive_seed(seed, cell_key, b) for b in range(n_trials)], dtype=np.int64)
-    noise = np.stack([draw_noise_series(cfg, plant.q, int(s), horizon) for s in seeds])
+    noise = np.stack([draw_noise_series(cfg, plant.q, derive_seed(seed, cell_key, b), horizon)
+                      for b in range(n_trials)])
     rec, diverged_step = _lockstep(plant, nominal, bases, theta0, reference, ref_model, gains,
                                    cfg, baseline_kind, noise, x0, True, theta_star,
-                                   "policy_gradient", substeps, "exact", ("e", "theta"))
+                                   "policy_gradient", substeps, ("e", "theta"))
     phi = rec["theta"] - np.asarray(theta_star, dtype=float) if theta_star is not None else None
-    return EnsembleRecord(t=np.arange(horizon + 1) * cfg.dt, e=rec["e"], phi=phi,
-                          diverged=diverged_step >= 0, diverged_step=diverged_step, seeds=seeds)
+    return EnsembleRecord(e=rec["e"], phi=phi, diverged=diverged_step >= 0,
+                          diverged_step=diverged_step)

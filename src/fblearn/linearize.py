@@ -51,10 +51,12 @@ class ReferenceModel:
 
 @dataclass(frozen=True)
 class GainMatrix:
-    """Feedback gain ``K`` with the eigenvalues it was designed to place."""
+    """Feedback gain ``K`` of the error dynamics ``e' = (A + B K) e``.
+
+    :func:`design_gain` places every eigenvalue of ``A + B K`` at one pole.
+    """
 
     K: Array
-    poles: tuple[float, ...]
 
 
 def build_reference_model(gamma) -> ReferenceModel:
@@ -97,7 +99,7 @@ def design_gain(ref: ReferenceModel, pole: float) -> GainMatrix:
         # y^(g) = sum_i k_i y^(i) with char poly s^g - sum_i k_i s^i = (s-pole)^g
         for i in range(g):
             K[j, start + i] = -comb(g, i) * (-pole) ** (g - i)
-    return GainMatrix(K=K, poles=(pole,) * ref.total_degree)
+    return GainMatrix(K=K)
 
 
 def tracking_error(xi: Array, xi_d: Array) -> Array:

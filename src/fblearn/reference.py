@@ -42,7 +42,6 @@ class SinusoidSum:
 class ReferenceSample:
     """The reference at one instant, or along an array of times (leading axis)."""
 
-    t: float | Array
     xi_d: Array
     y_dgamma: Array
 
@@ -61,17 +60,15 @@ def sample_reference(ref: SinusoidSum, gamma, t) -> ReferenceSample:
     xi_d = np.stack([ref.derivative(j, order, t)
                      for j, g in enumerate(gamma) for order in range(g)], axis=-1)
     y_dgamma = np.stack([ref.derivative(j, g, t) for j, g in enumerate(gamma)], axis=-1)
-    return ReferenceSample(t=float(t) if t.ndim == 0 else t, xi_d=xi_d, y_dgamma=y_dgamma)
+    return ReferenceSample(xi_d=xi_d, y_dgamma=y_dgamma)
 
 
-def two_tone_reference(n_channels: int, amplitude: float = 0.5,
-                       base_frequency: float = 0.7) -> SinusoidSum:
+def two_tone_reference(n_channels: int) -> SinusoidSum:
     """Default persistently exciting reference: two incommensurate tones.
 
-    Each channel sums sinusoids at ``base_frequency`` and ``sqrt(2)`` times
-    it; the irrational ratio keeps the trajectory from closing on itself, so
-    the regressors it generates keep exploring.
+    Each channel sums sinusoids of amplitude 0.5 at 0.7 rad/s and ``sqrt(2)``
+    times that; the irrational ratio keeps the trajectory from closing on
+    itself, so the regressors it generates keep exploring.
     """
-    terms = ((amplitude, base_frequency, 0.0),
-             (amplitude, base_frequency * np.sqrt(2.0), 0.0))
+    terms = ((0.5, 0.7, 0.0), (0.5, 0.7 * np.sqrt(2.0), 0.0))
     return SinusoidSum(channels=(terms,) * n_channels)

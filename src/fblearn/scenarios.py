@@ -36,7 +36,6 @@ _INSPAN_BASIS = BasisSection(kind="polynomial", degree=1)
 class Scenario:
     """Everything a run needs besides the policy knobs."""
 
-    name: str
     plant: PlantModel
     nominal: PlantModel
     bases: BasisSet
@@ -125,7 +124,7 @@ def build_scenario(config: ExperimentConfig) -> Scenario:
     else:
         xi0 = sample_reference(reference, plant.gamma, 0.0).xi_d
         x0 = chain_state_from_xi(plant, xi0)
-    return Scenario(name=config.scenario, plant=plant, nominal=nominal, bases=bases,
+    return Scenario(plant=plant, nominal=nominal, bases=bases,
                     reference=reference, ref_model=ref_model, gains=gains,
                     theta0=theta0, theta_star=theta_star, x0=x0)
 

@@ -90,8 +90,6 @@ class GradientStudy:
     scores: Array          # (draws, k1 + k2)
     rewards: Array         # (draws,)
     target: Array          # W.T W phi, the idealized mean
-    u_hat: Array
-    W: Array
 
     @property
     def mean(self) -> Array:
@@ -140,8 +138,7 @@ def mc_gradient_samples(scenario: Scenario, theta: Array, cfg: PolicyConfig,
     rewards = discrete_reward(e, e_next, ref_model, gains, cfg.dt)
     scores = grad_log_policy(u, u_hat, cfg.sigma2, jac)
     estimates = (rewards - baseline_value)[:, None] * scores
-    return GradientStudy(estimates=estimates, scores=scores, rewards=rewards,
-                         target=target, u_hat=u_hat, W=W)
+    return GradientStudy(estimates=estimates, scores=scores, rewards=rewards, target=target)
 
 
 # ---------------------------------------------------------------------------
@@ -276,19 +273,18 @@ class BiasReport:
 
 def bias_study(scenario: Scenario, base_cfg: PolicyConfig, trials: int, dt_list,
                horizon_s: float = 20.0, seed: int = 0, substeps: int = 8,
-               baseline_kind: str = "none", from_manifold: bool = True) -> BiasReport:
+               baseline_kind: str = "none") -> BiasReport:
     """Long-run mean offset of ``X_k`` versus the sampling interval.
 
     Averaging across trials cancels the zero-mean spread, leaving the
-    sampling-induced bias, which shrinks linearly in ``dt``.  By default the
-    trials start on the true parameters (``from_manifold``), which removes
-    the initial-condition transient so the measured offset is purely the
+    sampling-induced bias, which shrinks linearly in ``dt``.  The trials
+    start on the true parameters, not at ``scenario.theta0``: that removes
+    the initial-condition transient, so the measured offset is purely the
     accumulated bias.
     """
     if scenario.theta_star is None:
         raise ValueError("bias study needs a scenario with a true parameter vector")
-    if from_manifold:
-        scenario = dataclasses.replace(scenario, theta0=scenario.theta_star)
+    scenario = dataclasses.replace(scenario, theta0=scenario.theta_star)
     dts = tuple(float(dt) for dt in dt_list)
     if not dts:
         raise ValueError("bias study needs at least one dt")

@@ -58,7 +58,7 @@ def _inspan_scenario_1d():
     theta_star = 0.15 * np.random.default_rng(7).standard_normal(bases.size)
     plant = make_inspan_plant((2,), bases, theta_star)
     x0 = sample_reference(reference, (2,), 0.0).xi_d
-    return Scenario(name="inspan1d", plant=plant, nominal=nominal, bases=bases,
+    return Scenario(plant=plant, nominal=nominal, bases=bases,
                     reference=reference, ref_model=ref_model, gains=gains,
                     theta0=theta_star.copy(), theta_star=theta_star, x0=x0)
 

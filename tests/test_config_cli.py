@@ -92,7 +92,9 @@ class TestScenarios:
 
     def test_inspan_defaults(self):
         sc = build_scenario(config_from_dict(minimal()))
-        assert sc.bases.kind == "polynomial"
+        # degree-1 monomials of the two chain states: 1, x_2, x_1
+        assert sc.bases.n_scalar == 3
+        np.testing.assert_array_equal(sc.bases.features(np.array([2.0, 3.0])), [1.0, 3.0, 2.0])
         assert sc.theta_star is not None
         assert sc.plant.n == 2
 
@@ -296,9 +298,17 @@ class TestCli:
         ("inspan.gamma=[]", "inspan.gamma"), ("inspan.gamma=2", "inspan.gamma"),
         ("substeps=true", "substeps"), ("trials=true", "trials"),
         ("basis.degree=true", "basis.degree"), ("dt=true", "dt"),
-        ("diag.stride=0", "diag.stride")])
+        ("diag.stride=0", "diag.stride"),
+        ("sweep.dt=5", "sweep.dt"), ("sweep.sigma2=0.1", "sweep.sigma2"),
+        ("sweep.lambda=0.5", "sweep.lambda"), ("x0=5", "x0"), ("x0=[a,b]", "x0"),
+        ("basis.box=3", "basis.box"), ("basis.box=[1,2,3,4]", "basis.box"),
+        ("basis.box=[[1,-1],[0,1]]", "basis.box"), ("basis.counts=5", "basis.counts"),
+        ("basis.counts=[5,5,2,a]", "basis.counts"), ("inspan.phi0_scale=a", "inspan.phi0_scale"),
+        ("dt=.inf", "dt"), ("noise_clip=.nan", "noise_clip"), ("sigma2=.inf", "sigma2"),
+        ("pole=-.inf", "pole"), ("horizon_s=.nan", "horizon_s"),
+        ("sweep.sigma2=[.nan]", "sweep.sigma2")])
     def test_bad_values_exit_with_a_config_error(self, tmp_path, capsys, override, key):
-        # each once crashed with a traceback (or, for bools, passed as an integer)
+        # each once crashed with a traceback, ran, or (for bools) passed as an integer
         code = main(["run", "--config", str(CONFIG_DIR / "inspan_diag.yaml"),
                      "--out-dir", str(tmp_path), "--override", override])
         err = capsys.readouterr().err

@@ -1,14 +1,23 @@
-"""Orphan guard: every public function and class of the library has a caller.
+"""Orphan guards: every public definition has a caller, every dataclass field a reader.
 
 A public module-level function or class must be named by some module of
 ``src/fblearn`` other than ``__init__.py`` (whose re-exports name
 everything), or be listed below with the reason it stays.
+
+A field of a dataclass in ``src/fblearn`` must be read as an attribute
+somewhere in ``src/fblearn`` or ``perfbench/``, or belong to a class that is
+written out whole (an instance passed to ``dataclasses.asdict``, or a
+config dataclass, which ``ExperimentConfig.to_dict`` walks), or be listed
+below with the reason it stays.  Reads are matched by attribute name alone,
+so a field with a generic name such as ``name`` or ``t`` passes as soon as
+any object's attribute of that name is read.
 """
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).parent.parent / "src" / "fblearn"
+PERFBENCH = Path(__file__).parent.parent / "perfbench"
 
 # "module.name" -> why it stays without a caller inside the library
 ALLOWED = {
@@ -19,6 +28,17 @@ ALLOWED = {
     "learning.step_rng": "the per-step oracle of step_normals; traced by perfbench",
     "learning.update_params": "traced by perfbench until benchmark v2",
     "analysis.ltv_matrix": "traced by perfbench until benchmark v2",
+}
+
+# "module.Class.field" -> why it stays without an attribute read
+ALLOWED_FIELDS = {
+    "learning.AdaptRunRecord.xi": "perfbench/child.py reads and rebuilds records by the "
+                                  "field names in _RECORD_ARRAYS",
+    "learning.AdaptRunRecord.baselines": "perfbench/child.py reads and rebuilds records by the "
+                                         "field names in _RECORD_ARRAYS",
+    "learning.AdaptRunRecord.config": "perfbench/child.py rebuilds records with config={}",
+    "studies.GradientStudy.scores": "c04's score-mean check",
+    "studies.GradientStudy.target": "c03's bias check against the idealized mean",
 }
 
 
@@ -62,3 +82,63 @@ def test_allow_list_names_only_orphans_that_exist():
     named = set().union(*(_named(tree) for module, tree in trees.items()
                           if module != "__init__"))
     assert not any(name.split(".")[1] in named for name in ALLOWED)
+
+
+def _dataclass_fields(trees):
+    """``{"module.Class": [field, ...]}`` for every dataclass of the library."""
+    out = {}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and any(
+                    (d.func if isinstance(d, ast.Call) else d).id == "dataclass"
+                    for d in node.decorator_list):
+                out[f"{module}.{node.name}"] = [stmt.target.id for stmt in node.body
+                                                if isinstance(stmt, ast.AnnAssign)]
+    return out
+
+
+def _serialized_whole(trees, classes):
+    """Config dataclasses, and the classes of values passed to ``asdict``.
+
+    A value is traced to its class when it is assigned, in the function that
+    serializes it, from a call to a library function annotated to return it.
+    """
+    module_of = {name.split(".")[1]: name.split(".")[0] for name in classes}
+    returns = {node.name: node.returns.id for tree in trees.values() for node in tree.body
+               if isinstance(node, ast.FunctionDef) and isinstance(node.returns, ast.Name)}
+    whole = {name for name in classes if name.startswith("config.")}
+    for tree in trees.values():
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            made = {target.id: returns.get(node.value.func.id)
+                    for node in ast.walk(func)
+                    if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                    and isinstance(node.value.func, ast.Name)
+                    for target in node.targets if isinstance(target, ast.Name)}
+            for call in ast.walk(func):
+                if (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                        and call.func.id == "asdict" and isinstance(call.args[0], ast.Name)
+                        and made.get(call.args[0].id) in module_of):
+                    cls = made[call.args[0].id]
+                    whole.add(f"{module_of[cls]}.{cls}")
+    return whole
+
+
+def test_every_dataclass_field_is_read_serialized_or_allowed():
+    trees = _trees()
+    readers = list(trees.values()) + [ast.parse(path.read_text())
+                                      for path in sorted(PERFBENCH.glob("*.py"))]
+    read = {node.attr for tree in readers for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    classes = _dataclass_fields(trees)
+    whole = _serialized_whole(trees, classes)
+    unread = [f"{cls}.{name}" for cls, names in classes.items() if cls not in whole
+              for name in names if name not in read and f"{cls}.{name}" not in ALLOWED_FIELDS]
+    assert unread == []
+
+
+def test_field_allow_list_names_fields_that_exist():
+    classes = _dataclass_fields(_trees())
+    assert all(name.rsplit(".", 1)[1] in classes.get(name.rsplit(".", 1)[0], ())
+               for name in ALLOWED_FIELDS)
