@@ -13,9 +13,9 @@ from .learning import (BASELINES, AdaptRunRecord, PolicyConfig, derive_seed,
                        update_params)
 from .linearize import (GainMatrix, ReferenceModel, build_reference_model, design_gain,
                         exact_tracking_control, tracking_error)
-from .plants import (DoublePendulumParams, PlantModel, eval_dynamics, integrate_zoh,
-                     linearizing_terms, make_chain_plant, make_double_pendulum,
-                     make_inspan_plant, rk4_step, simulate_closed_loop)
+from .plants import (DoublePendulumParams, PlantModel, eval_dynamics, linearizing_terms,
+                     make_chain_plant, make_double_pendulum, make_inspan_plant, rk4_step,
+                     simulate_closed_loop)
 from .reference import ReferenceSample, SinusoidSum, sample_reference, two_tone_reference
 from .scenarios import Scenario, build_scenario, policy_config
 from .studies import (BiasReport, ConcentrationReport, DisturbanceSamples, GradientStudy,

@@ -260,6 +260,10 @@ def _validate(cfg: ExperimentConfig, problems: list) -> None:
     entries("sweep.sigma2", cfg.sweep.sigma2, lambda v: _number(v) and v > 0, "positive numbers")
     entries("sweep.lambda", cfg.sweep.lam, lambda v: _number(v) and 0 < v < 1,
             "numbers in (0, 1)")
+    # the runners take int(round(horizon_s / dt)) steps: none up to a ratio of 0.5
+    for dt in (cfg.dt,) + (cfg.sweep.dt if isinstance(cfg.sweep.dt, tuple) else ()):
+        if _number(dt) and dt > 0 and _number(cfg.horizon_s) and 0 < cfg.horizon_s / dt <= 0.5:
+            problems.append(f"horizon_s: {cfg.horizon_s!r} s is 0 steps at dt {dt!r}")
     positive("diag.window_s", cfg.diag.window_s)
     positive("diag.fit_step", cfg.diag.fit_step)
     integer("diag.grid_points", cfg.diag.grid_points, 3)

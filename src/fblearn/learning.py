@@ -12,7 +12,8 @@ lanes in lockstep and records the series its caller keeps.
 ``run_episodes`` runs episodes with their own seeds and learning flags as
 lanes and records each one in full (``run_episode`` is its one-lane call);
 ``run_ensemble`` runs seeded trials as lanes and keeps only the tracking and
-parameter errors.  All share one failure rule (see ``STATE_BOUND``).
+parameter errors; ``studies.mc_gradient_samples`` runs one interval of it
+with frozen lanes.  All share one failure rule (see ``STATE_BOUND``).
 
 Randomness discipline: step ``k`` of the run seeded by ``seed`` draws from
 its own substream ``step_rng(seed, k)``, so runs with learning enabled and
@@ -298,17 +299,17 @@ _NODE_SERIES = _SERIES[:4]
 def _lockstep(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0: Array,
               reference: SinusoidSum, ref_model: ReferenceModel, gains: GainMatrix,
               cfg: PolicyConfig, baseline_kind: str, noise: Array, x0: Array | None,
-              learn: bool | Sequence[bool], theta_star: Array | None, update_rule: str,
-              substeps: int, keep: tuple[str, ...]) -> tuple[dict, Array]:
+              t0: float, learn: bool | Sequence[bool], theta_star: Array | None,
+              update_rule: str, substeps: int, keep: tuple[str, ...]) -> tuple[dict, Array]:
     """Run ``len(noise)`` lanes of the sampled-data loop in lockstep; record ``keep``.
 
-    Every lane starts from ``x0`` and ``theta0`` and applies its own row of
-    ``noise``.  ``learn`` (one bool, or one per lane) says which lanes update
-    their parameters; a frozen lane computes the update too and keeps its
-    ``theta`` bit for bit.  Returns the series named in ``keep`` (see
-    ``_SERIES``), ``(lanes, steps + 1, ...)`` for node series and ``(lanes,
-    steps, ...)`` for interval series, and each lane's failure step (-1 for
-    lanes that never fail).
+    Every lane starts at time ``t0`` from ``x0`` and ``theta0`` and applies
+    its own row of ``noise``.  ``learn`` (one bool, or one per lane) says
+    which lanes update their parameters; a frozen lane computes the update
+    too and keeps its ``theta`` bit for bit.  Returns the series named in
+    ``keep`` (see ``_SERIES``), ``(lanes, steps + 1, ...)`` for node series
+    and ``(lanes, steps, ...)`` for interval series, and each lane's failure
+    step (-1 for lanes that never fail).
 
     A lane fails when its state, parameters or reward is non-finite, when
     ``max|x|`` reaches ``STATE_BOUND``, or when a decoupling matrix turns
@@ -323,6 +324,8 @@ def _lockstep(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0: A
         raise ValueError(f"baseline kind must be one of {BASELINES}, got {baseline_kind!r}")
     if update_rule == "ideal" and theta_star is None:
         raise ValueError("the ideal update rule needs theta_star")
+    if not isinstance(substeps, (int, np.integer)) or substeps < 1:
+        raise ValueError(f"substeps must be an integer >= 1, got {substeps!r}")
     n_lanes, horizon = noise.shape[:2]
     learn = np.asarray(learn, dtype=bool)
     if learn.shape not in ((), (n_lanes,)):
@@ -340,7 +343,7 @@ def _lockstep(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0: A
         raise DimensionError(f"x0 must have shape ({plant.n},), got {x_init.shape}")
     dt = cfg.dt
     h = dt / substeps
-    nodes = sample_reference(reference, ref_model.gamma, np.arange(horizon + 1) * dt)
+    nodes = sample_reference(reference, ref_model.gamma, t0 + np.arange(horizon + 1) * dt)
     xi_d, y_dg = nodes.xi_d, nodes.y_dgamma
     d = ref_model.total_degree
     shapes = dict(zip(_SERIES, ((plant.n,), (d,), (d,), (bases.size,), (plant.q,), (), ())))
@@ -461,7 +464,7 @@ def run_episodes(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0
     draws = {seed: draw_noise_series(cfg, plant.q, seed, horizon) for seed in set(seeds)}
     noise = np.stack([draws[seed] for seed in seeds])
     rec, diverged_step = _lockstep(plant, nominal, bases, theta0, reference, ref_model, gains,
-                                   cfg, baseline_kind, noise, x0, learn, theta_star,
+                                   cfg, baseline_kind, noise, x0, 0.0, learn, theta_star,
                                    update_rule, substeps, _SERIES)
     t_nodes = np.arange(horizon + 1) * cfg.dt
     records = []
@@ -535,7 +538,7 @@ def run_ensemble(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0
     noise = np.stack([draw_noise_series(cfg, plant.q, derive_seed(seed, cell_key, b), horizon)
                       for b in range(n_trials)])
     rec, diverged_step = _lockstep(plant, nominal, bases, theta0, reference, ref_model, gains,
-                                   cfg, baseline_kind, noise, x0, True, theta_star,
+                                   cfg, baseline_kind, noise, x0, 0.0, True, theta_star,
                                    "policy_gradient", substeps, ("e", "theta"))
     phi = rec["theta"] - np.asarray(theta_star, dtype=float) if theta_star is not None else None
     return EnsembleRecord(e=rec["e"], phi=phi, diverged=diverged_step >= 0,

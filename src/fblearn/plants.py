@@ -158,32 +158,6 @@ def rk4_step(rate: Callable[[float, Array], Array], t: float, x: Array, h: float
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def integrate_zoh(model: PlantModel, x0: Array, u: Array, dt: float,
-                  substeps: int = 10) -> Array:
-    """Integrate ``x' = f(x) + g(x) u`` with ``u`` held constant over ``dt``.
-
-    Classical fixed-step RK4 with ``substeps`` internal steps.  Broadcasts
-    over leading batch dimensions of ``x0``/``u``.  Raises
-    ``DivergenceError`` (with the substep index) if the state leaves the
-    finite floats.
-    """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if substeps < 1:
-        raise ValueError(f"substeps must be >= 1, got {substeps}")
-    x = _check_vector(x0, model.n, "state")
-    u = _check_vector(u, model.q, "input")
-    rate = lambda t, s: eval_dynamics(model, s, u)  # noqa: E731
-    # blow-ups are detected and raised; suppress the intermediate overflow noise
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(substeps):
-            x = rk4_step(rate, 0.0, x, dt / substeps)
-            if not np.all(np.isfinite(x)):
-                raise DivergenceError(f"zero-order-hold integration of '{model.name}' "
-                                      "produced non-finite state", step=i)
-    return x
-
-
 def simulate_closed_loop(model: PlantModel, control: Callable[[Array, float], Array],
                          x0: Array, t_final: float, step: float) -> tuple[Array, Array]:
     """Integrate ``x' = f(x) + g(x) u(x, t)`` with continuously applied control.

@@ -17,10 +17,10 @@ import numpy as np
 from .analysis import (assemble_W, interp_matrix_series, least_squares_gradient,
                        simulate_ideal)
 from .basis import controller_jacobian, eval_learned_controller
-from .learning import (AdaptRunRecord, EnsembleRecord, PolicyConfig, discrete_reward,
-                       draw_noise, grad_log_policy, run_ensemble)
+from .errors import DimensionError, DivergenceError
+from .learning import (AdaptRunRecord, EnsembleRecord, PolicyConfig, _lockstep, draw_noise,
+                       grad_log_policy, run_ensemble)
 from .linearize import tracking_error
-from .plants import integrate_zoh
 from .reference import sample_reference
 from .scenarios import Scenario
 
@@ -102,43 +102,42 @@ class GradientStudy:
 
 def mc_gradient_samples(scenario: Scenario, theta: Array, cfg: PolicyConfig,
                         t_k: float, x_k: Array, n_draws: int, seed: int,
-                        substeps: int = 8, baseline_value: float = 0.0) -> GradientStudy:
+                        substeps: int = 8) -> GradientStudy:
     """Draw the one-step gradient estimate many times at a frozen state.
 
     The state, parameters, and reference sample are held fixed while the
     exploration noise is redrawn, which is exactly the conditional law the
-    estimator's bias and spread statements are about.  Integration over the
-    interval is batched across draws.
+    estimator's bias and spread statements are about.  Each draw is a frozen
+    lane of the loop's kernel over the interval from ``t_k``; the estimate
+    has no baseline (``(rewards - b)[:, None] * scores`` applies a constant
+    one).  Raises ``DivergenceError`` if any draw fails.
     """
     if scenario.theta_star is None:
         raise ValueError("gradient study needs a scenario with a true parameter vector")
-    plant, nominal, bases = scenario.plant, scenario.nominal, scenario.bases
-    ref_model, gains = scenario.ref_model, scenario.gains
+    if n_draws < 2:
+        raise DimensionError(f"n_draws must be >= 2, got {n_draws}")
+    plant, bases, gains = scenario.plant, scenario.bases, scenario.gains
     x_k = np.asarray(x_k, dtype=float)
-    theta = np.asarray(theta, dtype=float)
 
-    ref_k = sample_reference(scenario.reference, ref_model.gamma, t_k)
-    ref_next = sample_reference(scenario.reference, ref_model.gamma, t_k + cfg.dt)
-    xi = plant.output_chain(x_k)
-    e = tracking_error(xi, ref_k.xi_d)
+    ref_k = sample_reference(scenario.reference, scenario.ref_model.gamma, t_k)
+    e = tracking_error(plant.output_chain(x_k), ref_k.xi_d)
     v = ref_k.y_dgamma + gains.K @ e
-    u_hat = eval_learned_controller(bases, theta, nominal, x_k, v)
-    jac = controller_jacobian(bases, x_k, v)
+    u_hat = eval_learned_controller(bases, theta, scenario.nominal, x_k, v)
     W = assemble_W(plant, bases, x_k, ref_k.y_dgamma, e, gains)
     target = least_squares_gradient(W, theta - scenario.theta_star)
 
     w = draw_noise(cfg, (n_draws, plant.q),
                    np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3,))))
-    u = u_hat + w
-
-    x0_batch = np.broadcast_to(x_k, (n_draws, plant.n))
-    x_next = integrate_zoh(plant, x0_batch, u, cfg.dt, substeps)
-    e_next = plant.output_chain(x_next) - ref_next.xi_d
-
-    rewards = discrete_reward(e, e_next, ref_model, gains, cfg.dt)
-    scores = grad_log_policy(u, u_hat, cfg.sigma2, jac)
-    estimates = (rewards - baseline_value)[:, None] * scores
-    return GradientStudy(estimates=estimates, scores=scores, rewards=rewards, target=target)
+    rec, failed = _lockstep(plant, scenario.nominal, bases, theta, scenario.reference,
+                            scenario.ref_model, gains, cfg, "none", w[:, None], x_k, t_k,
+                            False, None, "policy_gradient", substeps, ("u", "reward"))
+    if np.any(failed >= 0):
+        raise DivergenceError(f"{np.sum(failed >= 0)} of {n_draws} gradient draws failed", step=0)
+    rewards = rec["reward"][:, 0]
+    scores = grad_log_policy(rec["u"][:, 0], u_hat, cfg.sigma2,
+                             controller_jacobian(bases, x_k, v))
+    return GradientStudy(estimates=rewards[:, None] * scores, scores=scores, rewards=rewards,
+                         target=target)
 
 
 # ---------------------------------------------------------------------------
@@ -213,11 +212,7 @@ def concentration_study(scenario: Scenario, base_cfg: PolicyConfig, trials: int,
     cells_spec += [(base_cfg.dt, float(s2)) for s2 in sigma2_list]
     if not cells_spec:
         cells_spec = [(base_cfg.dt, base_cfg.sigma2)]
-    seen, ordered = set(), []
-    for cell in cells_spec:
-        if cell not in seen:
-            seen.add(cell)
-            ordered.append(cell)
+    ordered = list(dict.fromkeys(cells_spec))
 
     cells = []
     for idx, (dt, sigma2) in enumerate(ordered):
@@ -233,16 +228,15 @@ def concentration_study(scenario: Scenario, base_cfg: PolicyConfig, trials: int,
                                quantiles=quantiles, mean_offset=offset))
 
     by_spec = {(c.dt, c.sigma2): c for c in cells}
-    dt_cells = [by_spec[(float(dt), base_cfg.sigma2)] for dt in dt_list
-                if (float(dt), base_cfg.sigma2) in by_spec]
+    dt_cells = [by_spec[(float(dt), base_cfg.sigma2)] for dt in dt_list]
     dt_slope = None
     if len(dt_cells) >= 2:
         dts = np.array([c.dt for c in dt_cells])
         q95 = np.array([c.quantiles[0.05] for c in dt_cells])
         dt_slope = float(np.polyfit(np.log(dts), np.log(q95), 1)[0])
 
-    sigma_cells = sorted([by_spec[(base_cfg.dt, float(s2))] for s2 in sigma2_list
-                          if (base_cfg.dt, float(s2)) in by_spec], key=lambda c: c.sigma2)
+    sigma_cells = sorted([by_spec[(base_cfg.dt, float(s2))] for s2 in sigma2_list],
+                         key=lambda c: c.sigma2)
     sigma_ratios = None
     if len(sigma_cells) >= 2:
         sigma_ratios = tuple(

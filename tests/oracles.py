@@ -15,6 +15,10 @@ The chain oracles are the generic forms the specialised plants must equal
 bit for bit: the chain rate as ``A x + B u`` of the reference model, and the
 in-span plant built from any nominal, its ``(beta_m, alpha_m)`` added to the
 correction at every call and ``alpha_p`` inverted by ``np.linalg.solve``.
+The one-interval oracle forms the gradient study's draws at one frozen
+state by hand: its own reference samples, error and input, and one batch
+of RK4 steps over the held interval, as the study did before it ran on the
+lane kernel.
 """
 
 import numpy as np
@@ -217,3 +221,43 @@ def sequential_episode(plant, nominal, bases, theta0, reference, ref_model, gain
     out.update(t=t[:n + 1], w=w[:n], diverged_step=diverged_step,
                phi=None if theta_star is None else out["theta"] - theta_star)
     return out
+
+
+def one_interval_gradient(scenario, theta, cfg, t_k, x_k, n_draws, seed, substeps=8):
+    """The gradient study's ``(estimates, scores, rewards, target)``, formed by hand.
+
+    The reference is sampled at ``t_k`` and ``t_k + dt``; the error, ``v``,
+    ``u_hat``, the Jacobian and ``W`` are formed at the one frozen state;
+    the held inputs ``u_hat + w`` are integrated as one batch of
+    ``substeps`` RK4 steps through ``eval_dynamics``; and the reward and
+    score follow, without a baseline.  The draws are the study's:
+    ``draw_noise`` on ``SeedSequence(seed, spawn_key=(3,))``.
+    """
+    from fblearn import (assemble_W, controller_jacobian, discrete_reward, eval_dynamics,
+                         eval_learned_controller, grad_log_policy, least_squares_gradient,
+                         rk4_step, sample_reference, tracking_error)
+    from fblearn.learning import draw_noise
+
+    plant, bases = scenario.plant, scenario.bases
+    ref_model, gains = scenario.ref_model, scenario.gains
+    x_k = np.asarray(x_k, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    ref_k = sample_reference(scenario.reference, ref_model.gamma, t_k)
+    ref_next = sample_reference(scenario.reference, ref_model.gamma, t_k + cfg.dt)
+    e = tracking_error(plant.output_chain(x_k), ref_k.xi_d)
+    v = ref_k.y_dgamma + gains.K @ e
+    u_hat = eval_learned_controller(bases, theta, scenario.nominal, x_k, v)
+    W = assemble_W(plant, bases, x_k, ref_k.y_dgamma, e, gains)
+    target = least_squares_gradient(W, theta - scenario.theta_star)
+
+    w = draw_noise(cfg, (n_draws, plant.q),
+                   np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3,))))
+    u = u_hat + w
+    x_next = np.broadcast_to(x_k, (n_draws, plant.n))
+    for _ in range(substeps):
+        x_next = rk4_step(lambda t, s: eval_dynamics(plant, s, u), 0.0, x_next,
+                          cfg.dt / substeps)
+    e_next = plant.output_chain(x_next) - ref_next.xi_d
+    rewards = discrete_reward(e, e_next, ref_model, gains, cfg.dt)
+    scores = grad_log_policy(u, u_hat, cfg.sigma2, controller_jacobian(bases, x_k, v))
+    return rewards[:, None] * scores, scores, rewards, target

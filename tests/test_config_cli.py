@@ -316,6 +316,24 @@ class TestCli:
         assert f"{key}:" in err and "Traceback" not in err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command,config,overrides", [
+        ("run", "inspan_diag.yaml", ["horizon_s=0.001"]),
+        ("compare", "inspan_diag.yaml", ["horizon_s=0.001"]),
+        ("mc", "inspan_mc.yaml", ["horizon_s=0.001"]),
+        ("mc", "inspan_mc.yaml", ["horizon_s=0.02", "sweep.dt=[0.01, 0.05]"]),
+        ("diag", "inspan_diag.yaml", ["horizon_s=0.001"])],
+        ids=["run", "compare", "mc", "mc-sweep-dt", "diag"])
+    def test_zero_step_horizon_is_a_config_error(self, tmp_path, capsys, command, config,
+                                                 overrides):
+        # run once wrote NaN summaries, compare a NaN ratio, and mc died on a
+        # ZeroDivisionError
+        argv = [command, "--config", str(CONFIG_DIR / config), "--out-dir", str(tmp_path)]
+        code = main(argv + [arg for item in overrides for arg in ("--override", item)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "horizon_s:" in err and "Traceback" not in err
+        assert not any(tmp_path.iterdir())
+
     def test_missing_config_exit_code(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.yaml"),
                      "--out-dir", str(tmp_path)]) == EXIT_CONFIG

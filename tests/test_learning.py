@@ -335,6 +335,20 @@ class TestRunEpisode:
         with pytest.raises(DimensionError, match=name):
             (run_episodes if runner == "episodes" else run_ensemble)(*args, **kwargs)
 
+    @pytest.mark.parametrize("runner", ["episode", "ensemble"])
+    @pytest.mark.parametrize("substeps", [0, -1, 2.5])
+    def test_substeps_must_be_an_integer_of_at_least_one(self, inspan1, runner, substeps):
+        # -1 once ran to the end with a plant that never moved; 0 divided by zero
+        args = (inspan1.plant, inspan1.nominal, inspan1.bases, inspan1.theta_star,
+                inspan1.reference, inspan1.ref_model, inspan1.gains,
+                PolicyConfig(sigma2=0.01, dt=0.05))
+        kwargs = dict(horizon=5, x0=inspan1.x0, substeps=substeps)
+        with pytest.raises(ValueError, match="substeps"):
+            if runner == "episode":
+                run_episode(*args, seed=0, **kwargs)
+            else:
+                run_ensemble(*args, n_trials=2, **kwargs)
+
     def test_applied_input_is_the_learned_law_plus_noise(self, inspan1):
         # the headline operating point: dt = 0.05 s, sigma^2 = 0.1
         cfg = PolicyConfig(sigma2=0.1, dt=0.05)

@@ -7,12 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fblearn import (DoublePendulumParams, PlantModel, eval_dynamics,
-                     integrate_zoh, linearizing_terms, make_chain_plant,
-                     make_double_pendulum, make_inspan_plant, polynomial_basis,
-                     eval_learned_controller, rbf_basis)
+from fblearn import (DoublePendulumParams, PlantModel, eval_dynamics, linearizing_terms,
+                     make_chain_plant, make_double_pendulum, make_inspan_plant,
+                     polynomial_basis, eval_learned_controller, rbf_basis, rk4_step)
 from fblearn.config import load_config
-from fblearn.errors import DimensionError, DivergenceError, SingularMatrixError
+from fblearn.errors import DimensionError, SingularMatrixError
 from fblearn.linearize import build_reference_model
 from fblearn.scenarios import build_scenario
 
@@ -156,17 +155,27 @@ class TestLinearizingTerms:
             np.testing.assert_allclose(ydd, np.linalg.inv(alpha) @ (u - beta), atol=1e-4)
 
 
+def hold(model, x0, u, dt, substeps):
+    """``x0`` carried over ``dt`` with ``u`` held, in ``substeps`` steps of ``rk4_step``."""
+    x = np.asarray(x0, dtype=float)
+    for _ in range(substeps):
+        x = rk4_step(lambda t, s: eval_dynamics(model, s, u), 0.0, x, dt / substeps)
+    return x
+
+
 class TestIntegrateZOH:
+    """A held-input interval integrated with ``rk4_step``, as the loop's kernel does."""
+
     def test_zero_field_is_identity(self):
         plant = linear_plant(np.zeros((3, 3)), np.zeros((3, 1)))
         x0 = np.array([1.0, -2.0, 3.0])
-        np.testing.assert_allclose(integrate_zoh(plant, x0, np.zeros(1), 0.5, 5), x0)
+        np.testing.assert_allclose(hold(plant, x0, np.zeros(1), 0.5, 5), x0)
 
     def test_linear_plant_against_matrix_exponential(self, rng):
         F = rng.standard_normal((4, 4))
         plant = linear_plant(F, np.zeros((4, 1)))
         x0 = rng.standard_normal(4)
-        got = integrate_zoh(plant, x0, np.zeros(1), 0.05, 50)
+        got = hold(plant, x0, np.zeros(1), 0.05, 50)
         want = expm(F * 0.05) @ x0
         assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
 
@@ -174,28 +183,13 @@ class TestIntegrateZOH:
         # global error vs a 100x-resolution reference drops ~16x per halving
         x0 = np.array([0.4, -0.3, 0.2, 0.1])
         u = np.array([0.3, -0.2])
-        reference = integrate_zoh(pendulum, x0, u, 0.5, 6400)
+        reference = hold(pendulum, x0, u, 0.5, 6400)
         errs = []
         substeps = [8, 16, 32, 64]
         for s in substeps:
-            errs.append(np.linalg.norm(integrate_zoh(pendulum, x0, u, 0.5, s) - reference))
+            errs.append(np.linalg.norm(hold(pendulum, x0, u, 0.5, s) - reference))
         slope = loglog_slope([0.5 / s for s in substeps], errs)
         assert abs(slope - 4.0) <= 0.2
-
-    def test_divergence_raises_with_step_index(self):
-        blower = linear_plant(np.zeros((1, 1)), np.zeros((1, 1)))
-        blower = PlantModel(n=1, q=1, gamma=(1,), output_chain=blower.output_chain,
-                            rate=lambda x, u: x ** 3, linearizing=blower.linearizing,
-                            name="cubic")
-        with pytest.raises(DivergenceError) as err:
-            integrate_zoh(blower, np.array([5.0]), np.zeros(1), 40.0, 200)
-        assert err.value.step is not None and err.value.step >= 0
-
-    def test_argument_validation(self, pendulum):
-        with pytest.raises(ValueError):
-            integrate_zoh(pendulum, np.zeros(4), np.zeros(2), -0.1, 5)
-        with pytest.raises(ValueError):
-            integrate_zoh(pendulum, np.zeros(4), np.zeros(2), 0.1, 0)
 
 
 class TestDoublePendulum:

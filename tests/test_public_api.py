@@ -1,5 +1,9 @@
 """Orphan guards: every public definition has a caller, every dataclass field a reader.
 
+One-integrator guard: ``plants.rk4_step`` is named only by the package's
+three integrators (listed in ``RK4_USERS``), so no second copy of the
+sampled-data step or of the idealized flow can come back beside them.
+
 A public module-level function or class must be named by some module of
 ``src/fblearn`` other than ``__init__.py`` (whose re-exports name
 everything), or be listed below with the reason it stays.
@@ -29,6 +33,9 @@ ALLOWED = {
     "learning.update_params": "traced by perfbench until benchmark v2",
     "analysis.ltv_matrix": "traced by perfbench until benchmark v2",
 }
+
+# the top-level functions that may name rk4_step
+RK4_USERS = {"learning._lockstep", "analysis.simulate_ideal", "plants.simulate_closed_loop"}
 
 # "module.Class.field" -> why it stays without an attribute read
 ALLOWED_FIELDS = {
@@ -142,3 +149,12 @@ def test_field_allow_list_names_fields_that_exist():
     classes = _dataclass_fields(_trees())
     assert all(name.rsplit(".", 1)[1] in classes.get(name.rsplit(".", 1)[0], ())
                for name in ALLOWED_FIELDS)
+
+
+def test_rk4_step_is_named_only_by_the_three_integrators():
+    users = {f"{module}.{getattr(node, 'name', '<module>')}"
+             for module, tree in _trees().items() for node in tree.body
+             for ref in ast.walk(node)
+             if (isinstance(ref, ast.Name) and ref.id == "rk4_step")
+             or (isinstance(ref, ast.Attribute) and ref.attr == "rk4_step")}
+    assert users <= RK4_USERS

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from fblearn import PolicyConfig, run_episode
+from fblearn.errors import DimensionError, DivergenceError
+from fblearn.learning import STATE_BOUND
 from fblearn.studies import (bias_study, concentration_study, mc_gradient_samples,
                              measure_disturbances, regressor_series)
 
-from oracles import per_interval_disturbances
+from oracles import one_interval_gradient, per_interval_disturbances
 
 
 class TestMeasureDisturbances:
@@ -106,12 +108,46 @@ class TestGradientStudy:
         s_const = float(calib.rewards.mean())
         raw = mc_gradient_samples(inspan_mc, inspan_mc.theta0, cfg, t_k=0.7, x_k=x_k,
                                   n_draws=60_000, seed=12, substeps=4)
-        based = mc_gradient_samples(inspan_mc, inspan_mc.theta0, cfg, t_k=0.7, x_k=x_k,
-                                    n_draws=60_000, seed=13, substeps=4,
-                                    baseline_value=s_const)
-        gap = np.abs(raw.mean - based.mean)
-        stderr = np.sqrt(raw.stderr ** 2 + based.stderr ** 2)
+        other = mc_gradient_samples(inspan_mc, inspan_mc.theta0, cfg, t_k=0.7, x_k=x_k,
+                                    n_draws=60_000, seed=13, substeps=4)
+        based = (other.rewards - s_const)[:, None] * other.scores
+        gap = np.abs(raw.mean - based.mean(axis=0))
+        stderr = np.sqrt(raw.stderr ** 2 + (based.std(axis=0, ddof=1) / np.sqrt(60_000)) ** 2)
         assert np.all(gap <= 3 * stderr + 1e-12)
+
+    @pytest.mark.parametrize("scenario,theta_shift,t_k,dt,sigma2,substeps,seed", [
+        ("inspan1", 0.3, 0.0, 0.1, 0.00025, 8, 4),
+        ("inspan1", 0.3, 12.35, 0.025, 0.01, 3, 9),
+        ("inspan_mc", 0.0, 0.7, 0.01, 0.001, 6, 3),
+        ("inspan_mc", 0.0, 0.0, 0.1, 0.00025, 8, 4)],
+        ids=["q1-t0", "q1-late", "q2-mid", "q2-t0"])
+    def test_equals_the_one_interval_oracle_bit_for_bit(self, request, scenario, theta_shift,
+                                                         t_k, dt, sigma2, substeps, seed):
+        sc = request.getfixturevalue(scenario)
+        theta = (sc.theta0 if scenario == "inspan_mc" else sc.theta_star) + theta_shift
+        x_k = sc.x0 + np.linspace(0.1, -0.08, sc.plant.n)
+        cfg = PolicyConfig(sigma2=sigma2, dt=dt)
+        study = mc_gradient_samples(sc, theta, cfg, t_k=t_k, x_k=x_k, n_draws=2000,
+                                    seed=seed, substeps=substeps)
+        want = one_interval_gradient(sc, theta, cfg, t_k, x_k, 2000, seed, substeps)
+        for got, expected in zip((study.estimates, study.scores, study.rewards, study.target),
+                                 want):
+            np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("n_draws", [0, 1])
+    def test_fewer_than_two_draws_raise_dimension_error(self, inspan_mc, n_draws):
+        # 0 draws once warned "Mean of empty slice", 1 "Degrees of freedom <= 0"
+        with pytest.raises(DimensionError, match="n_draws"):
+            mc_gradient_samples(inspan_mc, inspan_mc.theta0,
+                                PolicyConfig(sigma2=0.001, dt=0.01), 0.0, inspan_mc.x0,
+                                n_draws, seed=0)
+
+    def test_a_failed_draw_raises_divergence_error(self, inspan_mc):
+        # the frozen state already lies past the kernel's state bound
+        x_k = inspan_mc.x0 + 2 * STATE_BOUND
+        with pytest.raises(DivergenceError, match="of 10 gradient draws"):
+            mc_gradient_samples(inspan_mc, inspan_mc.theta0,
+                                PolicyConfig(sigma2=0.001, dt=0.01), 0.0, x_k, 10, seed=0)
 
 
 class TestConcentrationStudy:
