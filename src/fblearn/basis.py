@@ -194,7 +194,11 @@ def eval_correction(bases: BasisSet, theta: Array, x: Array) -> tuple[Array, Arr
     ``theta`` is one parameter vector, or one per lane of a batch of states.
     """
     theta1, theta2 = bases.split(theta)
-    phi = bases.features(x)
+    return _correction(bases, theta1, theta2, bases.features(x))
+
+
+def _correction(bases: BasisSet, theta1: Array, theta2: Array, phi: Array) -> tuple[Array, Array]:
+    """The corrections from split parameters and evaluated features; their one formula."""
     beta = bases.beta_scale * np.einsum("...i,...ij->...j", phi, theta1)
     alpha = bases.alpha_scale * np.einsum("...i,...ijl->...jl", phi, theta2)
     return beta, alpha

@@ -6,7 +6,7 @@ there are no residual internal coordinates to track.  Each plant also carries
 its exact linearizing controller in closed form, the pair ``(beta(x),
 alpha(x))`` for which ``u = beta + alpha v`` gives ``y^(gamma) = v``, and
 the map from state to the stacked outputs-and-derivatives vector ``xi``.
-``linearizing_terms`` is the one place that judges ``alpha`` singular.
+``linearizing_terms`` holds the one rule that judges ``alpha`` singular.
 ``make_inspan_plant(gamma, bases, theta_star)`` builds integrator chains of
 relative degrees ``gamma`` whose true controller is the learned one at
 ``theta_star``.
@@ -114,7 +114,6 @@ def frobenius_cond(mat: Array) -> Array:
     threshold stays conservative.  A matrix and its inverse share it; an
     exactly singular matrix gets ``inf``.
     """
-    mat = np.asarray(mat, dtype=float)
     q = mat.shape[-1]
     if q == 1:
         return np.where(np.abs(mat[..., 0, 0]) > 0, 1.0, np.inf)
@@ -131,18 +130,34 @@ def linearizing_terms(model: PlantModel, x: Array) -> tuple[Array, Array]:
 
     Raises ``SingularMatrixError`` when ``alpha`` (equivalently the
     decoupling matrix ``alpha^{-1}``) is numerically singular at any state
-    of the batch ``x``: its Frobenius condition number exceeds
+    of the batch ``x``: its Frobenius condition number reaches
     ``COND_LIMIT`` or is not a number.  The error's ``lanes`` marks those
     states and its ``cond`` is the worst number of the batch.
     """
     x = _check_vector(x, model.n, "state")
     beta, alpha = model.linearizing(x)
-    cond = frobenius_cond(alpha)
-    regular = cond <= COND_LIMIT
-    if not regular.all():
-        raise SingularMatrixError(f"model '{model.name}' linearizing gain alpha is singular",
-                                  cond=float(np.max(cond)), lanes=~regular)
+    _judge_alpha(model.name, alpha)
     return beta, alpha
+
+
+def _judge_alpha(name: str, alpha: Array) -> Array | None:
+    """``linearizing_terms``' rule on an evaluated ``alpha``; at q = 2 the determinants it forms.
+
+    At q = 2 ``cond < COND_LIMIT`` reads ``||alpha||_F^2 < COND_LIMIT |det|``: no
+    division, and false for a zero or non-finite ``det``.
+    """
+    q, det = alpha.shape[-1], None
+    if q == 1:
+        regular = np.abs(alpha[..., 0, 0]) > 0
+    elif q == 2:
+        det = alpha[..., 0, 0] * alpha[..., 1, 1] - alpha[..., 0, 1] * alpha[..., 1, 0]
+        regular = np.einsum("...ij,...ij->...", alpha, alpha) < COND_LIMIT * np.abs(det)
+    else:
+        regular = np.linalg.cond(alpha) < COND_LIMIT
+    if not regular.all():
+        raise SingularMatrixError(f"model '{name}' linearizing gain alpha is singular",
+                                  cond=float(np.max(frobenius_cond(alpha))), lanes=~regular)
+    return det
 
 
 def rk4_step(rate: Callable[[float, Array], Array], t: float, x: Array, h: float) -> Array:
@@ -309,7 +324,7 @@ def make_inspan_plant(gamma, bases: "BasisSet", theta_star: Array) -> PlantModel
     controller yields ``y^(gamma) = v`` identically.  Raises
     ``SingularMatrixError`` wherever ``alpha_p`` cannot be inverted.
     """
-    from .basis import eval_correction  # deferred: basis imports this module
+    from .basis import _correction  # deferred: basis imports this module
 
     ref = build_reference_model(gamma)
     n, q = ref.total_degree, ref.q
@@ -317,22 +332,29 @@ def make_inspan_plant(gamma, bases: "BasisSet", theta_star: Array) -> PlantModel
     if theta_star.shape != (bases.size,):
         raise DimensionError(
             f"theta_star has shape {theta_star.shape}, bases expect ({bases.size},)")
+    theta1, theta2 = bases.split(theta_star)
     eye = np.eye(q)
     chain_rate = _chain_rate(ref.gamma)
 
     def linearizing(x):
         # the chain controller (-0.0, I) folded in: -0.0 + c == c, and I + c is the same sum
-        beta_c, alpha_c = eval_correction(bases, theta_star, x)
+        beta_c, alpha_c = _correction(bases, theta1, theta2, bases.feature_fn(x))
         return beta_c, eye + alpha_c
 
     def rate(x, u):
-        # the plant's own linearizing_terms judges the state and alpha_p
-        beta_p, alpha_p = linearizing_terms(plant, x)
+        beta_p, alpha_p = linearizing(x)
+        det = _judge_alpha("inspan", alpha_p)
+        r = u - beta_p
         if q == 1:  # equals LAPACK's 1x1 solve bit for bit
-            return chain_rate(x, (u - beta_p) / alpha_p[..., 0])
-        return chain_rate(x, np.linalg.solve(alpha_p, (u - beta_p)[..., None])[..., 0])
+            return chain_rate(x, r / alpha_p[..., 0])
+        if q == 2:  # the adjugate, over the determinant the rule has just judged
+            top, a = np.empty(r.shape), alpha_p
+            top[..., 0] = (a[..., 1, 1] * r[..., 0] - a[..., 0, 1] * r[..., 1]) / det
+            top[..., 1] = (a[..., 0, 0] * r[..., 1] - a[..., 1, 0] * r[..., 0]) / det
+            return chain_rate(x, top)
+        return chain_rate(x, np.linalg.solve(alpha_p, r[..., None])[..., 0])
 
-    plant = PlantModel(
+    return PlantModel(
         n=n, q=q,
         gamma=ref.gamma,
         output_chain=lambda x: x,
@@ -340,4 +362,3 @@ def make_inspan_plant(gamma, bases: "BasisSet", theta_star: Array) -> PlantModel
         linearizing=linearizing,
         name="inspan",
     )
-    return plant

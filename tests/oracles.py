@@ -14,7 +14,8 @@ sequential predecessor did.
 The chain oracles are the generic forms the specialised plants must equal
 bit for bit: the chain rate as ``A x + B u`` of the reference model, and the
 in-span plant built from any nominal, its ``(beta_m, alpha_m)`` added to the
-correction at every call and ``alpha_p`` inverted by ``np.linalg.solve``.
+correction at every call and ``alpha_p`` inverted by the adjugate over its
+determinant at q = 2 and by ``np.linalg.solve`` at any other q.
 The one-interval oracle forms the gradient study's draws at one frozen
 state by hand: its own reference samples, error and input, and one batch
 of RK4 steps over the held interval, as the study did before it ran on the
@@ -141,7 +142,14 @@ def generic_inspan_plant(nominal, bases, theta_star):
 
     def rate(x, u):
         beta_p, alpha_p = linearizing_terms(plant, x)
-        return chain(x, np.linalg.solve(alpha_p, (u - beta_p)[..., None])[..., 0])
+        r = u - beta_p
+        if nominal.q != 2:
+            return chain(x, np.linalg.solve(alpha_p, r[..., None])[..., 0])
+        (a00, a01), (a10, a11) = np.moveaxis(alpha_p, (-2, -1), (0, 1))
+        r0, r1 = np.moveaxis(r, -1, 0)
+        det = a00 * a11 - a01 * a10
+        return chain(x, np.stack([(a11 * r0 - a01 * r1) / det,
+                                  (a00 * r1 - a10 * r0) / det], axis=-1))
 
     plant = PlantModel(n=nominal.n, q=nominal.q, gamma=nominal.gamma,
                        output_chain=lambda x: x, rate=rate, linearizing=linearizing,

@@ -1,3 +1,4 @@
+import warnings
 from functools import cache
 from pathlib import Path
 
@@ -49,6 +50,8 @@ def _shipped_plant(name):
         "chain31": lambda: make_chain_plant((3, 1)),
         "inspan_q1": lambda: build_scenario(load_config(configs / "inspan_diag.yaml")).plant,
         "inspan_q2": lambda: build_scenario(load_config(configs / "inspan_mc.yaml")).plant,
+        "inspan_q3": lambda: build_scenario(load_config(configs / "inspan_diag.yaml",
+                                                        ["inspan.gamma=[2, 1, 1]"])).plant,
     }[name]()
 
 
@@ -256,8 +259,51 @@ class TestInSpanPlant:
         np.testing.assert_array_equal(plant.rate(x[::2], np.ones((2, 1)))[:, 1],
                                       [1.0 / 0.5, 1.0 / 1.5])
 
+    def test_q2_singular_mask_through_the_adjugate(self):
+        # phi = [1, x1, x0]; theta2* puts x1 off the diagonal: alpha_p = [[1, x1], [x1, 1]],
+        # whose determinant 1 - x1^2 vanishes at x1 = 1
+        bases = polynomial_basis(2, 1, io_dim=2)
+        theta_star = np.zeros(bases.size)  # theta2[i, j, l] sits at k1 + i*q*q + j*q + l
+        theta_star[bases.k1 + 1 * 4 + 0 * 2 + 1] = theta_star[bases.k1 + 1 * 4 + 1 * 2 + 0] = 1.0
+        plant = make_inspan_plant((1, 1), bases, theta_star)
+        x = np.array([[0.3, 0.5], [0.3, 1.0], [-0.2, -0.5]])
+        u = np.array([[1.0, 2.0], [1.0, 1.0], [-1.0, 0.5]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularMatrixError) as err:
+                plant.rate(x, u)
+            assert err.value.lanes.tolist() == [False, True, False]
+            got = plant.rate(x[::2], u[::2])
+        # gamma = (1, 1): the rate is alpha_p^-1 u, here the adjugate over det = 0.75
+        a01 = x[::2, 1]
+        det = 1.0 * 1.0 - a01 * a01
+        want = np.stack([(1.0 * u[::2, 0] - a01 * u[::2, 1]) / det,
+                         (1.0 * u[::2, 1] - a01 * u[::2, 0]) / det], axis=-1)
+        np.testing.assert_array_equal(got, want)
 
-ORACLE_GAMMAS = [(1,), (2,), (3,), (2, 2), (2, 1)]
+    @pytest.mark.parametrize("case", ["zero", "nan"])
+    def test_q2_zero_or_nan_alpha_is_singular(self, case):
+        bases = polynomial_basis(2, 1, io_dim=2)
+        theta_star = np.zeros(bases.size)
+        x = np.array([[0.3, 0.5], [0.1, -0.4]])
+        if case == "zero":  # the constant feature cancels I: alpha_p = 0 at every state
+            theta_star[bases.k1 + 0] = theta_star[bases.k1 + 3] = -1.0
+            singular = [True, True]
+        else:  # alpha_p[0, 1] = x1, which is NaN on the first state
+            theta_star[bases.k1 + 1 * 4 + 1] = 1.0
+            x[0, 1] = np.nan
+            singular = [True, False]
+        plant = make_inspan_plant((1, 1), bases, theta_star)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularMatrixError) as err:
+                plant.rate(x, np.ones((2, 2)))
+            assert err.value.lanes.tolist() == singular
+            with pytest.raises(SingularMatrixError):
+                linearizing_terms(plant, x)
+
+
+ORACLE_GAMMAS = [(1,), (2,), (3,), (2, 2), (2, 1), (2, 1, 1)]
 
 
 class TestChainOracles:
@@ -276,16 +322,44 @@ class TestChainOracles:
     @pytest.mark.parametrize("kind", ["poly1", "poly2", "rbf"])
     @pytest.mark.parametrize("gamma", ORACLE_GAMMAS, ids=str)
     def test_inspan_plant_is_the_generic_construction(self, gamma, kind, lanes, rng):
-        nominal = make_chain_plant(gamma)
-        n, q = nominal.n, nominal.q
-        bases = {"poly1": lambda: polynomial_basis(n, 1, io_dim=q),
-                 "poly2": lambda: polynomial_basis(n, 2, io_dim=q),
-                 "rbf": lambda: rbf_basis(rng.uniform(-1, 1, (5, n)), 0.8, io_dim=q)}[kind]()
-        theta_star = 0.1 * rng.standard_normal(bases.size)
+        nominal, bases, theta_star = _inspan_case(gamma, kind, rng)
         plant = make_inspan_plant(gamma, bases, theta_star)
         oracle = generic_inspan_plant(nominal, bases, theta_star)
-        x = rng.uniform(-1, 1, (lanes, n))
-        u = rng.standard_normal((lanes, q))
+        x = rng.uniform(-1, 1, (lanes, nominal.n))
+        u = rng.standard_normal((lanes, nominal.q))
         for got, want in zip(plant.linearizing(x), oracle.linearizing(x)):
             assert np.array_equal(got, want)
         assert np.array_equal(plant.rate(x, u), oracle.rate(x, u))
+
+    @pytest.mark.parametrize("lanes", [1, 200])
+    @pytest.mark.parametrize("kind", ["poly1", "poly2", "rbf"])
+    @pytest.mark.parametrize("gamma", [g for g in ORACLE_GAMMAS if len(g) == 2], ids=str)
+    def test_q2_adjugate_agrees_with_lapack_solve(self, gamma, kind, lanes, rng):
+        nominal, bases, theta_star = _inspan_case(gamma, kind, rng)
+        plant = make_inspan_plant(gamma, bases, theta_star)
+        x = rng.uniform(-1, 1, (lanes, nominal.n))
+        u = rng.standard_normal((lanes, nominal.q))
+        beta, alpha = plant.linearizing(x)
+        top = np.linalg.solve(alpha, (u - beta)[..., None])[..., 0]
+        np.testing.assert_allclose(plant.rate(x, u), chain_rate_matmul(gamma)(x, top),
+                                   rtol=1e-13, atol=0)
+
+
+def _inspan_case(gamma, kind, rng):
+    """The chain nominal of ``gamma``, a basis of ``kind`` and a small ``theta_star``."""
+    nominal = make_chain_plant(gamma)
+    n, q = nominal.n, nominal.q
+    bases = {"poly1": lambda: polynomial_basis(n, 1, io_dim=q),
+             "poly2": lambda: polynomial_basis(n, 2, io_dim=q),
+             "rbf": lambda: rbf_basis(rng.uniform(-1, 1, (5, n)), 0.8, io_dim=q)}[kind]()
+    return nominal, bases, 0.1 * rng.standard_normal(bases.size)
+
+
+@pytest.mark.parametrize("lanes", [1, 200])
+@pytest.mark.parametrize("name", ["pendulum", "chain22", "chain31", "inspan_q1", "inspan_q2",
+                                  "inspan_q3"])
+def test_rate_output_is_c_contiguous(name, lanes, rng):
+    # the reward's stacked matmul rounds a lane alike only on C-contiguous states
+    plant = _shipped_plant(name)
+    out = plant.rate(rng.uniform(-1, 1, (lanes, plant.n)), rng.standard_normal((lanes, plant.q)))
+    assert out.shape == (lanes, plant.n) and out.flags.c_contiguous

@@ -4,6 +4,10 @@ One-integrator guard: ``plants.rk4_step`` is named only by the package's
 three integrators (listed in ``RK4_USERS``), so no second copy of the
 sampled-data step or of the idealized flow can come back beside them.
 
+One-rule guard: ``COND_LIMIT`` and ``frobenius_cond`` are named only by the
+singularity rule (``plants.linearizing_terms`` and its helper), so no second
+judgement of a singular ``alpha`` can come back beside it.
+
 A public module-level function or class must be named by some module of
 ``src/fblearn`` other than ``__init__.py`` (whose re-exports name
 everything), or be listed below with the reason it stays.
@@ -36,6 +40,9 @@ ALLOWED = {
 
 # the top-level functions that may name rk4_step
 RK4_USERS = {"learning._lockstep", "analysis.simulate_ideal", "plants.simulate_closed_loop"}
+
+# the top-level functions that may name COND_LIMIT and frobenius_cond
+RULE_USERS = {"plants.linearizing_terms", "plants._judge_alpha"}
 
 # "module.Class.field" -> why it stays without an attribute read
 ALLOWED_FIELDS = {
@@ -151,10 +158,18 @@ def test_field_allow_list_names_fields_that_exist():
                for name in ALLOWED_FIELDS)
 
 
+def _users(name):
+    """The top-level definitions that read ``name`` (as a name or an attribute)."""
+    return {f"{module}.{getattr(node, 'name', '<module>')}"
+            for module, tree in _trees().items() for node in tree.body
+            for ref in ast.walk(node)
+            if (isinstance(ref, ast.Name) and ref.id == name and isinstance(ref.ctx, ast.Load))
+            or (isinstance(ref, ast.Attribute) and ref.attr == name)}
+
+
 def test_rk4_step_is_named_only_by_the_three_integrators():
-    users = {f"{module}.{getattr(node, 'name', '<module>')}"
-             for module, tree in _trees().items() for node in tree.body
-             for ref in ast.walk(node)
-             if (isinstance(ref, ast.Name) and ref.id == "rk4_step")
-             or (isinstance(ref, ast.Attribute) and ref.attr == "rk4_step")}
-    assert users <= RK4_USERS
+    assert _users("rk4_step") <= RK4_USERS
+
+
+def test_singularity_rule_is_named_only_by_linearizing_terms_and_its_helper():
+    assert _users("COND_LIMIT") | _users("frobenius_cond") <= RULE_USERS
