@@ -27,6 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .basis import BasisSet, layout_columns
+from .errors import DivergenceError
 from .linearize import GainMatrix, ReferenceModel
 from .plants import PlantModel, linearizing_terms, rk4_step
 
@@ -94,6 +95,7 @@ def simulate_ideal(w_of_t: Callable[[float | Array], Array], ref: ReferenceModel
     lane, broadcasts against them.  Every lane runs ``horizon`` in the fewest
     steps no longer than ``step``.  ``w_of_t`` must broadcast over an array of
     times.  Returns ``(times, X)`` with one leading row per step node.
+    Raises ``DivergenceError`` at the first step whose state is not finite.
     """
     X0 = np.asarray(X0, dtype=float)
     n_steps = max(1, int(np.ceil(horizon / step - 1e-12)))
@@ -109,10 +111,12 @@ def simulate_ideal(w_of_t: Callable[[float | Array], Array], ref: ReferenceModel
 
     out = np.empty((n_steps + 1,) + np.broadcast(X0, times[0][..., None]).shape)
     out[0] = X0
-    for i in range(n_steps):
-        out[i + 1] = rk4_step(rate, times[i], out[i], h)
-        if not np.all(np.isfinite(out[i + 1])):
-            raise RuntimeError(f"ideal-system integration diverged at step {i + 1}")
+    # a flow that leaves the finite floats is caught at that step: no warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n_steps):
+            out[i + 1] = rk4_step(rate, times[i], out[i], h)
+            if not np.all(np.isfinite(out[i + 1])):
+                raise DivergenceError("ideal-system integration diverged", step=i + 1)
     return times, out
 
 

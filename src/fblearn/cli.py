@@ -31,7 +31,7 @@ from .config import ExperimentConfig, load_config
 from .errors import ConfigError, DivergenceError, FblearnError, SingularMatrixError
 from .learning import AdaptRunRecord, run_episode, run_episodes
 from .scenarios import Scenario, build_scenario, policy_config
-from .studies import bias_study, concentration_study, regressor_series
+from .studies import mc_sweep, regressor_series
 
 try:  # installed distribution, if available
     from importlib.metadata import version as _dist_version
@@ -169,17 +169,13 @@ def cmd_mc(config: ExperimentConfig, args) -> int:
               "has none. Use scenario inspan_synthetic or linear_test.", file=sys.stderr)
         return EXIT_UNSUPPORTED
     start = time.perf_counter()
-    report = concentration_study(
+    # the bias cells run beside the concentration cells of their dt
+    report, bias = mc_sweep(
         scenario, policy_config(config), trials=config.trials, lambdas=config.sweep.lam,
         dt_list=config.sweep.dt, sigma2_list=config.sweep.sigma2,
+        bias_dts=config.sweep.dt if len(config.sweep.dt) >= 2 else (),
         horizon_s=config.horizon_s, seed=config.seed, substeps=config.substeps,
         baseline_kind=config.baseline)
-    bias = None
-    if len(config.sweep.dt) >= 2:
-        bias = bias_study(scenario, policy_config(config), trials=config.trials,
-                          dt_list=config.sweep.dt, horizon_s=config.horizon_s,
-                          seed=config.seed, substeps=config.substeps,
-                          baseline_kind=config.baseline)
     wall = time.perf_counter() - start
 
     out_dir = _artifact_dir(args, config, "_mc")

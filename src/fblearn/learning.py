@@ -11,9 +11,9 @@ The loop is written once, as a private kernel that advances independent
 lanes in lockstep and records the series its caller keeps.
 ``run_episodes`` runs episodes with their own seeds and learning flags as
 lanes and records each one in full (``run_episode`` is its one-lane call);
-``run_ensemble`` runs seeded trials as lanes and keeps only the tracking and
-parameter errors; ``studies.mc_gradient_samples`` runs one interval of it
-with frozen lanes.  All share one failure rule (see ``STATE_BOUND``).
+``run_ensemble`` runs seeded trials as lanes, for one cell or for several
+cells that share a ``dt``, and keeps only the tracking and parameter errors;
+``studies.mc_gradient_samples`` runs one interval of it with frozen lanes.  All share one failure rule (see ``STATE_BOUND``).
 
 Randomness discipline: step ``k`` of the run seeded by ``seed`` draws from
 its own substream ``step_rng(seed, k)``, so runs with learning enabled and
@@ -212,9 +212,16 @@ def discrete_reward(e: Array, e_next: Array, ref: ReferenceModel, gains: GainMat
     return 0.5 * (resid[..., None, :] @ resid[..., :, None])[..., 0, 0]
 
 
-def grad_log_policy(u: Array, u_hat: Array, sigma2: float, jac: Array) -> Array:
-    """Gaussian-policy score ``jac.T @ (u - u_hat) / sigma2``, broadcasting over lanes."""
-    if sigma2 <= 0:
+def grad_log_policy(u: Array, u_hat: Array, sigma2: float | Array, jac: Array) -> Array:
+    """Gaussian-policy score ``jac.T @ (u - u_hat) / sigma2``, broadcasting over lanes.
+
+    ``sigma2`` is one variance, or an array of one per lane (the lead shape of ``u``).
+    """
+    if isinstance(sigma2, np.ndarray):
+        if not np.all(sigma2 > 0):
+            raise ValueError(f"sigma2 must be positive for the score function, got {sigma2}")
+        sigma2 = sigma2[..., None]
+    elif sigma2 <= 0:
         raise ValueError(f"sigma2 must be positive for the score function, got {sigma2}")
     r = np.asarray(u, dtype=float) - np.asarray(u_hat, dtype=float)
     return (np.asarray(jac).swapaxes(-1, -2) @ r[..., None])[..., 0] / sigma2
@@ -298,25 +305,29 @@ _NODE_SERIES = _SERIES[:4]
 
 def _lockstep(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0: Array,
               reference: SinusoidSum, ref_model: ReferenceModel, gains: GainMatrix,
-              cfg: PolicyConfig, baseline_kind: str, noise: Array, x0: Array | None,
-              t0: float, learn: bool | Sequence[bool], theta_star: Array | None,
-              update_rule: str, substeps: int, keep: tuple[str, ...]) -> tuple[dict, Array]:
+              dt: float, sigma2: float | Array, baseline_kind: str, noise: Array,
+              x0: Array | None, t0: float, learn: bool | Sequence[bool],
+              theta_star: Array | None, update_rule: str, substeps: int,
+              keep: tuple[str, ...]) -> tuple[dict, Array]:
     """Run ``len(noise)`` lanes of the sampled-data loop in lockstep; record ``keep``.
 
-    Every lane starts at time ``t0`` from ``x0`` and ``theta0`` and applies
-    its own row of ``noise``.  ``learn`` (one bool, or one per lane) says
-    which lanes update their parameters; a frozen lane computes the update
-    too and keeps its ``theta`` bit for bit.  Returns the series named in
-    ``keep`` (see ``_SERIES``), ``(lanes, steps + 1, ...)`` for node series
-    and ``(lanes, steps, ...)`` for interval series, and each lane's failure
+    Every lane starts at time ``t0`` from ``x0`` and applies its own row of
+    ``noise`` over intervals of ``dt``.  ``theta0`` (the start parameters),
+    ``sigma2`` (the policy variance the score divides by) and ``learn``
+    (whether the lane updates its parameters) are each one value for every
+    lane or one per lane; a frozen lane computes the update too and keeps
+    its ``theta`` bit for bit.  Returns the series named in ``keep`` (see
+    ``_SERIES``), ``(lanes, steps + 1, ...)`` for node series and
+    ``(lanes, steps, ...)`` for interval series, and each lane's failure
     step (-1 for lanes that never fail).
 
     A lane fails when its state, parameters or reward is non-finite, when
     ``max|x|`` reaches ``STATE_BOUND``, or when a decoupling matrix turns
     singular on it; the ``SingularMatrixError`` names those lanes, and the
-    interval is run again for the others.  A failed lane is frozen: back at
-    ``x0``, with its last error and parameters, and its reward 0.  Once every
-    lane has failed the run stops and the remaining nodes repeat the last one.
+    interval is run again for the others.  A failed lane is frozen and no
+    longer advanced: back at ``x0``, with its last error and parameters, and
+    its reward 0.  Once every lane has failed the run stops and the
+    remaining nodes repeat the last one.
     """
     if update_rule not in ("policy_gradient", "ideal"):
         raise ValueError(f"unknown update rule {update_rule!r}")
@@ -332,23 +343,23 @@ def _lockstep(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0: A
         raise DimensionError(f"learn must be one bool or one per lane ({n_lanes}), "
                              f"got shape {learn.shape}")
     learn = np.broadcast_to(learn, (n_lanes,))
-    if learn.any() and update_rule == "policy_gradient" and cfg.sigma2 <= 0:
+    if update_rule == "policy_gradient" and np.any(learn & (np.asarray(sigma2) <= 0)):
         raise ValueError("policy-gradient learning needs sigma2 > 0 "
                          "(use learn=False for a noise-free frozen run)")
     theta0 = np.asarray(theta0, dtype=float)
-    if theta0.shape != (bases.size,):
-        raise DimensionError(f"theta0 must have shape ({bases.size},), got {theta0.shape}")
+    if theta0.shape not in ((bases.size,), (n_lanes, bases.size)):
+        raise DimensionError(f"theta0 must have shape ({bases.size},) or "
+                             f"({n_lanes}, {bases.size}), got {theta0.shape}")
     x_init = np.zeros(plant.n) if x0 is None else np.asarray(x0, dtype=float)
     if x_init.shape != (plant.n,):
         raise DimensionError(f"x0 must have shape ({plant.n},), got {x_init.shape}")
-    dt = cfg.dt
     h = dt / substeps
     nodes = sample_reference(reference, ref_model.gamma, t0 + np.arange(horizon + 1) * dt)
     xi_d, y_dg = nodes.xi_d, nodes.y_dgamma
     d = ref_model.total_degree
     shapes = dict(zip(_SERIES, ((plant.n,), (d,), (d,), (bases.size,), (plant.q,), (), ())))
 
-    def advance(k, x, e, theta, w, learn, b_val):
+    def advance(k, x, e, theta, w, learn, b_val, sigma2):
         """Interval ``k`` for the given lanes: ``x, xi, e, theta`` at its end, ``u``, reward."""
         v = y_dg[k] + (gains.K @ e[..., None])[..., 0]
         u_hat = eval_learned_controller(bases, theta, nominal, x, v)
@@ -366,7 +377,7 @@ def _lockstep(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0: A
         if not learn.any():
             return x_next, xi_next, e_next, theta, u, reward
         if update_rule == "policy_gradient":
-            score = grad_log_policy(u, u_hat, cfg.sigma2, controller_jacobian(bases, x, v))
+            score = grad_log_policy(u, u_hat, sigma2, controller_jacobian(bases, x, v))
             theta_next = theta - dt * ((reward - b_val)[:, None] * score)
         else:
             W = assemble_W(plant, bases, x, y_dg[k], e, gains)
@@ -385,6 +396,10 @@ def _lockstep(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0: A
         if name in series:
             series[name][:, 0] = value
     alive = np.ones(n_lanes, dtype=bool)
+    live = slice(None)  # the lanes a step advances: all of them until one fails
+    per_lane_sigma2 = np.ndim(sigma2) > 0
+    if per_lane_sigma2:
+        sigma2 = np.asarray(sigma2, dtype=float)
     diverged_step = np.full(n_lanes, -1, dtype=np.int64)
     total = 0.0  # each lane's sum of past rewards
 
@@ -394,22 +409,26 @@ def _lockstep(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0: A
         else:
             b_val = total if baseline_kind == "sum_of_past" else total / k
         b_val = np.broadcast_to(b_val, (n_lanes,))
-        lanes, singular, step = slice(None), np.zeros(n_lanes, dtype=bool), None
+        lanes, singular, step = live, np.zeros(n_lanes, dtype=bool), None
         # failing lanes produce non-finite intermediates until they are
         # flagged below; silence the arithmetic warnings they would raise
         with np.errstate(over="ignore", invalid="ignore"):
-            while step is None and not singular.all():
+            while step is None:
                 try:
                     step = advance(k, x[lanes], e[lanes], theta[lanes], noise[lanes, k],
-                                   learn[lanes], b_val[lanes])
+                                   learn[lanes], b_val[lanes],
+                                   sigma2[lanes] if per_lane_sigma2 else sigma2)
                 except SingularMatrixError as exc:
                     index = np.arange(n_lanes)[lanes]
                     if (exc.lanes is None or np.shape(exc.lanes) != index.shape
                             or not np.any(exc.lanes)):
                         raise
                     singular[index[exc.lanes]] = True
-                    lanes = np.flatnonzero(~singular)
-            if singular.any():
+                    lanes = np.flatnonzero(alive & ~singular)
+                    if not lanes.size:
+                        break
+            if isinstance(lanes, np.ndarray):
+                # the lanes left out (failed before, or singular now) get zeros
                 full = [np.zeros((n_lanes,) + shapes[name]) for name in _SERIES[:6]]
                 if step is not None:
                     for whole, part in zip(full, step):
@@ -428,6 +447,7 @@ def _lockstep(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0: A
             e_next[dead] = e[dead]
             theta_next[dead] = theta[dead]
             reward[dead] = 0.0
+            live = np.flatnonzero(alive)
         for name, value in zip(_SERIES, (x_next, xi_next, e_next, theta_next, u, reward, b_val)):
             if name in series:
                 series[name][:, k + (name in _NODE_SERIES)] = value
@@ -464,8 +484,8 @@ def run_episodes(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0
     draws = {seed: draw_noise_series(cfg, plant.q, seed, horizon) for seed in set(seeds)}
     noise = np.stack([draws[seed] for seed in seeds])
     rec, diverged_step = _lockstep(plant, nominal, bases, theta0, reference, ref_model, gains,
-                                   cfg, baseline_kind, noise, x0, 0.0, learn, theta_star,
-                                   update_rule, substeps, _SERIES)
+                                   cfg.dt, cfg.sigma2, baseline_kind, noise, x0, 0.0, learn,
+                                   theta_star, update_rule, substeps, _SERIES)
     t_nodes = np.arange(horizon + 1) * cfg.dt
     records = []
     for b, seed in enumerate(seeds):
@@ -523,7 +543,8 @@ def run_ensemble(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0
                  cfg: PolicyConfig, n_trials: int, horizon: int,
                  baseline_kind: str = "mean_of_past", seed: int = 0, cell_key: int = 0,
                  x0: Array | None = None, theta_star: Array | None = None,
-                 substeps: int = 8) -> EnsembleRecord:
+                 substeps: int = 8,
+                 more_cells: Sequence[tuple[PolicyConfig, int, Array]] = ()) -> EnsembleRecord:
     """Run many policy-gradient episodes in lockstep, vectorized over trials.
 
     Trial ``b`` draws exactly the noise that ``run_episode`` would draw with
@@ -532,14 +553,32 @@ def run_ensemble(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0
     that sequential run's bit for bit.  A trial that fails is flagged and
     frozen in place; the others keep running, and once every trial has
     failed the run stops.  Only ``e`` and ``theta`` are kept per step.
+
+    ``more_cells`` lists further cells ``(cfg, cell_key, theta0)`` with the
+    same ``cfg.dt``.  Each runs its own ``n_trials`` trials as the next block
+    of lanes, so lane ``c * n_trials + b`` is trial ``b`` of cell ``c`` (cell
+    0 being the one the other arguments name), bit for bit that cell's own
+    run.
     """
     if n_trials < 1:
         raise DimensionError(f"n_trials must be >= 1, got {n_trials}")
-    noise = np.stack([draw_noise_series(cfg, plant.q, derive_seed(seed, cell_key, b), horizon)
-                      for b in range(n_trials)])
+    cells = [(cfg, cell_key, theta0), *more_cells]
+    if any(c.dt != cfg.dt for c, _, _ in cells):
+        raise ValueError(f"the cells of one ensemble must share dt, got "
+                         f"{[c.dt for c, _, _ in cells]}")
+    noise = np.stack([draw_noise_series(c, plant.q, derive_seed(seed, key, b), horizon)
+                      for c, key, _ in cells for b in range(n_trials)])
+    sigma2 = cfg.sigma2
+    if more_cells:
+        theta0 = np.repeat(np.stack([np.asarray(t, dtype=float) for _, _, t in cells]),
+                           n_trials, axis=0)
+        sigma2 = np.repeat([c.sigma2 for c, _, _ in cells], n_trials)
     rec, diverged_step = _lockstep(plant, nominal, bases, theta0, reference, ref_model, gains,
-                                   cfg, baseline_kind, noise, x0, 0.0, True, theta_star,
-                                   "policy_gradient", substeps, ("e", "theta"))
-    phi = rec["theta"] - np.asarray(theta_star, dtype=float) if theta_star is not None else None
+                                   cfg.dt, sigma2, baseline_kind, noise, x0, 0.0, True,
+                                   theta_star, "policy_gradient", substeps, ("e", "theta"))
+    phi = None
+    if theta_star is not None:
+        phi = rec["theta"]  # formed in place: no second copy of the whole horizon
+        phi -= np.asarray(theta_star, dtype=float)
     return EnsembleRecord(e=rec["e"], phi=phi, diverged=diverged_step >= 0,
                           diverged_step=diverged_step)

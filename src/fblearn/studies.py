@@ -9,7 +9,6 @@ error across seeded trials.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +17,8 @@ from .analysis import (assemble_W, interp_matrix_series, least_squares_gradient,
                        simulate_ideal)
 from .basis import controller_jacobian, eval_learned_controller
 from .errors import DimensionError, DivergenceError
-from .learning import (AdaptRunRecord, EnsembleRecord, PolicyConfig, _lockstep, draw_noise,
-                       grad_log_policy, run_ensemble)
+from .learning import (AdaptRunRecord, PolicyConfig, _lockstep, draw_noise, grad_log_policy,
+                       run_ensemble)
 from .linearize import tracking_error
 from .reference import sample_reference
 from .scenarios import Scenario
@@ -129,8 +128,8 @@ def mc_gradient_samples(scenario: Scenario, theta: Array, cfg: PolicyConfig,
     w = draw_noise(cfg, (n_draws, plant.q),
                    np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3,))))
     rec, failed = _lockstep(plant, scenario.nominal, bases, theta, scenario.reference,
-                            scenario.ref_model, gains, cfg, "none", w[:, None], x_k, t_k,
-                            False, None, "policy_gradient", substeps, ("u", "reward"))
+                            scenario.ref_model, gains, cfg.dt, cfg.sigma2, "none", w[:, None],
+                            x_k, t_k, False, None, "policy_gradient", substeps, ("u", "reward"))
     if np.any(failed >= 0):
         raise DivergenceError(f"{np.sum(failed >= 0)} of {n_draws} gradient draws failed", step=0)
     rewards = rec["reward"][:, 0]
@@ -167,23 +166,13 @@ class ConcentrationReport:
     lambda_slope: float | None
 
 
-def _run_cell(scenario: Scenario, cfg: PolicyConfig, trials: int, horizon: int,
-              seed: int, cell_key: int, substeps: int, baseline_kind: str) -> EnsembleRecord:
-    return run_ensemble(
-        scenario.plant, scenario.nominal, scenario.bases, scenario.theta0,
-        scenario.reference, scenario.ref_model, scenario.gains, cfg,
-        n_trials=trials, horizon=horizon, baseline_kind=baseline_kind,
-        seed=seed, cell_key=cell_key, x0=scenario.x0,
-        theta_star=scenario.theta_star, substeps=substeps)
+@dataclass(frozen=True)
+class BiasReport:
+    """Steady-state mean offsets per dt and their log-log slope."""
 
-
-def _stacked_states(ens: EnsembleRecord, steady_from: int):
-    """Steady-state X = (e, phi) of the non-divergent trials."""
-    kept = ~ens.diverged
-    if not np.any(kept):
-        raise RuntimeError("every trial diverged; nothing to aggregate")
-    X = np.concatenate([ens.e[kept, steady_from:], ens.phi[kept, steady_from:]], axis=2)
-    return X, int(np.sum(ens.diverged))
+    dts: tuple
+    offsets: tuple
+    slope: float | None
 
 
 def concentration_study(scenario: Scenario, base_cfg: PolicyConfig, trials: int,
@@ -205,29 +194,151 @@ def concentration_study(scenario: Scenario, base_cfg: PolicyConfig, trials: int,
     baseline-free estimator is the default because the high-probability
     deviation statement is about exactly that estimator.
     """
+    report, _ = mc_sweep(scenario, base_cfg, trials, lambdas, dt_list=dt_list,
+                         sigma2_list=sigma2_list, horizon_s=horizon_s, seed=seed,
+                         substeps=substeps, baseline_kind=baseline_kind)
+    return report
+
+
+def bias_study(scenario: Scenario, base_cfg: PolicyConfig, trials: int, dt_list,
+               horizon_s: float = 20.0, seed: int = 0, substeps: int = 8,
+               baseline_kind: str = "none") -> BiasReport:
+    """Long-run mean offset of ``X_k`` versus the sampling interval.
+
+    Averaging across trials cancels the zero-mean spread, leaving the
+    sampling-induced bias, which shrinks linearly in ``dt``.  The trials
+    start on the true parameters, not at ``scenario.theta0``: that removes
+    the initial-condition transient, so the measured offset is purely the
+    accumulated bias.
+    """
+    if scenario.theta_star is None:
+        raise ValueError("bias study needs a scenario with a true parameter vector")
+    cells = _bias_cells(scenario, base_cfg, dt_list)
+    if not cells:
+        raise ValueError("bias study needs at least one dt")
+    return _bias_report(cells, _run_cells(scenario, cells, trials, horizon_s, seed, substeps,
+                                          baseline_kind))
+
+
+def mc_sweep(scenario: Scenario, base_cfg: PolicyConfig, trials: int, lambdas,
+             dt_list=(), sigma2_list=(), bias_dts=(), horizon_s: float = 2.0, seed: int = 0,
+             substeps: int = 8,
+             baseline_kind: str = "none") -> tuple[ConcentrationReport, BiasReport | None]:
+    """The concentration study and, over ``bias_dts``, the bias study, as one sweep.
+
+    Returns what :func:`concentration_study` and :func:`bias_study` return
+    for the same arguments, the bias study over the same ``horizon_s`` (and
+    ``None`` for it when ``bias_dts`` is empty).  The cells of both studies
+    that share a ``dt`` run as lane blocks of one ensemble.
+    """
     if scenario.theta_star is None:
         raise ValueError("concentration study needs a scenario with a true parameter vector")
     lambdas = tuple(sorted(set(float(l) for l in lambdas) | {0.05}, reverse=True))
-    cells_spec = [(float(dt), base_cfg.sigma2) for dt in dt_list]
-    cells_spec += [(base_cfg.dt, float(s2)) for s2 in sigma2_list]
-    if not cells_spec:
-        cells_spec = [(base_cfg.dt, base_cfg.sigma2)]
-    ordered = list(dict.fromkeys(cells_spec))
+    specs = [(float(dt), base_cfg.sigma2) for dt in dt_list]
+    specs += [(base_cfg.dt, float(s2)) for s2 in sigma2_list]
+    if not specs:
+        specs = [(base_cfg.dt, base_cfg.sigma2)]
+    cells = [_Cell(PolicyConfig(sigma2=sigma2, dt=dt, noise_clip=base_cfg.noise_clip), idx,
+                   scenario.theta0, 4, lambdas)
+             for idx, (dt, sigma2) in enumerate(dict.fromkeys(specs))]
+    bias_cells = _bias_cells(scenario, base_cfg, bias_dts)
+    stats = _run_cells(scenario, cells + bias_cells, trials, horizon_s, seed, substeps,
+                       baseline_kind)
+    report = _concentration_report(cells, stats[:len(cells)], trials, base_cfg, lambdas,
+                                   dt_list, sigma2_list)
+    bias = _bias_report(bias_cells, stats[len(cells):]) if bias_cells else None
+    return report, bias
 
-    cells = []
-    for idx, (dt, sigma2) in enumerate(ordered):
-        cfg = PolicyConfig(sigma2=sigma2, dt=dt, noise_clip=base_cfg.noise_clip)
+
+@dataclass(frozen=True)
+class _Cell:
+    """One cell of a sweep: its policy, trial key and start, and what it measures."""
+
+    cfg: PolicyConfig
+    key: int
+    theta0: Array
+    steady_divisor: int   # the steady window starts at step horizon // steady_divisor
+    lambdas: tuple = ()   # deviation quantile levels; none for a bias cell
+
+
+def _bias_cells(scenario: Scenario, base_cfg: PolicyConfig, dt_list) -> list:
+    """One bias cell per dt, keyed ``1000 + index``, its trials starting on ``theta_star``."""
+    return [_Cell(PolicyConfig(sigma2=base_cfg.sigma2, dt=float(dt),
+                               noise_clip=base_cfg.noise_clip),
+                  1000 + idx, scenario.theta_star, 2)
+            for idx, dt in enumerate(dt_list)]
+
+
+def _run_cells(scenario: Scenario, cells: list, trials: int, horizon_s: float, seed: int,
+               substeps: int, baseline_kind: str) -> list:
+    """``_steady_stats`` of every cell, in order; cells that share a dt run as one ensemble.
+
+    Each cell's trials are one block of lanes of that ensemble, bit for bit
+    the cell's own run, so grouping changes no number.
+    """
+    by_dt = {}
+    for i, cell in enumerate(cells):
+        by_dt.setdefault(cell.cfg.dt, []).append(i)
+    stats = [None] * len(cells)
+    for dt, members in by_dt.items():
+        first, *rest = (cells[i] for i in members)
         horizon = int(round(horizon_s / dt))
-        ens = _run_cell(scenario, cfg, trials, horizon, seed, idx, substeps, baseline_kind)
-        X, n_diverged = _stacked_states(ens, steady_from=horizon // 4)
-        deviations = np.linalg.norm(X - X.mean(axis=0, keepdims=True), axis=2)
-        quantiles = {lam: float(np.mean(np.quantile(deviations, 1.0 - lam, axis=0)))
-                     for lam in lambdas}
-        offset = float(np.mean(np.linalg.norm(X.mean(axis=0), axis=1)))
-        cells.append(CellStats(dt=dt, sigma2=sigma2, trials=trials, diverged=n_diverged,
-                               quantiles=quantiles, mean_offset=offset))
+        ens = run_ensemble(
+            scenario.plant, scenario.nominal, scenario.bases, first.theta0,
+            scenario.reference, scenario.ref_model, scenario.gains, first.cfg,
+            n_trials=trials, horizon=horizon, baseline_kind=baseline_kind,
+            seed=seed, cell_key=first.key, x0=scenario.x0,
+            theta_star=scenario.theta_star, substeps=substeps,
+            more_cells=[(c.cfg, c.key, c.theta0) for c in rest])
+        for j, i in enumerate(members):
+            block = slice(j * trials, (j + 1) * trials)
+            stats[i] = _steady_stats(ens.e[block], ens.phi[block], ens.diverged[block],
+                                     horizon // cells[i].steady_divisor, cells[i].lambdas)
+        del ens  # free this dt's records before the next ensemble is recorded
+    return stats
 
-    by_spec = {(c.dt, c.sigma2): c for c in cells}
+
+#: Steps per block of the steady-window reductions, so that no reduction
+#: holds a whole window of a cell's trials at once.
+_STEADY_BLOCK = 25
+
+
+def _steady_stats(e: Array, phi: Array, diverged: Array, steady_from: int,
+                  lambdas: tuple) -> tuple[dict, float, int]:
+    """Deviation quantiles, mean offset and divergence count of one cell's trials.
+
+    Over the steady window (steps from ``steady_from``) of ``X = (e, phi)``
+    of the non-divergent trials: at each step, the ``1 - lambda`` quantile
+    of ``||X_k - mean(X_k)||`` across trials and the norm of ``mean(X_k)``,
+    each averaged over the window.  The per-step values are formed a block
+    of steps at a time.
+    """
+    kept = ~diverged
+    if not np.any(kept):
+        raise DivergenceError(f"all {len(kept)} trials of a cell diverged; nothing to aggregate")
+    per_step = {lam: [] for lam in lambdas}
+    offsets = []
+    for lo in range(steady_from, e.shape[1], _STEADY_BLOCK):
+        window = slice(lo, lo + _STEADY_BLOCK)
+        X = np.concatenate([e[kept, window], phi[kept, window]], axis=2)
+        mean = X.mean(axis=0)
+        offsets.append(np.linalg.norm(mean, axis=1))
+        if lambdas:
+            deviations = np.linalg.norm(X - mean, axis=2)
+            for lam in lambdas:
+                per_step[lam].append(np.quantile(deviations, 1.0 - lam, axis=0))
+    quantiles = {lam: float(np.mean(np.concatenate(parts))) for lam, parts in per_step.items()}
+    return quantiles, float(np.mean(np.concatenate(offsets))), int(np.sum(diverged))
+
+
+def _concentration_report(cells: list, stats: list, trials: int, base_cfg: PolicyConfig,
+                          lambdas: tuple, dt_list, sigma2_list) -> ConcentrationReport:
+    """The report of the concentration cells' stats, with its fitted shapes."""
+    cell_stats = [CellStats(dt=c.cfg.dt, sigma2=c.cfg.sigma2, trials=trials,
+                            diverged=n_diverged, quantiles=quantiles, mean_offset=offset)
+                  for c, (quantiles, offset, n_diverged) in zip(cells, stats)]
+
+    by_spec = {(c.dt, c.sigma2): c for c in cell_stats}
     dt_cells = [by_spec[(float(dt), base_cfg.sigma2)] for dt in dt_list]
     dt_slope = None
     if len(dt_cells) >= 2:
@@ -249,48 +360,18 @@ def concentration_study(scenario: Scenario, base_cfg: PolicyConfig, trials: int,
     if len(lam_for_fit) >= 2:
         logs = np.log([np.log(2.0 / lam) for lam in lam_for_fit])
         slopes = [float(np.polyfit(logs, np.log([c.quantiles[lam] for lam in lam_for_fit]),
-                                   1)[0]) for c in cells]
+                                   1)[0]) for c in cell_stats]
         lambda_slope = float(np.mean(slopes))
 
-    return ConcentrationReport(cells=tuple(cells), lambdas=lambdas, dt_slope=dt_slope,
+    return ConcentrationReport(cells=tuple(cell_stats), lambdas=lambdas, dt_slope=dt_slope,
                                sigma_ratios=sigma_ratios, lambda_slope=lambda_slope)
 
 
-@dataclass(frozen=True)
-class BiasReport:
-    """Steady-state mean offsets per dt and their log-log slope."""
-
-    dts: tuple
-    offsets: tuple
-    slope: float | None
-
-
-def bias_study(scenario: Scenario, base_cfg: PolicyConfig, trials: int, dt_list,
-               horizon_s: float = 20.0, seed: int = 0, substeps: int = 8,
-               baseline_kind: str = "none") -> BiasReport:
-    """Long-run mean offset of ``X_k`` versus the sampling interval.
-
-    Averaging across trials cancels the zero-mean spread, leaving the
-    sampling-induced bias, which shrinks linearly in ``dt``.  The trials
-    start on the true parameters, not at ``scenario.theta0``: that removes
-    the initial-condition transient, so the measured offset is purely the
-    accumulated bias.
-    """
-    if scenario.theta_star is None:
-        raise ValueError("bias study needs a scenario with a true parameter vector")
-    scenario = dataclasses.replace(scenario, theta0=scenario.theta_star)
-    dts = tuple(float(dt) for dt in dt_list)
-    if not dts:
-        raise ValueError("bias study needs at least one dt")
-    offsets = []
-    for idx, dt in enumerate(dts):
-        cfg = PolicyConfig(sigma2=base_cfg.sigma2, dt=dt, noise_clip=base_cfg.noise_clip)
-        horizon = int(round(horizon_s / dt))
-        ens = _run_cell(scenario, cfg, trials, horizon, seed, 1000 + idx, substeps,
-                        baseline_kind)
-        X, _ = _stacked_states(ens, steady_from=horizon // 2)
-        offsets.append(float(np.mean(np.linalg.norm(X.mean(axis=0), axis=1))))
+def _bias_report(cells: list, stats: list) -> BiasReport:
+    """The bias cells' mean offsets and their log-log slope against dt."""
+    dts = tuple(c.cfg.dt for c in cells)
+    offsets = tuple(offset for _, offset, _ in stats)
     slope = None
     if len(dts) >= 2:
         slope = float(np.polyfit(np.log(dts), np.log(offsets), 1)[0])
-    return BiasReport(dts=dts, offsets=tuple(offsets), slope=slope)
+    return BiasReport(dts=dts, offsets=offsets, slope=slope)

@@ -7,6 +7,8 @@ from fblearn import (PolicyConfig, assemble_W, build_reference_model, design_gai
                      regressor_series, run_episode, sample_reference, simulate_ideal,
                      transition_matrix, transition_norm_grid)
 
+from fblearn.errors import DivergenceError
+
 from oracles import expm, kron_columns, least_squares_cost
 
 
@@ -136,6 +138,12 @@ class TestIdealSystem:
         fit = fit_exponential_bound(*transition_norm_grid(w_of_t, ref1, gains1,
                                                           t_grid, 0.01))
         assert fit.exponential and fit.zeta > 0.05
+
+    def test_a_flow_leaving_the_finite_floats_raises_divergence_error(self, ref1, gains1):
+        # W = 1e200 overflows W.T W phi in the first step's first stage
+        with pytest.raises(DivergenceError, match="at step 1"):
+            simulate_ideal(lambda t: np.full(np.shape(t) + (1, 2), 1e200), ref1, gains1,
+                           np.ones(4), 1.0, 0.1)
 
     def test_stacked_lanes_with_own_start_times_are_their_own_runs(self, ref1, gains1, rng):
         times = np.linspace(0.0, 6.0, 61)

@@ -187,6 +187,26 @@ class TestCli:
         cells = (tmp_path / "inspan_synthetic_77_mc" / "cells.csv").read_text()
         assert cells.startswith("dt,sigma2,trials,diverged,mean_offset")
 
+    def test_mc_whose_every_trial_diverged_exits_3(self, tmp_path, capsys):
+        # every trial starts past the kernel's state bound (1e9)
+        code = main(["mc", "--config", str(CONFIG_DIR / "inspan_mc.yaml"),
+                     "--out-dir", str(tmp_path), "--trials", "3",
+                     "--override", "horizon_s=0.1", "--override", "x0=[3.0e+9, 0, 0, 0]"])
+        assert code == EXIT_DIVERGED
+        assert "trials of a cell diverged" in capsys.readouterr().err
+
+    def test_diag_whose_ideal_flow_diverges_exits_3(self, tmp_path, capsys, monkeypatch):
+        # a regressor scaled by 1e200 overflows the ideal flow of the norm grid
+        import fblearn.cli as cli
+        series = cli.interp_matrix_series
+        monkeypatch.setattr(cli, "interp_matrix_series",
+                            lambda t, w: series(t, 1e200 * w))
+        code = main(["diag", "--config", str(CONFIG_DIR / "inspan_diag.yaml"),
+                     "--out-dir", str(tmp_path), "--override", "horizon_s=10",
+                     "--override", "diag.window_s=5"])
+        assert code == EXIT_DIVERGED
+        assert "ideal-system integration diverged" in capsys.readouterr().err
+
     def test_diag_reports_pe_and_stability(self, tmp_path):
         code = main(["diag", "--config", str(CONFIG_DIR / "inspan_diag.yaml"),
                      "--out-dir", str(tmp_path), "--override", "horizon_s=40",

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fblearn import (BASELINES, PolicyConfig, build_rbf_grid,
                      build_reference_model, design_gain, discrete_reward, grad_log_policy,
@@ -14,7 +16,7 @@ from fblearn.basis import BasisSet, controller_jacobian, eval_learned_controller
 from fblearn.config import load_config
 from fblearn.errors import DimensionError, DivergenceError, SingularMatrixError
 from fblearn.reference import sample_reference
-from fblearn.scenarios import build_scenario, policy_config
+from fblearn.scenarios import Scenario, build_scenario, policy_config
 
 from oracles import expm, sequential_episode
 
@@ -186,6 +188,17 @@ class TestScore:
         score = grad_log_policy(u, u_hat, 0.1, jac)
         for b in range(7):
             np.testing.assert_array_equal(score[b], grad_log_policy(u[b], u_hat[b], 0.1, jac[b]))
+
+    def test_per_lane_variance_is_each_lanes_own_score(self, rng):
+        jac = rng.standard_normal((5, 2, 12))
+        u, u_hat = rng.standard_normal((5, 2)), rng.standard_normal((5, 2))
+        sigma2 = np.array([0.1, 0.001, 0.1, 2.0, 0.0005])
+        score = grad_log_policy(u, u_hat, sigma2, jac)
+        for b in range(5):
+            np.testing.assert_array_equal(score[b],
+                                          grad_log_policy(u[b], u_hat[b], sigma2[b], jac[b]))
+        with pytest.raises(ValueError, match="positive"):
+            grad_log_policy(u, u_hat, np.array([0.1, 0.1, 0.0, 0.1, 0.1]), jac)
 
 
 class TestGradientAndUpdate:
@@ -632,3 +645,87 @@ class TestPairedEpisodes:
             alone = run_episode(*args, seed=seed, **kwargs)
             assert alone.diverged_step == record.diverged_step
             np.testing.assert_array_equal(record.x, alone.x)
+
+
+def _cell_scenario(kind: str, q: int) -> Scenario:
+    """A q-channel double-integrator chain, or the in-span plant on it, with short bases."""
+    gamma = (2,) * q
+    chain = make_chain_plant(gamma)
+    bases = polynomial_basis(2 * q, 1, io_dim=q, beta_scale=0.1, alpha_scale=0.1)
+    rng = np.random.default_rng(7)
+    theta_star = (np.zeros(bases.size) if kind == "chain"
+                  else 0.1 * rng.standard_normal(bases.size))
+    plant = chain if kind == "chain" else make_inspan_plant(gamma, bases, theta_star)
+    ref_model = build_reference_model(gamma)
+    reference = two_tone_reference(q)
+    return Scenario(plant=plant, nominal=chain, bases=bases, reference=reference,
+                    ref_model=ref_model, gains=design_gain(ref_model, -1.5),
+                    theta0=theta_star + 0.3 * rng.standard_normal(bases.size),
+                    theta_star=theta_star, x0=sample_reference(reference, gamma, 0.0).xi_d)
+
+
+def _ensemble(sc: Scenario, plant, cells, n_trials: int, **kwargs):
+    """``run_ensemble`` of ``cells``, a list of ``(cfg, cell_key, theta0)``, on ``sc``."""
+    (cfg, key, theta0), *rest = cells
+    return run_ensemble(plant, sc.nominal, sc.bases, theta0, sc.reference, sc.ref_model,
+                        sc.gains, cfg, n_trials=n_trials, cell_key=key, x0=sc.x0,
+                        theta_star=sc.theta_star, more_cells=rest, **kwargs)
+
+
+def _assert_blocks_are_solo_runs(sc: Scenario, ens, cells, n_trials: int, **kwargs):
+    for c, cell in enumerate(cells):
+        solo = _ensemble(sc, sc.plant, [cell], n_trials, **kwargs)
+        block = slice(c * n_trials, (c + 1) * n_trials)
+        np.testing.assert_array_equal(ens.e[block], solo.e)
+        np.testing.assert_array_equal(ens.phi[block], solo.phi)
+        np.testing.assert_array_equal(ens.diverged_step[block], solo.diverged_step)
+
+
+class TestCellBlocks:
+    """Cells that share a dt run as lane blocks of one ensemble."""
+
+    @pytest.mark.parametrize("kind,q", [("chain", 1), ("chain", 2), ("inspan", 1),
+                                        ("inspan", 2)])
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_each_block_is_its_cells_own_run(self, kind, q, data):
+        sc = _cell_scenario(kind, q)
+        n_trials = data.draw(st.integers(1, 3), label="n_trials")
+        cells = [(PolicyConfig(sigma2=data.draw(st.sampled_from((0.0005, 0.01, 0.2))),
+                               dt=0.05),
+                  data.draw(st.integers(0, 2 ** 16)),
+                  data.draw(st.sampled_from((sc.theta0, sc.theta_star))))
+                 for _ in range(data.draw(st.integers(2, 3), label="n_cells"))]
+        kwargs = dict(horizon=data.draw(st.integers(1, 12), label="horizon"),
+                      baseline_kind=data.draw(st.sampled_from(BASELINES)),
+                      seed=data.draw(st.integers(0, 2 ** 32)), substeps=2)
+        ens = _ensemble(sc, sc.plant, cells, n_trials, **kwargs)
+        assert ens.n_trials == len(cells) * n_trials
+        _assert_blocks_are_solo_runs(sc, ens, cells, n_trials, **kwargs)
+
+    def test_a_cell_failing_at_step_0_stops_advancing_and_leaves_the_others(self, inspan_mc):
+        sc, substeps, horizon = inspan_mc, 2, 20
+        lanes_per_call = []
+
+        def counting(x, u):
+            lanes_per_call.append(len(x))
+            return sc.plant.rate(x, u)
+
+        # the middle cell's noise throws every trial past STATE_BOUND at once
+        cells = [(PolicyConfig(sigma2=0.001, dt=0.01), 0, sc.theta0),
+                 (PolicyConfig(sigma2=1e40, dt=0.01), 1, sc.theta0),
+                 (PolicyConfig(sigma2=0.0005, dt=0.01), 2, sc.theta_star)]
+        kwargs = dict(horizon=horizon, baseline_kind="none", seed=5, substeps=substeps)
+        ens = _ensemble(sc, dataclasses.replace(sc.plant, rate=counting), cells, 3, **kwargs)
+        assert ens.diverged_step.tolist() == [-1] * 3 + [0] * 3 + [-1] * 3
+        # from step 1 on, only the six live lanes are integrated
+        later = (horizon - 1) * substeps * 4
+        assert len(lanes_per_call) > later
+        assert set(lanes_per_call[-later:]) == {6}
+        _assert_blocks_are_solo_runs(sc, ens, cells, 3, **kwargs)
+
+    def test_cells_must_share_dt(self, inspan1):
+        cells = [(PolicyConfig(sigma2=0.01, dt=0.05), 0, inspan1.theta0),
+                 (PolicyConfig(sigma2=0.01, dt=0.1), 1, inspan1.theta0)]
+        with pytest.raises(ValueError, match="share dt"):
+            _ensemble(inspan1, inspan1.plant, cells, 2, horizon=3)

@@ -4,6 +4,11 @@ One-integrator guard: ``plants.rk4_step`` is named only by the package's
 three integrators (listed in ``RK4_USERS``), so no second copy of the
 sampled-data step or of the idealized flow can come back beside them.
 
+One-kernel guard: ``learning._lockstep`` is named only by the runners in
+``KERNEL_USERS``, so no study runs lanes outside the ensemble runner that
+the benchmark's hooks count; the episode runners keep the policy config at
+position 7, where the hooks read it.
+
 One-rule guard: ``COND_LIMIT`` and ``frobenius_cond`` are named only by the
 singularity rule (``plants.linearizing_terms`` and its helper), so no second
 judgement of a singular ``alpha`` can come back beside it.
@@ -31,6 +36,8 @@ PERFBENCH = Path(__file__).parent.parent / "perfbench"
 ALLOWED = {
     "studies.measure_disturbances": "perfbench's disturbance workload and c07",
     "studies.mc_gradient_samples": "c03 and c04",
+    "studies.concentration_study": "c08; traced by perfbench (fblearn mc runs mc_sweep)",
+    "studies.bias_study": "tests/test_studies.py; traced by perfbench",
     "linearize.exact_tracking_control": "c01",
     "plants.simulate_closed_loop": "c01",
     "learning.step_rng": "the per-step oracle of step_normals; traced by perfbench",
@@ -40,6 +47,10 @@ ALLOWED = {
 
 # the top-level functions that may name rk4_step
 RK4_USERS = {"learning._lockstep", "analysis.simulate_ideal", "plants.simulate_closed_loop"}
+
+# the top-level functions that may name the lockstep kernel
+KERNEL_USERS = {"learning.run_episodes", "learning.run_ensemble",
+                "studies.mc_gradient_samples"}
 
 # the top-level functions that may name COND_LIMIT and frobenius_cond
 RULE_USERS = {"plants.linearizing_terms", "plants._judge_alpha"}
@@ -51,6 +62,8 @@ ALLOWED_FIELDS = {
     "learning.AdaptRunRecord.baselines": "perfbench/child.py reads and rebuilds records by the "
                                          "field names in _RECORD_ARRAYS",
     "learning.AdaptRunRecord.config": "perfbench/child.py rebuilds records with config={}",
+    "studies.BiasReport.slope": "written out whole: cmd_mc passes the BiasReport that "
+                                "mc_sweep returns in a tuple to asdict",
     "studies.GradientStudy.scores": "c04's score-mean check",
     "studies.GradientStudy.target": "c03's bias check against the idealized mean",
 }
@@ -173,3 +186,15 @@ def test_rk4_step_is_named_only_by_the_three_integrators():
 
 def test_singularity_rule_is_named_only_by_linearizing_terms_and_its_helper():
     assert _users("COND_LIMIT") | _users("frobenius_cond") <= RULE_USERS
+
+
+def test_lockstep_is_named_only_by_the_runners():
+    assert _users("_lockstep") <= KERNEL_USERS
+
+
+def test_runners_take_the_policy_config_at_position_7():
+    import inspect
+
+    from fblearn.learning import run_ensemble, run_episode, run_episodes
+    for runner in (run_episode, run_episodes, run_ensemble):
+        assert list(inspect.signature(runner).parameters)[7] == "cfg", runner.__name__

@@ -3,8 +3,8 @@ import pytest
 
 from fblearn import PolicyConfig, run_episode
 from fblearn.errors import DimensionError, DivergenceError
-from fblearn.learning import STATE_BOUND
-from fblearn.studies import (bias_study, concentration_study, mc_gradient_samples,
+from fblearn.learning import STATE_BOUND, run_ensemble
+from fblearn.studies import (bias_study, concentration_study, mc_gradient_samples, mc_sweep,
                              measure_disturbances, regressor_series)
 
 from oracles import one_interval_gradient, per_interval_disturbances
@@ -172,6 +172,48 @@ class TestConcentrationStudy:
         assert specs == [(0.02, 0.001), (0.01, 0.001), (0.01, 0.002)]
         assert report.dt_slope is not None
         assert report.lambda_slope is not None
+
+
+class TestSweep:
+    def test_the_sweep_is_the_two_studies(self, inspan_mc):
+        # the bias cells share an ensemble with the concentration cells of their dt
+        base = PolicyConfig(sigma2=0.001, dt=0.02)
+        kwargs = dict(horizon_s=0.6, seed=3, substeps=2)
+        report, bias = mc_sweep(inspan_mc, base, 12, (0.3, 0.1), dt_list=(0.04, 0.02),
+                                sigma2_list=(0.0005, 0.001), bias_dts=(0.04, 0.02), **kwargs)
+        assert report == concentration_study(inspan_mc, base, 12, (0.3, 0.1),
+                                             dt_list=(0.04, 0.02),
+                                             sigma2_list=(0.0005, 0.001), **kwargs)
+        assert bias == bias_study(inspan_mc, base, 12, (0.04, 0.02), **kwargs)
+        assert mc_sweep(inspan_mc, base, 12, (0.3,), **kwargs)[1] is None
+
+    def test_steady_window_statistics_are_the_whole_window_formulas(self, inspan_mc):
+        # the block-wise reductions equal the one-shot formulas bit for bit
+        base = PolicyConfig(sigma2=0.001, dt=0.01)
+        report = concentration_study(inspan_mc, base, 30, (0.3, 0.1), horizon_s=1.2, seed=8,
+                                     substeps=2)
+        (cell,) = report.cells
+        ens = run_ensemble(inspan_mc.plant, inspan_mc.nominal, inspan_mc.bases,
+                           inspan_mc.theta0, inspan_mc.reference, inspan_mc.ref_model,
+                           inspan_mc.gains, base, n_trials=30, horizon=120,
+                           baseline_kind="none", seed=8, cell_key=0, x0=inspan_mc.x0,
+                           theta_star=inspan_mc.theta_star, substeps=2)
+        X = np.concatenate([ens.e[:, 30:], ens.phi[:, 30:]], axis=2)
+        deviations = np.linalg.norm(X - X.mean(axis=0, keepdims=True), axis=2)
+        for lam in (0.3, 0.1, 0.05):
+            assert cell.quantiles[lam] == float(np.mean(np.quantile(deviations, 1.0 - lam,
+                                                                    axis=0)))
+        assert cell.mean_offset == float(np.mean(np.linalg.norm(X.mean(axis=0), axis=1)))
+
+    def test_a_cell_whose_every_trial_diverged_raises_divergence_error(self, inspan_mc):
+        import dataclasses
+        beyond = dataclasses.replace(inspan_mc, x0=inspan_mc.x0 + 2 * STATE_BOUND)
+        with pytest.raises(DivergenceError, match="all 4 trials of a cell diverged"):
+            concentration_study(beyond, PolicyConfig(sigma2=0.001, dt=0.01), 4, (0.1,),
+                                horizon_s=0.1, substeps=2)
+        with pytest.raises(DivergenceError):
+            bias_study(beyond, PolicyConfig(sigma2=0.001, dt=0.01), 4, (0.01,),
+                       horizon_s=0.1, substeps=2)
 
 
 class TestSampledVsIdeal:
