@@ -68,12 +68,15 @@ def ltv_matrix(ref: ReferenceModel, gains: GainMatrix, W: Array) -> Array:
 def interp_matrix_series(times: Array, values: Array) -> Callable[[float | Array], Array]:
     """Entrywise linear interpolant of a matrix time series, clamped at the ends.
 
-    The interpolant broadcasts over an array of times, bit for bit.
+    Needs two samples or more.  The interpolant broadcasts over an array of
+    times, bit for bit.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     if len(times) != len(values):
         raise ValueError(f"{len(times)} sample times for {len(values)} matrices")
+    if len(times) < 2:
+        raise ValueError(f"need at least two samples to interpolate, got {len(times)}")
 
     def w_of_t(t: float | Array) -> Array:
         t = np.asarray(t, dtype=float)
@@ -82,25 +85,23 @@ def interp_matrix_series(times: Array, values: Array) -> Callable[[float | Array
         frac = frac[(...,) + (None,) * (values.ndim - 1)]
         return (1.0 - frac) * values[i] + frac * values[i + 1]
 
-    return w_of_t if len(times) > 1 else (
-        lambda t: np.broadcast_to(values[0], np.shape(t) + values.shape[1:]))
+    return w_of_t
 
 
 def simulate_ideal(w_of_t: Callable[[float | Array], Array], ref: ReferenceModel,
                    gains: GainMatrix, X0: Array, horizon: float, step: float,
-                   t0: float | Array = 0.0) -> tuple[Array, Array]:
-    """Integrate the idealized stacked dynamics ``X' = A(t) X`` by RK4.
+                   t0: float | Array = 0.0) -> Array:
+    """Integrate the idealized stacked dynamics ``X' = A(t) X`` by RK4; return the end state.
 
     ``X0`` may stack lanes ``(..., d)``; ``t0``, one start time or one per
     lane, broadcasts against them.  Every lane runs ``horizon`` in the fewest
     steps no longer than ``step``.  ``w_of_t`` must broadcast over an array of
-    times.  Returns ``(times, X)`` with one leading row per step node.
-    Raises ``DivergenceError`` at the first step whose state is not finite.
+    times.  Returns each lane's state at ``t0 + horizon``.  Raises
+    ``DivergenceError`` at the first step whose state is not finite.
     """
-    X0 = np.asarray(X0, dtype=float)
+    X = np.asarray(X0, dtype=float)
     n_steps = max(1, int(np.ceil(horizon / step - 1e-12)))
     h = horizon / n_steps
-    times = np.arange(n_steps + 1).reshape((-1,) + (1,) * np.ndim(t0)) * h + t0
     n_e, acl = ref.total_degree, ref.A + ref.B @ gains.K
 
     def rate(t: Array, X: Array) -> Array:
@@ -109,15 +110,13 @@ def simulate_ideal(w_of_t: Callable[[float | Array], Array], ref: ReferenceModel
         return np.concatenate([(acl @ X[..., :n_e, None] + ref.B @ Wp)[..., 0],
                                -(W.swapaxes(-1, -2) @ Wp)[..., 0]], axis=-1)
 
-    out = np.empty((n_steps + 1,) + np.broadcast(X0, times[0][..., None]).shape)
-    out[0] = X0
     # a flow that leaves the finite floats is caught at that step: no warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps):
-            out[i + 1] = rk4_step(rate, times[i], out[i], h)
-            if not np.all(np.isfinite(out[i + 1])):
+            X = rk4_step(rate, i * h + t0, X, h)
+            if not np.all(np.isfinite(X)):
                 raise DivergenceError("ideal-system integration diverged", step=i + 1)
-    return times, out
+    return X
 
 
 def transition_matrix(w_of_t: Callable[[float | Array], Array], ref: ReferenceModel,
@@ -136,9 +135,8 @@ def transition_matrix(w_of_t: Callable[[float | Array], Array], ref: ReferenceMo
     if np.any(spans < 0) or np.any(span - spans > 1e-9 * max(1.0, span)):
         raise ValueError(f"intervals {t_start} -> {t_end} must run forward and share one length")
     dim = ref.total_degree + np.shape(w_of_t(t_start))[-1]
-    _, rows = simulate_ideal(w_of_t, ref, gains, np.eye(dim), span, step,
-                             t0=t_start[..., None])
-    return rows[-1].swapaxes(-1, -2)
+    rows = simulate_ideal(w_of_t, ref, gains, np.eye(dim), span, step, t0=t_start[..., None])
+    return rows.swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)

@@ -261,11 +261,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the experiment config")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out-dir", default="runs", help="artifact root directory")
-        p.add_argument("--trials", type=int, default=None, help="override the trial count")
-        p.add_argument("--no-learning", action="store_true",
-                       help="freeze the parameters (noise stream unchanged)")
         p.add_argument("--override", action="append", default=[], metavar="KEY=VALUE",
                        help="config override, repeatable (dotted keys allowed)")
+        if name == "run":
+            p.add_argument("--no-learning", action="store_true",
+                           help="freeze the parameters (noise stream unchanged)")
+        if name == "mc":
+            p.add_argument("--trials", type=int, default=None, help="override the trial count")
     return parser
 
 
@@ -274,7 +276,7 @@ def main(argv=None) -> int:
     overrides = list(args.override)
     if args.seed is not None:
         overrides.append(f"seed={args.seed}")
-    if args.trials is not None:
+    if getattr(args, "trials", None) is not None:
         overrides.append(f"trials={args.trials}")
     try:
         config = load_config(args.config, overrides=overrides)

@@ -13,7 +13,8 @@ lanes in lockstep and records the series its caller keeps.
 lanes and records each one in full (``run_episode`` is its one-lane call);
 ``run_ensemble`` runs seeded trials as lanes, for one cell or for several
 cells that share a ``dt``, and keeps only the tracking and parameter errors;
-``studies.mc_gradient_samples`` runs one interval of it with frozen lanes.  All share one failure rule (see ``STATE_BOUND``).
+``studies.mc_gradient_samples`` runs one interval of it with frozen lanes.
+All share one failure rule (see ``STATE_BOUND``).
 
 Randomness discipline: step ``k`` of the run seeded by ``seed`` draws from
 its own substream ``step_rng(seed, k)``, so runs with learning enabled and
@@ -217,14 +218,11 @@ def grad_log_policy(u: Array, u_hat: Array, sigma2: float | Array, jac: Array) -
 
     ``sigma2`` is one variance, or an array of one per lane (the lead shape of ``u``).
     """
-    if isinstance(sigma2, np.ndarray):
-        if not np.all(sigma2 > 0):
-            raise ValueError(f"sigma2 must be positive for the score function, got {sigma2}")
-        sigma2 = sigma2[..., None]
-    elif sigma2 <= 0:
+    sigma2 = np.asarray(sigma2, dtype=float)
+    if not np.all(sigma2 > 0):
         raise ValueError(f"sigma2 must be positive for the score function, got {sigma2}")
     r = np.asarray(u, dtype=float) - np.asarray(u_hat, dtype=float)
-    return (np.asarray(jac).swapaxes(-1, -2) @ r[..., None])[..., 0] / sigma2
+    return (np.asarray(jac).swapaxes(-1, -2) @ r[..., None])[..., 0] / sigma2[..., None]
 
 
 def update_params(theta: Array, estimate: Array, dt: float) -> Array:
@@ -303,6 +301,15 @@ _SERIES = ("x", "xi", "e", "theta", "u", "reward", "baseline")
 _NODE_SERIES = _SERIES[:4]
 
 
+def _per_lane(name: str, value, dtype, n_lanes: int, row: tuple = ()) -> Array:
+    """``value``, given once for every lane or once per lane, as one row per lane."""
+    value = np.asarray(value, dtype=dtype)
+    if value.shape not in (row, (n_lanes,) + row):
+        raise DimensionError(f"{name} must have shape {row} or {(n_lanes,) + row}, "
+                             f"got {value.shape}")
+    return np.broadcast_to(value, (n_lanes,) + row)
+
+
 def _lockstep(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0: Array,
               reference: SinusoidSum, ref_model: ReferenceModel, gains: GainMatrix,
               dt: float, sigma2: float | Array, baseline_kind: str, noise: Array,
@@ -315,11 +322,11 @@ def _lockstep(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0: A
     ``noise`` over intervals of ``dt``.  ``theta0`` (the start parameters),
     ``sigma2`` (the policy variance the score divides by) and ``learn``
     (whether the lane updates its parameters) are each one value for every
-    lane or one per lane; a frozen lane computes the update too and keeps
-    its ``theta`` bit for bit.  Returns the series named in ``keep`` (see
-    ``_SERIES``), ``(lanes, steps + 1, ...)`` for node series and
-    ``(lanes, steps, ...)`` for interval series, and each lane's failure
-    step (-1 for lanes that never fail).
+    lane or one per lane, made one row per lane at the start; a frozen lane
+    computes the update too and keeps its ``theta`` bit for bit.  Returns
+    the series named in ``keep`` (see ``_SERIES``), ``(lanes, steps + 1,
+    ...)`` for node series and ``(lanes, steps, ...)`` for interval series,
+    and each lane's failure step (-1 for lanes that never fail).
 
     A lane fails when its state, parameters or reward is non-finite, when
     ``max|x|`` reaches ``STATE_BOUND``, or when a decoupling matrix turns
@@ -338,18 +345,12 @@ def _lockstep(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0: A
     if not isinstance(substeps, (int, np.integer)) or substeps < 1:
         raise ValueError(f"substeps must be an integer >= 1, got {substeps!r}")
     n_lanes, horizon = noise.shape[:2]
-    learn = np.asarray(learn, dtype=bool)
-    if learn.shape not in ((), (n_lanes,)):
-        raise DimensionError(f"learn must be one bool or one per lane ({n_lanes}), "
-                             f"got shape {learn.shape}")
-    learn = np.broadcast_to(learn, (n_lanes,))
-    if update_rule == "policy_gradient" and np.any(learn & (np.asarray(sigma2) <= 0)):
+    learn = _per_lane("learn", learn, bool, n_lanes)
+    sigma2 = _per_lane("sigma2", sigma2, float, n_lanes)
+    theta = _per_lane("theta0", theta0, float, n_lanes, (bases.size,)).copy()
+    if update_rule == "policy_gradient" and np.any(learn & (sigma2 <= 0)):
         raise ValueError("policy-gradient learning needs sigma2 > 0 "
                          "(use learn=False for a noise-free frozen run)")
-    theta0 = np.asarray(theta0, dtype=float)
-    if theta0.shape not in ((bases.size,), (n_lanes, bases.size)):
-        raise DimensionError(f"theta0 must have shape ({bases.size},) or "
-                             f"({n_lanes}, {bases.size}), got {theta0.shape}")
     x_init = np.zeros(plant.n) if x0 is None else np.asarray(x0, dtype=float)
     if x_init.shape != (plant.n,):
         raise DimensionError(f"x0 must have shape ({plant.n},), got {x_init.shape}")
@@ -389,7 +390,6 @@ def _lockstep(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0: A
     series = {name: np.zeros((n_lanes, horizon + (name in _NODE_SERIES)) + shapes[name])
               for name in keep}
     x = np.broadcast_to(x_init, (n_lanes, plant.n)).copy()
-    theta = np.broadcast_to(theta0, (n_lanes, bases.size)).copy()
     xi = plant.output_chain(x)
     e = xi - xi_d[0]
     for name, value in zip(_NODE_SERIES, (x, xi, e, theta)):
@@ -397,9 +397,6 @@ def _lockstep(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0: A
             series[name][:, 0] = value
     alive = np.ones(n_lanes, dtype=bool)
     live = slice(None)  # the lanes a step advances: all of them until one fails
-    per_lane_sigma2 = np.ndim(sigma2) > 0
-    if per_lane_sigma2:
-        sigma2 = np.asarray(sigma2, dtype=float)
     diverged_step = np.full(n_lanes, -1, dtype=np.int64)
     total = 0.0  # each lane's sum of past rewards
 
@@ -416,8 +413,7 @@ def _lockstep(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0: A
             while step is None:
                 try:
                     step = advance(k, x[lanes], e[lanes], theta[lanes], noise[lanes, k],
-                                   learn[lanes], b_val[lanes],
-                                   sigma2[lanes] if per_lane_sigma2 else sigma2)
+                                   learn[lanes], b_val[lanes], sigma2[lanes])
                 except SingularMatrixError as exc:
                     index = np.arange(n_lanes)[lanes]
                     if (exc.lanes is None or np.shape(exc.lanes) != index.shape
@@ -568,11 +564,8 @@ def run_ensemble(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0
                          f"{[c.dt for c, _, _ in cells]}")
     noise = np.stack([draw_noise_series(c, plant.q, derive_seed(seed, key, b), horizon)
                       for c, key, _ in cells for b in range(n_trials)])
-    sigma2 = cfg.sigma2
-    if more_cells:
-        theta0 = np.repeat(np.stack([np.asarray(t, dtype=float) for _, _, t in cells]),
-                           n_trials, axis=0)
-        sigma2 = np.repeat([c.sigma2 for c, _, _ in cells], n_trials)
+    theta0 = np.repeat([np.asarray(t, dtype=float) for _, _, t in cells], n_trials, axis=0)
+    sigma2 = np.repeat([c.sigma2 for c, _, _ in cells], n_trials)
     rec, diverged_step = _lockstep(plant, nominal, bases, theta0, reference, ref_model, gains,
                                    cfg.dt, sigma2, baseline_kind, noise, x0, 0.0, True,
                                    theta_star, "policy_gradient", substeps, ("e", "theta"))

@@ -105,26 +105,6 @@ def eval_dynamics(model: PlantModel, x: Array, u: Array) -> Array:
     return model.rate(x, u)
 
 
-def frobenius_cond(mat: Array) -> Array:
-    """Cheap conditioning estimate: one Frobenius condition number per matrix.
-
-    Exact for 1x1 and 2x2 matrices (where ``||A^-1||_F = ||A||_F / |det|``);
-    larger matrices fall back to the SVD-based 2-norm condition number.  The
-    Frobenius number upper-bounds the 2-norm one, so the singularity
-    threshold stays conservative.  A matrix and its inverse share it; an
-    exactly singular matrix gets ``inf``.
-    """
-    q = mat.shape[-1]
-    if q == 1:
-        return np.where(np.abs(mat[..., 0, 0]) > 0, 1.0, np.inf)
-    if q == 2:
-        det = mat[..., 0, 0] * mat[..., 1, 1] - mat[..., 0, 1] * mat[..., 1, 0]
-        fro2 = np.sum(mat * mat, axis=(-2, -1))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(det != 0, fro2 / np.abs(det), np.inf)
-    return np.linalg.cond(mat)
-
-
 def linearizing_terms(model: PlantModel, x: Array) -> tuple[Array, Array]:
     """The model's exact linearizing controller ``u(x, v) = beta(x) + alpha(x) v``.
 
@@ -143,21 +123,30 @@ def linearizing_terms(model: PlantModel, x: Array) -> tuple[Array, Array]:
 def _judge_alpha(name: str, alpha: Array) -> Array | None:
     """``linearizing_terms``' rule on an evaluated ``alpha``; at q = 2 the determinants it forms.
 
-    At q = 2 ``cond < COND_LIMIT`` reads ``||alpha||_F^2 < COND_LIMIT |det|``: no
-    division, and false for a zero or non-finite ``det``.
+    The condition number the error reports is ``inf`` at q = 1, where only a
+    zero or non-finite ``alpha`` fails; the Frobenius one ``||A||_F^2 / |det|``
+    at q = 2 (``inf`` for a zero ``det``), an upper bound of the 2-norm one;
+    and the 2-norm one at q >= 3.  At q = 2 ``cond < COND_LIMIT`` reads
+    ``||alpha||_F^2 < COND_LIMIT |det|``: no division, and false for a zero
+    or non-finite ``det``.
     """
-    q, det = alpha.shape[-1], None
+    q, det, cond = alpha.shape[-1], None, np.inf
     if q == 1:
         regular = np.abs(alpha[..., 0, 0]) > 0
     elif q == 2:
         det = alpha[..., 0, 0] * alpha[..., 1, 1] - alpha[..., 0, 1] * alpha[..., 1, 0]
-        regular = np.einsum("...ij,...ij->...", alpha, alpha) < COND_LIMIT * np.abs(det)
+        fro2 = np.einsum("...ij,...ij->...", alpha, alpha)
+        regular = fro2 < COND_LIMIT * np.abs(det)
     else:
-        regular = np.linalg.cond(alpha) < COND_LIMIT
-    if not regular.all():
-        raise SingularMatrixError(f"model '{name}' linearizing gain alpha is singular",
-                                  cond=float(np.max(frobenius_cond(alpha))), lanes=~regular)
-    return det
+        cond = np.linalg.cond(alpha)
+        regular = cond < COND_LIMIT
+    if regular.all():
+        return det
+    if q == 2:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cond = np.where(det != 0, fro2 / np.abs(det), np.inf)
+    raise SingularMatrixError(f"model '{name}' linearizing gain alpha is singular",
+                              cond=float(np.max(cond)), lanes=~regular)
 
 
 def rk4_step(rate: Callable[[float, Array], Array], t: float, x: Array, h: float) -> Array:

@@ -53,26 +53,24 @@ def regressor_series(record: AdaptRunRecord, scenario: Scenario) -> Array:
     return assemble_W(scenario.plant, scenario.bases, record.x, y_dg, record.e, scenario.gains)
 
 
-def measure_disturbances(record: AdaptRunRecord, scenario: Scenario,
-                         step: float | None = None) -> DisturbanceSamples:
+def measure_disturbances(record: AdaptRunRecord, scenario: Scenario) -> DisturbanceSamples:
     """Measure the disturbance accumulated over every sampling interval.
 
     Needs the parameter error series, so the record must come from a run
     with a known true parameter vector.  The ideal flow over each interval
     uses the run's regressor, interpolated linearly between samples; every
-    interval runs as one lane of a single :func:`simulate_ideal` call.
+    interval runs as one lane of a single :func:`simulate_ideal` call, in
+    RK4 steps of ``dt / 8``.
     """
     if record.phi is None:
         raise ValueError("disturbance measurement needs phi; record the run with theta_star")
     if record.steps < 1:
         raise ValueError("record has no completed steps")
     dt = float(record.t[1] - record.t[0])
-    step = dt / 8.0 if step is None else step
     w_of_t = interp_matrix_series(record.t, regressor_series(record, scenario))
     X = np.concatenate([record.e, record.phi], axis=1)
-    _, ideal = simulate_ideal(w_of_t, scenario.ref_model, scenario.gains, X[:-1], dt, step,
-                              t0=record.t[:-1])
-    delta = X[1:] - ideal[-1]
+    delta = X[1:] - simulate_ideal(w_of_t, scenario.ref_model, scenario.gains, X[:-1], dt,
+                                   dt / 8.0, t0=record.t[:-1])
     n_e = scenario.ref_model.total_degree
     return DisturbanceSamples(delta_e=delta[:, :n_e], delta_phi=delta[:, n_e:])
 

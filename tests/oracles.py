@@ -100,11 +100,10 @@ def kron_columns(bases, phi, left, v):
                            bases.alpha_scale * np.kron(phi, np.kron(left, v[None, :]))], axis=-1)
 
 
-def per_interval_disturbances(record, scenario, step=None):
-    """``X_{k+1} - Phi(t_{k+1}, t_k) X_k``, one propagator per interval."""
+def per_interval_disturbances(record, scenario):
+    """``X_{k+1} - Phi(t_{k+1}, t_k) X_k``, one propagator per interval of ``dt / 8`` steps."""
     from fblearn import interp_matrix_series, regressor_series, transition_matrix
-    dt = float(record.t[1] - record.t[0])
-    step = dt / 8.0 if step is None else step
+    step = float(record.t[1] - record.t[0]) / 8.0
     w_samples = regressor_series(record, scenario)
     X = np.concatenate([record.e, record.phi], axis=1)
     delta = np.empty((record.steps, X.shape[1]))

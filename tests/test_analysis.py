@@ -115,25 +115,23 @@ class TestIdealSystem:
     def test_zero_regressor_decouples(self, ref1, gains1):
         X0 = np.array([0.5, -0.2, 0.3, -0.4])
         w_of_t = lambda t: np.zeros((1, 2))  # noqa: E731
-        times, X = simulate_ideal(w_of_t, ref1, gains1, X0, 4.0, 0.01)
-        np.testing.assert_allclose(X[:, 2:], np.broadcast_to([0.3, -0.4], (len(times), 2)),
-                                   atol=1e-12)
+        X = simulate_ideal(w_of_t, ref1, gains1, X0, 4.0, 0.01)
+        np.testing.assert_allclose(X[2:], [0.3, -0.4], atol=1e-12)
         acl = ref1.A + ref1.B @ gains1.K
-        np.testing.assert_allclose(X[-1, :2], expm(acl * 4.0) @ X0[:2], atol=1e-8)
+        np.testing.assert_allclose(X[:2], expm(acl * 4.0) @ X0[:2], atol=1e-8)
 
     def test_constant_regressor_matches_matrix_exponential(self, ref1, gains1, rng):
         W = rng.standard_normal((1, 3))
         X0 = rng.standard_normal(5)
         A = ltv_matrix(ref1, gains1, W)
-        times, X = simulate_ideal(lambda t: W, ref1, gains1, X0, 3.0, 0.005)
-        np.testing.assert_allclose(X[-1], expm(A * 3.0) @ X0, atol=1e-8)
+        X = simulate_ideal(lambda t: W, ref1, gains1, X0, 3.0, 0.005)
+        np.testing.assert_allclose(X, expm(A * 3.0) @ X0, atol=1e-8)
 
     def test_pe_regressor_contracts_the_parameters(self, ref1, gains1):
         w_of_t = lambda t: np.stack([np.sin(t), np.cos(t)], -1)[..., None, :]  # noqa: E731
         X0 = np.array([0.0, 0.0, 1.0, -1.0])
-        times, X = simulate_ideal(w_of_t, ref1, gains1, X0, 30.0, 0.01)
-        phi_norms = np.linalg.norm(X[:, 2:], axis=1)
-        assert phi_norms[-1] < 0.1 * phi_norms[0]
+        X = simulate_ideal(w_of_t, ref1, gains1, X0, 30.0, 0.01)
+        assert np.linalg.norm(X[2:]) < 0.1 * np.linalg.norm(X0[2:])
         t_grid = np.linspace(0.0, 30.0, 7)
         fit = fit_exponential_bound(*transition_norm_grid(w_of_t, ref1, gains1,
                                                           t_grid, 0.01))
@@ -150,14 +148,12 @@ class TestIdealSystem:
         w_of_t = interp_matrix_series(times, rng.standard_normal((61, 1, 3)))
         X0 = rng.standard_normal((4, 5))
         t0 = np.array([0.0, 0.7, 2.05, 3.3])
-        lane_times, X = simulate_ideal(w_of_t, ref1, gains1, X0, 1.5, 0.01, t0=t0)
-        assert X.shape == (151, 4, 5) and lane_times.shape == (151, 4)
+        X = simulate_ideal(w_of_t, ref1, gains1, X0, 1.5, 0.01, t0=t0)
+        assert X.shape == (4, 5)
         for lane in range(4):
-            own_times, own = simulate_ideal(w_of_t, ref1, gains1, X0[lane], 1.5, 0.01,
-                                            t0=t0[lane])
-            np.testing.assert_array_equal(lane_times[:, lane], own_times)
-            scale = np.abs(own).max()
-            assert np.abs(X[:, lane] - own).max() <= 1e-14 * scale
+            own = simulate_ideal(w_of_t, ref1, gains1, X0[lane], 1.5, 0.01, t0=t0[lane])
+            assert own.shape == (5,)
+            assert np.abs(X[lane] - own).max() <= 1e-14 * np.abs(own).max()
 
     def test_ltv_block_structure(self, ref1, gains1, rng):
         W = rng.standard_normal((1, 4))
@@ -279,6 +275,11 @@ class TestInterp:
         np.testing.assert_allclose(w_of_t(0.5), 0.5 * np.ones((1, 2)))
         np.testing.assert_allclose(w_of_t(1.0), np.ones((1, 2)))
         np.testing.assert_allclose(w_of_t(2.0), np.ones((1, 2)))  # clamped
+
+    @pytest.mark.parametrize("n_samples", [0, 1])
+    def test_fewer_than_two_samples_raise(self, n_samples):
+        with pytest.raises(ValueError, match="two samples"):
+            interp_matrix_series(np.arange(n_samples, dtype=float), np.ones((n_samples, 1, 2)))
 
     def test_array_of_times_is_the_scalar_calls(self, rng):
         times = np.cumsum(rng.uniform(0.05, 0.2, 40))

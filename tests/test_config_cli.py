@@ -354,6 +354,18 @@ class TestCli:
         assert "horizon_s:" in err and "Traceback" not in err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv", [["compare", "--no-learning"], ["diag", "--no-learning"],
+                                      ["run", "--trials", "3"]],
+                             ids=["compare-no-learning", "diag-no-learning", "run-trials"])
+    def test_a_flag_its_subcommand_does_not_read_exits_2(self, tmp_path, capsys, argv):
+        # compare once ran its learning twin under --no-learning
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--config", str(CONFIG_DIR / "inspan_diag.yaml"),
+                         "--out-dir", str(tmp_path)])
+        assert exc.value.code == EXIT_CONFIG == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_missing_config_exit_code(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.yaml"),
                      "--out-dir", str(tmp_path)]) == EXIT_CONFIG

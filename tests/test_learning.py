@@ -10,8 +10,8 @@ from fblearn import (BASELINES, PolicyConfig, build_rbf_grid,
                      build_reference_model, design_gain, discrete_reward, grad_log_policy,
                      make_chain_plant, make_inspan_plant, polynomial_basis, run_episode,
                      run_episodes, two_tone_reference, update_params)
-from fblearn.learning import (derive_seed, draw_noise, draw_noise_series, run_ensemble,
-                              step_normals, step_rng)
+from fblearn.learning import (_lockstep, derive_seed, draw_noise, draw_noise_series,
+                              run_ensemble, step_normals, step_rng)
 from fblearn.basis import BasisSet, controller_jacobian, eval_learned_controller
 from fblearn.config import load_config
 from fblearn.errors import DimensionError, DivergenceError, SingularMatrixError
@@ -199,6 +199,13 @@ class TestScore:
                                           grad_log_policy(u[b], u_hat[b], sigma2[b], jac[b]))
         with pytest.raises(ValueError, match="positive"):
             grad_log_policy(u, u_hat, np.array([0.1, 0.1, 0.0, 0.1, 0.1]), jac)
+
+    def test_a_float_variance_is_its_per_lane_row(self, rng):
+        jac = rng.standard_normal((5, 2, 12))
+        u, u_hat = rng.standard_normal((5, 2)), rng.standard_normal((5, 2))
+        for sigma2 in (0.1, 0.001, 2.0 / 3.0):
+            np.testing.assert_array_equal(grad_log_policy(u, u_hat, sigma2, jac),
+                                          grad_log_policy(u, u_hat, np.full(5, sigma2), jac))
 
 
 class TestGradientAndUpdate:
@@ -645,6 +652,43 @@ class TestPairedEpisodes:
             alone = run_episode(*args, seed=seed, **kwargs)
             assert alone.diverged_step == record.diverged_step
             np.testing.assert_array_equal(record.x, alone.x)
+
+
+class TestOneFormPerLaneInput:
+    """The kernel takes a float variance as the row of it that it makes for every lane."""
+
+    def _kernel(self, sc, cfg, noise, sigma2, baseline_kind, keep):
+        return _lockstep(sc.plant, sc.nominal, sc.bases, sc.theta0, sc.reference, sc.ref_model,
+                         sc.gains, cfg.dt, sigma2, baseline_kind, noise, sc.x0, 0.0, True,
+                         sc.theta_star, "policy_gradient", 2, keep)
+
+    def test_run_episodes_is_the_kernel_with_a_float_or_a_row(self, inspan1):
+        sc, cfg, seeds = inspan1, PolicyConfig(sigma2=0.01, dt=0.05), (3, 4, 3)
+        records = run_episodes(sc.plant, sc.nominal, sc.bases, sc.theta0, sc.reference,
+                               sc.ref_model, sc.gains, cfg, horizon=30, seeds=seeds,
+                               x0=sc.x0, theta_star=sc.theta_star, substeps=2)
+        noise = np.stack([draw_noise_series(cfg, sc.plant.q, s, 30) for s in seeds])
+        for sigma2 in (cfg.sigma2, np.full(len(seeds), cfg.sigma2)):
+            rec, failed = self._kernel(sc, cfg, noise, sigma2, "none", ("x", "theta", "reward"))
+            assert failed.tolist() == [-1] * len(seeds)
+            for b, record in enumerate(records):
+                np.testing.assert_array_equal(rec["x"][b], record.x)
+                np.testing.assert_array_equal(rec["theta"][b], record.theta)
+                np.testing.assert_array_equal(rec["reward"][b], record.rewards)
+
+    def test_run_ensemble_is_the_kernel_with_a_float_or_a_row(self, inspan_mc):
+        sc, cfg, n_trials = inspan_mc, PolicyConfig(sigma2=0.001, dt=0.01), 3
+        ens = run_ensemble(sc.plant, sc.nominal, sc.bases, sc.theta0, sc.reference,
+                           sc.ref_model, sc.gains, cfg, n_trials=n_trials, horizon=40,
+                           baseline_kind="mean_of_past", seed=5, cell_key=2, x0=sc.x0,
+                           theta_star=sc.theta_star, substeps=2)
+        noise = np.stack([draw_noise_series(cfg, sc.plant.q, derive_seed(5, 2, b), 40)
+                          for b in range(n_trials)])
+        for sigma2 in (cfg.sigma2, np.full(n_trials, cfg.sigma2)):
+            rec, failed = self._kernel(sc, cfg, noise, sigma2, "mean_of_past", ("e", "theta"))
+            np.testing.assert_array_equal(failed, ens.diverged_step)
+            np.testing.assert_array_equal(rec["e"], ens.e)
+            np.testing.assert_array_equal(rec["theta"] - sc.theta_star, ens.phi)
 
 
 def _cell_scenario(kind: str, q: int) -> Scenario:

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 from functools import cache
 from pathlib import Path
@@ -301,6 +302,35 @@ class TestInSpanPlant:
             assert err.value.lanes.tolist() == singular
             with pytest.raises(SingularMatrixError):
                 linearizing_terms(plant, x)
+
+
+def _with_alpha(alpha: np.ndarray) -> PlantModel:
+    """A chain plant whose linearizing controller returns ``alpha`` at every batch of states."""
+    return dataclasses.replace(make_chain_plant((1,) * alpha.shape[-1]),
+                               linearizing=lambda x: (np.zeros(alpha.shape[:-1]), alpha))
+
+
+class TestSingularityNumber:
+    """The ``cond`` a ``SingularMatrixError`` carries: the worst number of the batch."""
+
+    def _cond(self, alpha) -> float:
+        alpha = np.asarray(alpha, dtype=float)
+        with pytest.raises(SingularMatrixError) as err:
+            linearizing_terms(_with_alpha(alpha), np.zeros((len(alpha), alpha.shape[-1])))
+        return err.value.cond
+
+    def test_q1_is_inf(self):
+        assert self._cond([[[2.0]], [[0.0]], [[-3.0]]]) == np.inf
+
+    def test_q2_is_the_frobenius_number(self):
+        # ||A||_F^2 / |det| = (1 + 1e-26) / 1e-13 on the near-singular lane, 2 on I
+        assert self._cond([np.eye(2), np.diag([1.0, 1e-13])]) == pytest.approx(1e13, rel=1e-15)
+        assert self._cond([np.diag([1.0, 1e-13]), [[1.0, 1.0], [1.0, 1.0]]]) == np.inf
+
+    def test_q3_is_the_two_norm_number(self):
+        alpha = np.stack([np.eye(3), np.diag([2.0, 1.0, 1e-13])])
+        assert self._cond(alpha) == np.linalg.cond(alpha).max()
+        assert self._cond(alpha) == pytest.approx(2e13, rel=1e-9)
 
 
 ORACLE_GAMMAS = [(1,), (2,), (3,), (2, 2), (2, 1), (2, 1, 1)]

@@ -9,9 +9,12 @@ One-kernel guard: ``learning._lockstep`` is named only by the runners in
 the benchmark's hooks count; the episode runners keep the policy config at
 position 7, where the hooks read it.
 
-One-rule guard: ``COND_LIMIT`` and ``frobenius_cond`` are named only by the
-singularity rule (``plants.linearizing_terms`` and its helper), so no second
-judgement of a singular ``alpha`` can come back beside it.
+One-rule guard: ``COND_LIMIT`` is named only by the singularity rule
+(``plants.linearizing_terms`` and its helper ``_judge_alpha``, which also
+forms the condition number a ``SingularMatrixError`` reports), so no second
+judgement of a singular ``alpha`` can come back beside it.  The check also
+keeps out a separate ``frobenius_cond`` helper: the rule forms that number
+itself.
 
 A public module-level function or class must be named by some module of
 ``src/fblearn`` other than ``__init__.py`` (whose re-exports name
@@ -52,7 +55,7 @@ RK4_USERS = {"learning._lockstep", "analysis.simulate_ideal", "plants.simulate_c
 KERNEL_USERS = {"learning.run_episodes", "learning.run_ensemble",
                 "studies.mc_gradient_samples"}
 
-# the top-level functions that may name COND_LIMIT and frobenius_cond
+# the top-level functions that may name COND_LIMIT (or frobenius_cond, were it back)
 RULE_USERS = {"plants.linearizing_terms", "plants._judge_alpha"}
 
 # "module.Class.field" -> why it stays without an attribute read
