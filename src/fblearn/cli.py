@@ -287,9 +287,6 @@ def main(argv=None) -> int:
     except (DivergenceError, SingularMatrixError) as exc:
         print(f"run diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except FileNotFoundError as exc:
-        print(f"config file not found: {exc.filename}", file=sys.stderr)
-        return EXIT_CONFIG
     except FblearnError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CONFIG

@@ -299,7 +299,10 @@ def apply_overrides(data: dict, overrides) -> dict:
 
 def load_config(path, overrides=()) -> ExperimentConfig:
     """Parse, override, and validate a config file."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError([f"{path}: cannot read config file: {exc}"])
     try:
         data = yaml.safe_load(text)
     except yaml.YAMLError as exc:

@@ -14,7 +14,8 @@ lanes and records each one in full (``run_episode`` is its one-lane call);
 ``run_ensemble`` runs seeded trials as lanes, for one cell or for several
 cells that share a ``dt``, and keeps only the tracking and parameter errors;
 ``studies.mc_gradient_samples`` runs one interval of it with frozen lanes.
-All share one failure rule (see ``STATE_BOUND``).
+All share one failure rule (see ``STATE_BOUND``): a failed lane keeps its
+last node; no further integration.
 
 Randomness discipline: step ``k`` of the run seeded by ``seed`` draws from
 its own substream ``step_rng(seed, k)``, so runs with learning enabled and
@@ -331,10 +332,9 @@ def _lockstep(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0: A
     A lane fails when its state, parameters or reward is non-finite, when
     ``max|x|`` reaches ``STATE_BOUND``, or when a decoupling matrix turns
     singular on it; the ``SingularMatrixError`` names those lanes, and the
-    interval is run again for the others.  A failed lane is frozen and no
-    longer advanced: back at ``x0``, with its last error and parameters, and
-    its reward 0.  Once every lane has failed the run stops and the
-    remaining nodes repeat the last one.
+    interval is run again for the others.  A failed lane keeps its last
+    node; no further integration: every later node repeats it, and its
+    input and reward are 0 from the failed step on.
     """
     if update_rule not in ("policy_gradient", "ideal"):
         raise ValueError(f"unknown update rule {update_rule!r}")
@@ -395,8 +395,7 @@ def _lockstep(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0: A
     for name, value in zip(_NODE_SERIES, (x, xi, e, theta)):
         if name in series:
             series[name][:, 0] = value
-    alive = np.ones(n_lanes, dtype=bool)
-    live = slice(None)  # the lanes a step advances: all of them until one fails
+    live = np.arange(n_lanes)  # the lanes that have not failed
     diverged_step = np.full(n_lanes, -1, dtype=np.int64)
     total = 0.0  # each lane's sum of past rewards
 
@@ -406,54 +405,40 @@ def _lockstep(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0: A
         else:
             b_val = total if baseline_kind == "sum_of_past" else total / k
         b_val = np.broadcast_to(b_val, (n_lanes,))
-        lanes, singular, step = live, np.zeros(n_lanes, dtype=bool), None
+        # while no lane has failed, a step gathers nothing
+        lanes, step = (slice(None) if live.size == n_lanes else live), None
         # failing lanes produce non-finite intermediates until they are
         # flagged below; silence the arithmetic warnings they would raise
         with np.errstate(over="ignore", invalid="ignore"):
-            while step is None:
+            while step is None and live.size:
                 try:
                     step = advance(k, x[lanes], e[lanes], theta[lanes], noise[lanes, k],
                                    learn[lanes], b_val[lanes], sigma2[lanes])
                 except SingularMatrixError as exc:
-                    index = np.arange(n_lanes)[lanes]
-                    if (exc.lanes is None or np.shape(exc.lanes) != index.shape
+                    if (exc.lanes is None or np.shape(exc.lanes) != live.shape
                             or not np.any(exc.lanes)):
                         raise
-                    singular[index[exc.lanes]] = True
-                    lanes = np.flatnonzero(alive & ~singular)
-                    if not lanes.size:
-                        break
-            if isinstance(lanes, np.ndarray):
-                # the lanes left out (failed before, or singular now) get zeros
-                full = [np.zeros((n_lanes,) + shapes[name]) for name in _SERIES[:6]]
-                if step is not None:
-                    for whole, part in zip(full, step):
-                        whole[lanes] = part
-                step = full
-            x_next, xi_next, e_next, theta_next, u, reward = step
-            ok = (np.isfinite(x_next).all(axis=1) & np.isfinite(theta_next).all(axis=1)
-                  & np.isfinite(reward) & (np.abs(x_next).max(axis=1) < STATE_BOUND)
-                  & ~singular)
+                    diverged_step[live[exc.lanes]] = k
+                    live = lanes = live[~exc.lanes]
+            if step is not None:
+                x_next, _, _, theta_next, _, r_next = step
+                ok = (np.isfinite(x_next).all(axis=1) & np.isfinite(theta_next).all(axis=1)
+                      & np.isfinite(r_next) & (np.abs(x_next).max(axis=1) < STATE_BOUND))
 
-        diverged_step[alive & ~ok] = k
-        alive &= ok
-        if not alive.all():
-            dead = ~alive
-            x_next[dead] = x_init
-            e_next[dead] = e[dead]
-            theta_next[dead] = theta[dead]
-            reward[dead] = 0.0
-            live = np.flatnonzero(alive)
-        for name, value in zip(_SERIES, (x_next, xi_next, e_next, theta_next, u, reward, b_val)):
+        if step is not None and live.size == n_lanes and ok.all():
+            x, xi, e, theta, u, reward = step
+        else:
+            u, reward = np.zeros((n_lanes, plant.q)), np.zeros(n_lanes)
+            if step is not None:
+                diverged_step[live[~ok]] = k
+                live = live[ok]
+                # only live lanes are written: a failed lane keeps its last node
+                for whole, part in zip((x, xi, e, theta, u, reward), step):
+                    whole[live] = part[ok]
+        for name, value in zip(_SERIES, (x, xi, e, theta, u, reward, b_val)):
             if name in series:
                 series[name][:, k + (name in _NODE_SERIES)] = value
-        if not alive.any():
-            for name in series:
-                if name in _NODE_SERIES:
-                    series[name][:, k + 2:] = series[name][:, k + 1, None]
-            break
         total = total + reward
-        x, e, theta = x_next, e_next, theta_next
     return series, diverged_step
 
 
@@ -547,8 +532,8 @@ def run_ensemble(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0
     master seed ``derive_seed(seed, cell_key, b)`` and runs the same kernel,
     with the same failure rule, and its tracking and parameter errors equal
     that sequential run's bit for bit.  A trial that fails is flagged and
-    frozen in place; the others keep running, and once every trial has
-    failed the run stops.  Only ``e`` and ``theta`` are kept per step.
+    keeps its last node; no further integration; the others keep running.
+    Only ``e`` and ``theta`` are kept per step.
 
     ``more_cells`` lists further cells ``(cfg, cell_key, theta0)`` with the
     same ``cfg.dt``.  Each runs its own ``n_trials`` trials as the next block

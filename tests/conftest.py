@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -16,6 +17,11 @@ from fblearn.config import load_config
 from fblearn.scenarios import Scenario, build_scenario
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
+
+# every property test draws the same examples on every run, with no
+# per-example deadline (a kernel call's time varies with the machine)
+settings.register_profile("fblearn", derandomize=True, deadline=None)
+settings.load_profile("fblearn")
 
 
 @pytest.fixture(scope="session")

@@ -370,6 +370,18 @@ class TestCli:
         assert main(["run", "--config", str(tmp_path / "nope.yaml"),
                      "--out-dir", str(tmp_path)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_an_unreadable_config_exits_2_and_names_it(self, tmp_path, capsys, kind):
+        path = tmp_path / "config.yaml"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"seed: 1\nscenario: \"\xff\xfe\"\n")
+        out = tmp_path / "runs"
+        assert main(["run", "--config", str(path), "--out-dir", str(out)]) == EXIT_CONFIG
+        assert str(path) in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_flag_overrides(self, tmp_path):
         code = main(["run", "--config", str(CONFIG_DIR / "pendulum.yaml"),
                      "--out-dir", str(tmp_path), "--seed", "7",

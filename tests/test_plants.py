@@ -127,7 +127,7 @@ class TestLinearizingTerms:
             np.testing.assert_allclose(eval_dynamics(inspan1.plant, x, u)[1], v, atol=1e-12)
 
     @pytest.mark.parametrize("name", SHIPPED_PLANTS)
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(data=st.data())
     def test_controller_linearizes_its_plant(self, name, data):
         # y^(gamma) under u = beta + alpha v is v, for every shipped plant

@@ -14,7 +14,9 @@ One-rule guard: ``COND_LIMIT`` is named only by the singularity rule
 forms the condition number a ``SingularMatrixError`` reports), so no second
 judgement of a singular ``alpha`` can come back beside it.  The check also
 keeps out a separate ``frobenius_cond`` helper: the rule forms that number
-itself.
+itself.  Likewise ``STATE_BOUND`` is read only by ``learning._lockstep``, so
+the kernel's one failure path is the only place a lane can fail: no runner
+or study rechecks the bound on what the kernel returns.
 
 A public module-level function or class must be named by some module of
 ``src/fblearn`` other than ``__init__.py`` (whose re-exports name
@@ -189,6 +191,10 @@ def test_rk4_step_is_named_only_by_the_three_integrators():
 
 def test_singularity_rule_is_named_only_by_linearizing_terms_and_its_helper():
     assert _users("COND_LIMIT") | _users("frobenius_cond") <= RULE_USERS
+
+
+def test_state_bound_is_read_only_by_the_kernel():
+    assert _users("STATE_BOUND") == {"learning._lockstep"}
 
 
 def test_lockstep_is_named_only_by_the_runners():
