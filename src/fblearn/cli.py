@@ -113,8 +113,11 @@ def summarize_run(record: AdaptRunRecord, wall_time_s: float) -> dict:
 def _artifact_dir(args, config: ExperimentConfig, suffix: str) -> Path:
     """Create the run's artifact directory and write the resolved config into it."""
     out_dir = Path(args.out_dir) / f"{config.scenario}_{config.seed}{suffix}"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.yaml").write_text(yaml.safe_dump(config.to_dict(), sort_keys=False))
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "config.yaml").write_text(yaml.safe_dump(config.to_dict(), sort_keys=False))
+    except OSError as exc:
+        raise ConfigError([f"--out-dir {args.out_dir}: cannot write {out_dir}: {exc}"])
     return out_dir
 
 
@@ -122,9 +125,9 @@ def cmd_run(config: ExperimentConfig, args) -> int:
     scenario = build_scenario(config)
     start = time.perf_counter()
     positional, kwargs = _episode_args(config, scenario)
-    record = run_episode(*positional, seed=config.seed, learn=not args.no_learning, **kwargs)
+    record = run_episode(*positional, seed=config.seed, **kwargs)
     wall = time.perf_counter() - start
-    out_dir = _artifact_dir(args, config, "_frozen" if args.no_learning else "")
+    out_dir = _artifact_dir(args, config, "")
     write_steps_csv(out_dir / "steps.csv", record)
     (out_dir / "summary.json").write_text(json.dumps(summarize_run(record, wall), indent=2))
     print(f"wrote {out_dir} ({record.steps} steps, diverged={record.diverged})")
@@ -166,7 +169,7 @@ def cmd_mc(config: ExperimentConfig, args) -> int:
     scenario = build_scenario(config)
     if scenario.theta_star is None:
         print(f"mc needs a scenario with a known true parameter vector; {config.scenario} "
-              "has none. Use scenario inspan_synthetic or linear_test.", file=sys.stderr)
+              "has none. Use scenario inspan_synthetic.", file=sys.stderr)
         return EXIT_UNSUPPORTED
     start = time.perf_counter()
     # the bias cells run beside the concentration cells of their dt
@@ -263,11 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-dir", default="runs", help="artifact root directory")
         p.add_argument("--override", action="append", default=[], metavar="KEY=VALUE",
                        help="config override, repeatable (dotted keys allowed)")
-        if name == "run":
-            p.add_argument("--no-learning", action="store_true",
-                           help="freeze the parameters (noise stream unchanged)")
-        if name == "mc":
-            p.add_argument("--trials", type=int, default=None, help="override the trial count")
     return parser
 
 
@@ -276,8 +274,6 @@ def main(argv=None) -> int:
     overrides = list(args.override)
     if args.seed is not None:
         overrides.append(f"seed={args.seed}")
-    if getattr(args, "trials", None) is not None:
-        overrides.append(f"trials={args.trials}")
     try:
         config = load_config(args.config, overrides=overrides)
         return COMMANDS[args.command](config, args)

@@ -10,6 +10,7 @@ Python).
 from __future__ import annotations
 
 import dataclasses
+import re
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -19,7 +20,16 @@ import yaml
 from .errors import ConfigError
 from .learning import BASELINES
 
-SCENARIOS = ("double_pendulum", "inspan_synthetic", "linear_test")
+SCENARIOS = ("double_pendulum", "inspan_synthetic")
+
+
+class _Loader(yaml.SafeLoader):
+    """PyYAML's safe loader that also reads ``1e-3`` (an exponent, no dot) as a float."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?[0-9][0-9_]*(?:\.[0-9_]*)?[eE][-+]?[0-9]+$"), list("-+0123456789"))
 
 
 @dataclass(frozen=True)
@@ -282,7 +292,7 @@ def apply_overrides(data: dict, overrides) -> dict:
             raise ConfigError([f"override {item!r}: expected KEY=VALUE"])
         key, raw = item.split("=", 1)
         try:
-            value = yaml.safe_load(raw)
+            value = yaml.load(raw, Loader=_Loader)
         except yaml.YAMLError:
             raise ConfigError([f"override {item!r}: value does not parse"])
         node = out
@@ -304,7 +314,7 @@ def load_config(path, overrides=()) -> ExperimentConfig:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError([f"{path}: cannot read config file: {exc}"])
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ConfigError([f"{path}: YAML parse failure: {exc}"])
     if data is None:

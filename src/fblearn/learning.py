@@ -160,9 +160,9 @@ class PolicyConfig:
 
 
 #: Reward baselines.  Each uses past rewards only (at step ``k``: 0 for
-#: ``"none"`` and at ``k = 0``, else the sum or the mean of steps ``0 .. k - 1``),
-#: so it never depends on the current input and adds no bias.
-BASELINES = ("none", "sum_of_past", "mean_of_past")
+#: ``"none"`` and at ``k = 0``, else the mean of steps ``0 .. k - 1``), so it
+#: never depends on the current input and adds no bias.
+BASELINES = ("none", "mean_of_past")
 
 
 def draw_noise(cfg: PolicyConfig, q: int | tuple[int, ...], rng: np.random.Generator) -> Array:
@@ -400,10 +400,7 @@ def _lockstep(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0: A
     total = 0.0  # each lane's sum of past rewards
 
     for k in range(horizon):
-        if k == 0 or baseline_kind == "none":
-            b_val = 0.0
-        else:
-            b_val = total if baseline_kind == "sum_of_past" else total / k
+        b_val = 0.0 if k == 0 or baseline_kind == "none" else total / k
         b_val = np.broadcast_to(b_val, (n_lanes,))
         # while no lane has failed, a step gathers nothing
         lanes, step = (slice(None) if live.size == n_lanes else live), None

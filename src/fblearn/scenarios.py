@@ -103,14 +103,6 @@ def build_scenario(config: ExperimentConfig) -> Scenario:
         theta_star = config.inspan.theta_star_scale * rng.standard_normal(bases.size)
         plant = make_inspan_plant(config.inspan.gamma, bases, theta_star)
         theta0 = theta_star + _phi0(bases.size, config.inspan.phi0_scale)
-    elif config.scenario == "linear_test":
-        plant = make_chain_plant((2, 2))
-        nominal = plant
-        bases = _basis_for(config, BasisSection(box=((-1.5, 1.5),) * 4,
-                                                counts=(2, 2, 2, 2), width_rule=1.0),
-                           plant.q, plant.n)
-        theta_star = np.zeros(bases.size)
-        theta0 = theta_star.copy()
     else:
         raise ConfigError([f"scenario: unknown scenario {config.scenario!r}"])
 

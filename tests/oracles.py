@@ -187,10 +187,7 @@ def sequential_episode(plant, nominal, bases, theta0, reference, ref_model, gain
     intervals = {"u": [], "rewards": [], "baselines": []}
     diverged_step = None
     for k in range(horizon):
-        if not past or baseline_kind == "none":
-            b = 0.0
-        else:
-            b = sum(past) if baseline_kind == "sum_of_past" else sum(past) / len(past)
+        b = 0.0 if not past or baseline_kind == "none" else sum(past) / len(past)
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 v = ref.y_dgamma[k] + (gains.K @ e[..., None])[..., 0]

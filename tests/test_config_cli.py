@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -11,9 +12,11 @@ import pytest
 import yaml
 
 import fblearn
-from fblearn.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, EXIT_UNSUPPORTED, main
-from fblearn.config import apply_overrides, config_from_dict, load_config
+from fblearn.cli import (EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, EXIT_UNSUPPORTED, build_parser,
+                         main)
+from fblearn.config import SCENARIOS, apply_overrides, config_from_dict, load_config
 from fblearn.errors import ConfigError
+from fblearn.learning import BASELINES
 from fblearn.scenarios import build_scenario
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
@@ -50,7 +53,7 @@ class TestConfigParsing:
 
     def test_seed_required(self):
         with pytest.raises(ConfigError, match="seed"):
-            config_from_dict({"scenario": "linear_test"})
+            config_from_dict({"scenario": "inspan_synthetic"})
 
     def test_value_validation_collects_everything(self):
         with pytest.raises(ConfigError) as err:
@@ -69,6 +72,24 @@ class TestConfigParsing:
         assert cfg.sigma2 == 0.2
         assert cfg.sweep.dt == (0.1, 0.05)
         assert cfg.inspan.gamma == (2, 2)
+
+    def test_an_exponent_without_a_dot_is_a_float(self, tmp_path):
+        # PyYAML alone reads 1e-3 as a string, and sigma2 rejected it
+        shipped = CONFIG_DIR / "inspan_mc.yaml"
+        assert load_config(shipped, ["sigma2=1e-3", "sweep.sigma2=[1e30, 2e-3]"]) \
+            == load_config(shipped, ["sigma2=1.0e-3", "sweep.sigma2=[1.0e+30, 2.0e-3]"])
+        path = tmp_path / "config.yaml"
+        path.write_text("scenario: inspan_synthetic\nseed: 1\nsigma2: 1e-3\n"
+                        "sweep:\n  sigma2: [1e-3, 2E+1]\n")
+        assert load_config(path) == config_from_dict(
+            minimal(sigma2=1.0e-3, sweep={"sigma2": [1.0e-3, 20.0]}))
+
+    @pytest.mark.parametrize("key,values", [("scenario", SCENARIOS), ("baseline", BASELINES)],
+                             ids=["scenario", "baseline"])
+    def test_every_option_value_is_selected_by_a_shipped_config(self, key, values):
+        # a value that no shipped config selects is a code path that no experiment runs
+        selected = {getattr(load_config(path), key) for path in CONFIG_DIR.glob("*.yaml")}
+        assert set(values) <= selected
 
     def test_bad_override_format(self):
         with pytest.raises(ConfigError, match="KEY=VALUE"):
@@ -97,10 +118,6 @@ class TestScenarios:
         np.testing.assert_array_equal(sc.bases.features(np.array([2.0, 3.0])), [1.0, 3.0, 2.0])
         assert sc.theta_star is not None
         assert sc.plant.n == 2
-
-    def test_linear_test_scenario(self):
-        sc = build_scenario(config_from_dict({"scenario": "linear_test", "seed": 5}))
-        np.testing.assert_array_equal(sc.theta_star, np.zeros(sc.bases.size))
 
     def test_reference_channel_mismatch(self):
         with pytest.raises(ConfigError, match="reference"):
@@ -139,14 +156,16 @@ class TestCli:
         assert a == b
 
     def test_no_learning_keeps_noise_stream(self, tmp_path):
+        # compare's frozen twin sees the noise stream of run's episode
         base = ["--config", str(CONFIG_DIR / "pendulum.yaml"),
                 "--out-dir", str(tmp_path), "--override", "horizon_s=3"]
         assert main(["run"] + base) == EXIT_OK
-        assert main(["run", "--no-learning"] + base) == EXIT_OK
+        assert main(["compare"] + base) == EXIT_OK
         with (tmp_path / "double_pendulum_42" / "steps.csv").open() as fh:
             learn_rows = list(csv.DictReader(fh))
-        with (tmp_path / "double_pendulum_42_frozen" / "steps.csv").open() as fh:
+        with (tmp_path / "double_pendulum_42_compare" / "no_learning.csv").open() as fh:
             frozen_rows = list(csv.DictReader(fh))
+        assert len(learn_rows) == len(frozen_rows) == 60
         for lr, fr in zip(learn_rows, frozen_rows):
             assert lr["w_1"] == fr["w_1"] and lr["w_2"] == fr["w_2"]
         assert all(float(r["theta_norm"]) == 0.0 for r in frozen_rows)
@@ -176,7 +195,7 @@ class TestCli:
 
     def test_mc_single_cell(self, tmp_path):
         code = main(["mc", "--config", str(CONFIG_DIR / "inspan_mc.yaml"),
-                     "--out-dir", str(tmp_path), "--trials", "15",
+                     "--out-dir", str(tmp_path), "--override", "trials=15",
                      "--override", "sweep.dt=[]", "--override", "sweep.sigma2=[]",
                      "--override", "horizon_s=1.0"])
         assert code == EXIT_OK
@@ -190,7 +209,7 @@ class TestCli:
     def test_mc_whose_every_trial_diverged_exits_3(self, tmp_path, capsys):
         # every trial starts past the kernel's state bound (1e9)
         code = main(["mc", "--config", str(CONFIG_DIR / "inspan_mc.yaml"),
-                     "--out-dir", str(tmp_path), "--trials", "3",
+                     "--out-dir", str(tmp_path), "--override", "trials=3",
                      "--override", "horizon_s=0.1", "--override", "x0=[3.0e+9, 0, 0, 0]"])
         assert code == EXIT_DIVERGED
         assert "trials of a cell diverged" in capsys.readouterr().err
@@ -326,9 +345,11 @@ class TestCli:
         ("basis.counts=[5,5,2,a]", "basis.counts"), ("inspan.phi0_scale=a", "inspan.phi0_scale"),
         ("dt=.inf", "dt"), ("noise_clip=.nan", "noise_clip"), ("sigma2=.inf", "sigma2"),
         ("pole=-.inf", "pole"), ("horizon_s=.nan", "horizon_s"),
-        ("sweep.sigma2=[.nan]", "sweep.sigma2")])
+        ("sweep.sigma2=[.nan]", "sweep.sigma2"), ("seed=1e3", "seed"),
+        ("scenario=linear_test", "scenario"), ("baseline=sum_of_past", "baseline")])
     def test_bad_values_exit_with_a_config_error(self, tmp_path, capsys, override, key):
-        # each once crashed with a traceback, ran, or (for bools) passed as an integer
+        # each once crashed with a traceback, ran, or (for bools) passed as an integer;
+        # the linear_test scenario and the sum_of_past baseline ran until retired
         code = main(["run", "--config", str(CONFIG_DIR / "inspan_diag.yaml"),
                      "--out-dir", str(tmp_path), "--override", override])
         err = capsys.readouterr().err
@@ -355,8 +376,10 @@ class TestCli:
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv", [["compare", "--no-learning"], ["diag", "--no-learning"],
-                                      ["run", "--trials", "3"]],
-                             ids=["compare-no-learning", "diag-no-learning", "run-trials"])
+                                      ["run", "--trials", "3"], ["run", "--no-learning"],
+                                      ["mc", "--trials", "3"]],
+                             ids=["compare-no-learning", "diag-no-learning", "run-trials",
+                                  "run-no-learning", "mc-trials"])
     def test_a_flag_its_subcommand_does_not_read_exits_2(self, tmp_path, capsys, argv):
         # compare once ran its learning twin under --no-learning
         with pytest.raises(SystemExit) as exc:
@@ -365,6 +388,14 @@ class TestCli:
         assert exc.value.code == EXIT_CONFIG == 2
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    def test_every_subcommand_takes_the_same_four_flags(self):
+        (sub,) = [a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        assert set(sub.choices) == {"run", "compare", "mc", "diag"}
+        for name, parser in sub.choices.items():
+            flags = {flag for action in parser._actions for flag in action.option_strings}
+            assert flags == {"-h", "--help", "--config", "--seed", "--out-dir", "--override"}, name
 
     def test_missing_config_exit_code(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.yaml"),
@@ -381,6 +412,17 @@ class TestCli:
         assert main(["run", "--config", str(path), "--out-dir", str(out)]) == EXIT_CONFIG
         assert str(path) in capsys.readouterr().err
         assert not out.exists()
+
+    def test_an_unusable_out_dir_exits_2_and_names_it(self, tmp_path, capsys):
+        # the artifact directory is made after the run; a file in its way
+        # once ended the run in a NotADirectoryError traceback
+        out = tmp_path / "a_file"
+        out.write_text("")
+        code = main(["run", "--config", str(CONFIG_DIR / "inspan_diag.yaml"),
+                     "--out-dir", str(out), "--override", "horizon_s=1"])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert str(out) in err and "Traceback" not in err
 
     def test_seed_flag_overrides(self, tmp_path):
         code = main(["run", "--config", str(CONFIG_DIR / "pendulum.yaml"),

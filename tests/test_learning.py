@@ -68,7 +68,7 @@ class TestPolicy:
 
     def test_noise_mean_is_zero(self):
         cfg = PolicyConfig(sigma2=0.1, dt=0.05)
-        draws = np.stack([draw_noise(cfg, 2, step_rng(3, k)) for k in range(100_000)])
+        draws = draw_noise_series(cfg, 2, 3, 100_000)
         stderr = np.sqrt(0.1 / len(draws))
         assert np.abs(draws.mean(axis=0)).max() <= 4 * stderr
 
@@ -394,8 +394,7 @@ class TestRunEpisode:
         assert rec.steps == 20
         for k in range(rec.steps):
             past = sum(rec.rewards[:k].tolist())  # summed from the left, as the loop adds
-            want = {"none": 0.0, "sum_of_past": past,
-                    "mean_of_past": past / k if k else 0.0}[kind]
+            want = {"none": 0.0, "mean_of_past": past / k if k else 0.0}[kind]
             assert rec.baselines[k] == want
             assert rec.rewards[k] == discrete_reward(rec.e[k], rec.e[k + 1], inspan1.ref_model,
                                                      inspan1.gains, cfg.dt)
