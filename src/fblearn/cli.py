@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from dataclasses import asdict
@@ -108,6 +109,19 @@ def summarize_run(record: AdaptRunRecord, wall_time_s: float) -> dict:
         "quarters": _quarter_stats(record),
         "wall_time_s": wall_time_s,
     }
+
+
+def _check_out_dir(out_dir: str) -> None:
+    """Fail before the run unless ``--out-dir`` could be made; creates nothing.
+
+    The nearest existing ancestor of ``out_dir`` (``out_dir`` itself, if it
+    exists) must be a directory this process can write into.
+    """
+    path = Path(out_dir).absolute()
+    while not os.path.exists(path):  # False, not an error, where stat is refused
+        path = path.parent
+    if not path.is_dir() or not os.access(path, os.W_OK | os.X_OK):
+        raise ConfigError([f"--out-dir {out_dir}: {path} is not a writable directory"])
 
 
 def _artifact_dir(args, config: ExperimentConfig, suffix: str) -> Path:
@@ -276,6 +290,7 @@ def main(argv=None) -> int:
         overrides.append(f"seed={args.seed}")
     try:
         config = load_config(args.config, overrides=overrides)
+        _check_out_dir(args.out_dir)
         return COMMANDS[args.command](config, args)
     except ConfigError as exc:
         print(exc, file=sys.stderr)

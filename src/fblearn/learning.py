@@ -12,7 +12,8 @@ lanes in lockstep and records the series its caller keeps.
 ``run_episodes`` runs episodes with their own seeds and learning flags as
 lanes and records each one in full (``run_episode`` is its one-lane call);
 ``run_ensemble`` runs seeded trials as lanes, for one cell or for several
-cells that share a ``dt``, and keeps only the tracking and parameter errors;
+cells that share a ``dt``, and keeps only the tracking and parameter errors,
+from a given node on;
 ``studies.mc_gradient_samples`` runs one interval of it with frozen lanes.
 All share one failure rule (see ``STATE_BOUND``): a failed lane keeps its
 last node; no further integration.
@@ -274,16 +275,19 @@ class AdaptRunRecord:
 class EnsembleRecord:
     """Tracking and parameter errors of many independent trials at once.
 
-    ``e`` has shape ``(trials, steps + 1, total_degree)`` and ``phi`` (when
-    a true parameter vector is known) ``(trials, steps + 1, size)``.
-    Entries of a trial after its divergence step are frozen and should be
-    ignored; ``diverged_step`` is -1 for clean trials.
+    The record starts at node ``record_from``: ``e`` has shape ``(trials,
+    steps + 1 - record_from, total_degree)`` and ``phi`` (when a true
+    parameter vector is known) ``(trials, steps + 1 - record_from, size)``,
+    so index ``j`` holds node ``record_from + j``.  Entries of a trial after
+    its divergence step are frozen and should be ignored; ``diverged_step``
+    (an absolute step, recorded or not) is -1 for clean trials.
     """
 
     e: Array
     phi: Array | None
     diverged: Array
     diverged_step: Array
+    record_from: int = 0
 
     @property
     def n_trials(self) -> int:
@@ -316,7 +320,7 @@ def _lockstep(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0: A
               dt: float, sigma2: float | Array, baseline_kind: str, noise: Array,
               x0: Array | None, t0: float, learn: bool | Sequence[bool],
               theta_star: Array | None, update_rule: str, substeps: int,
-              keep: tuple[str, ...]) -> tuple[dict, Array]:
+              keep: tuple[str, ...], record_from: int = 0) -> tuple[dict, Array]:
     """Run ``len(noise)`` lanes of the sampled-data loop in lockstep; record ``keep``.
 
     Every lane starts at time ``t0`` from ``x0`` and applies its own row of
@@ -325,8 +329,9 @@ def _lockstep(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0: A
     (whether the lane updates its parameters) are each one value for every
     lane or one per lane, made one row per lane at the start; a frozen lane
     computes the update too and keeps its ``theta`` bit for bit.  Returns
-    the series named in ``keep`` (see ``_SERIES``), ``(lanes, steps + 1,
-    ...)`` for node series and ``(lanes, steps, ...)`` for interval series,
+    the series named in ``keep`` (see ``_SERIES``) from node or interval
+    ``record_from`` on, ``(lanes, steps + 1 - record_from, ...)`` for node
+    series and ``(lanes, steps - record_from, ...)`` for interval series,
     and each lane's failure step (-1 for lanes that never fail).
 
     A lane fails when its state, parameters or reward is non-finite, when
@@ -345,6 +350,8 @@ def _lockstep(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0: A
     if not isinstance(substeps, (int, np.integer)) or substeps < 1:
         raise ValueError(f"substeps must be an integer >= 1, got {substeps!r}")
     n_lanes, horizon = noise.shape[:2]
+    if not 0 <= record_from <= horizon:
+        raise DimensionError(f"record_from must lie in [0, {horizon}], got {record_from}")
     learn = _per_lane("learn", learn, bool, n_lanes)
     sigma2 = _per_lane("sigma2", sigma2, float, n_lanes)
     theta = _per_lane("theta0", theta0, float, n_lanes, (bases.size,)).copy()
@@ -387,13 +394,14 @@ def _lockstep(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0: A
             theta_next = np.where(learn[:, None], theta_next, theta)
         return x_next, xi_next, e_next, theta_next, u, reward
 
-    series = {name: np.zeros((n_lanes, horizon + (name in _NODE_SERIES)) + shapes[name])
+    series = {name: np.zeros((n_lanes, horizon + (name in _NODE_SERIES) - record_from)
+                             + shapes[name])
               for name in keep}
     x = np.broadcast_to(x_init, (n_lanes, plant.n)).copy()
     xi = plant.output_chain(x)
     e = xi - xi_d[0]
     for name, value in zip(_NODE_SERIES, (x, xi, e, theta)):
-        if name in series:
+        if name in series and record_from == 0:
             series[name][:, 0] = value
     live = np.arange(n_lanes)  # the lanes that have not failed
     diverged_step = np.full(n_lanes, -1, dtype=np.int64)
@@ -433,8 +441,9 @@ def _lockstep(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0: A
                 for whole, part in zip((x, xi, e, theta, u, reward), step):
                     whole[live] = part[ok]
         for name, value in zip(_SERIES, (x, xi, e, theta, u, reward, b_val)):
-            if name in series:
-                series[name][:, k + (name in _NODE_SERIES)] = value
+            at = k + (name in _NODE_SERIES) - record_from
+            if name in series and at >= 0:
+                series[name][:, at] = value
         total = total + reward
     return series, diverged_step
 
@@ -522,7 +531,8 @@ def run_ensemble(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0
                  baseline_kind: str = "mean_of_past", seed: int = 0, cell_key: int = 0,
                  x0: Array | None = None, theta_star: Array | None = None,
                  substeps: int = 8,
-                 more_cells: Sequence[tuple[PolicyConfig, int, Array]] = ()) -> EnsembleRecord:
+                 more_cells: Sequence[tuple[PolicyConfig, int, Array]] = (),
+                 record_from: int = 0) -> EnsembleRecord:
     """Run many policy-gradient episodes in lockstep, vectorized over trials.
 
     Trial ``b`` draws exactly the noise that ``run_episode`` would draw with
@@ -530,7 +540,9 @@ def run_ensemble(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0
     with the same failure rule, and its tracking and parameter errors equal
     that sequential run's bit for bit.  A trial that fails is flagged and
     keeps its last node; no further integration; the others keep running.
-    Only ``e`` and ``theta`` are kept per step.
+    Only ``e`` and ``theta`` are kept, and only at nodes ``record_from ..
+    horizon``: the record has ``horizon + 1 - record_from`` nodes per trial,
+    equal to the full run's from that node on.
 
     ``more_cells`` lists further cells ``(cfg, cell_key, theta0)`` with the
     same ``cfg.dt``.  Each runs its own ``n_trials`` trials as the next block
@@ -540,20 +552,27 @@ def run_ensemble(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0
     """
     if n_trials < 1:
         raise DimensionError(f"n_trials must be >= 1, got {n_trials}")
+    if horizon < 0:
+        raise DimensionError(f"horizon must be >= 0, got {horizon}")
     cells = [(cfg, cell_key, theta0), *more_cells]
     if any(c.dt != cfg.dt for c, _, _ in cells):
         raise ValueError(f"the cells of one ensemble must share dt, got "
                          f"{[c.dt for c, _, _ in cells]}")
-    noise = np.stack([draw_noise_series(c, plant.q, derive_seed(seed, key, b), horizon)
-                      for c, key, _ in cells for b in range(n_trials)])
+    # each lane's draw goes straight into its row: no list of rows to stack
+    noise = np.empty((len(cells) * n_trials, horizon, plant.q))
+    for i, (c, key, _) in enumerate(cells):
+        for b in range(n_trials):
+            noise[i * n_trials + b] = draw_noise_series(c, plant.q, derive_seed(seed, key, b),
+                                                        horizon)
     theta0 = np.repeat([np.asarray(t, dtype=float) for _, _, t in cells], n_trials, axis=0)
     sigma2 = np.repeat([c.sigma2 for c, _, _ in cells], n_trials)
     rec, diverged_step = _lockstep(plant, nominal, bases, theta0, reference, ref_model, gains,
                                    cfg.dt, sigma2, baseline_kind, noise, x0, 0.0, True,
-                                   theta_star, "policy_gradient", substeps, ("e", "theta"))
+                                   theta_star, "policy_gradient", substeps, ("e", "theta"),
+                                   record_from)
     phi = None
     if theta_star is not None:
-        phi = rec["theta"]  # formed in place: no second copy of the whole horizon
+        phi = rec["theta"]  # formed in place: no second copy of the record
         phi -= np.asarray(theta_star, dtype=float)
     return EnsembleRecord(e=rec["e"], phi=phi, diverged=diverged_step >= 0,
-                          diverged_step=diverged_step)
+                          diverged_step=diverged_step, record_from=record_from)

@@ -272,26 +272,35 @@ def _run_cells(scenario: Scenario, cells: list, trials: int, horizon_s: float, s
     """``_steady_stats`` of every cell, in order; cells that share a dt run as one ensemble.
 
     Each cell's trials are one block of lanes of that ensemble, bit for bit
-    the cell's own run, so grouping changes no number.
+    the cell's own run, so grouping changes no number.  The ensemble records
+    only from the earliest steady step of its cells, the first node any of
+    their statistics read, and the ensemble with the largest record runs
+    first, while the heap is still small.
     """
     by_dt = {}
     for i, cell in enumerate(cells):
         by_dt.setdefault(cell.cfg.dt, []).append(i)
-    stats = [None] * len(cells)
+    runs = []
     for dt, members in by_dt.items():
-        first, *rest = (cells[i] for i in members)
         horizon = int(round(horizon_s / dt))
+        record_from = min(horizon // cells[i].steady_divisor for i in members)
+        runs.append((len(members) * (horizon + 1 - record_from), horizon, record_from,
+                     members))
+    stats = [None] * len(cells)
+    for _, horizon, record_from, members in sorted(runs, key=lambda run: -run[0]):
+        first, *rest = (cells[i] for i in members)
         ens = run_ensemble(
             scenario.plant, scenario.nominal, scenario.bases, first.theta0,
             scenario.reference, scenario.ref_model, scenario.gains, first.cfg,
             n_trials=trials, horizon=horizon, baseline_kind=baseline_kind,
             seed=seed, cell_key=first.key, x0=scenario.x0,
             theta_star=scenario.theta_star, substeps=substeps,
-            more_cells=[(c.cfg, c.key, c.theta0) for c in rest])
+            more_cells=[(c.cfg, c.key, c.theta0) for c in rest], record_from=record_from)
         for j, i in enumerate(members):
             block = slice(j * trials, (j + 1) * trials)
+            steady_from = horizon // cells[i].steady_divisor - ens.record_from
             stats[i] = _steady_stats(ens.e[block], ens.phi[block], ens.diverged[block],
-                                     horizon // cells[i].steady_divisor, cells[i].lambdas)
+                                     steady_from, cells[i].lambdas)
         del ens  # free this dt's records before the next ensemble is recorded
     return stats
 
@@ -305,15 +314,17 @@ def _steady_stats(e: Array, phi: Array, diverged: Array, steady_from: int,
                   lambdas: tuple) -> tuple[dict, float, int]:
     """Deviation quantiles, mean offset and divergence count of one cell's trials.
 
-    Over the steady window (steps from ``steady_from``) of ``X = (e, phi)``
+    Over the steady window (record nodes from ``steady_from``) of ``X = (e, phi)``
     of the non-divergent trials: at each step, the ``1 - lambda`` quantile
     of ``||X_k - mean(X_k)||`` across trials and the norm of ``mean(X_k)``,
     each averaged over the window.  The per-step values are formed a block
     of steps at a time.
     """
-    kept = ~diverged
-    if not np.any(kept):
-        raise DivergenceError(f"all {len(kept)} trials of a cell diverged; nothing to aggregate")
+    if diverged.all():
+        raise DivergenceError(f"all {len(diverged)} trials of a cell diverged; "
+                              "nothing to aggregate")
+    # with no trial dropped, rows are sliced as views, not gathered as copies
+    kept = ~diverged if diverged.any() else slice(None)
     per_step = {lam: [] for lam in lambdas}
     offsets = []
     for lo in range(steady_from, e.shape[1], _STEADY_BLOCK):

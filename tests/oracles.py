@@ -20,6 +20,10 @@ The one-interval oracle forms the gradient study's draws at one frozen
 state by hand: its own reference samples, error and input, and one batch
 of RK4 steps over the held interval, as the study did before it ran on the
 lane kernel.
+The steady-window oracle reduces a cell's full-horizon record, node 0 on,
+with the steady window given as an absolute step and the kept trials
+gathered by a boolean mask, as the sweep did before its ensembles recorded
+only their windows.
 """
 
 import numpy as np
@@ -265,3 +269,21 @@ def one_interval_gradient(scenario, theta, cfg, t_k, x_k, n_draws, seed, substep
     rewards = discrete_reward(e, e_next, ref_model, gains, cfg.dt)
     scores = grad_log_policy(u, u_hat, cfg.sigma2, controller_jacobian(bases, x_k, v))
     return rewards[:, None] * scores, scores, rewards, target
+
+
+def full_record_steady_stats(e, phi, diverged, steady_from, lambdas, block=25):
+    """Quantiles, mean offset and divergence count of one cell's full-horizon record."""
+    kept = ~diverged
+    per_step = {lam: [] for lam in lambdas}
+    offsets = []
+    for lo in range(steady_from, e.shape[1], block):
+        window = slice(lo, lo + block)
+        X = np.concatenate([e[kept, window], phi[kept, window]], axis=2)
+        mean = X.mean(axis=0)
+        offsets.append(np.linalg.norm(mean, axis=1))
+        if lambdas:
+            deviations = np.linalg.norm(X - mean, axis=2)
+            for lam in lambdas:
+                per_step[lam].append(np.quantile(deviations, 1.0 - lam, axis=0))
+    quantiles = {lam: float(np.mean(np.concatenate(parts))) for lam, parts in per_step.items()}
+    return quantiles, float(np.mean(np.concatenate(offsets))), int(np.sum(diverged))

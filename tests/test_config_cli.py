@@ -413,16 +413,33 @@ class TestCli:
         assert str(path) in capsys.readouterr().err
         assert not out.exists()
 
-    def test_an_unusable_out_dir_exits_2_and_names_it(self, tmp_path, capsys):
-        # the artifact directory is made after the run; a file in its way
-        # once ended the run in a NotADirectoryError traceback
-        out = tmp_path / "a_file"
-        out.write_text("")
-        code = main(["run", "--config", str(CONFIG_DIR / "inspan_diag.yaml"),
-                     "--out-dir", str(out), "--override", "horizon_s=1"])
-        err = capsys.readouterr().err
-        assert code == EXIT_CONFIG
-        assert str(out) in err and "Traceback" not in err
+    def test_an_unusable_out_dir_exits_2_and_names_it(self, tmp_path, capsys, monkeypatch):
+        # checked before the run: a file in the way once ended the run in a
+        # NotADirectoryError traceback, later in exit 2 only once it was done
+        import fblearn.cli as cli
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        for runner in ("run_episode", "run_episodes", "mc_sweep"):
+            monkeypatch.setattr(cli, runner, no_run)
+        a_file = tmp_path / "a_file"
+        a_file.write_text("")
+        for command, config in (("run", "inspan_diag.yaml"), ("compare", "pendulum.yaml"),
+                                ("mc", "inspan_mc.yaml"), ("diag", "inspan_diag.yaml")):
+            for out in (a_file, a_file / "runs"):
+                code = main([command, "--config", str(CONFIG_DIR / config),
+                             "--out-dir", str(out), "--override", "horizon_s=1"])
+                err = capsys.readouterr().err
+                assert code == EXIT_CONFIG, (command, out)
+                assert str(out) in err and "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["a_file"]
+        assert a_file.read_text() == ""
+
+    def test_an_out_dir_to_be_made_is_checked_and_left_uncreated(self, tmp_path):
+        import fblearn.cli as cli
+        cli._check_out_dir(str(tmp_path / "new" / "deeper"))
+        assert list(tmp_path.iterdir()) == []
 
     def test_seed_flag_overrides(self, tmp_path):
         code = main(["run", "--config", str(CONFIG_DIR / "pendulum.yaml"),

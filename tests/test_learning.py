@@ -343,9 +343,12 @@ class TestRunEpisode:
         ("episodes", dict(seeds=(1,), horizon=-1), "horizon"),
         ("episodes", dict(seeds=(1,), horizon=-1, sigma2=0.0), "horizon"),
         ("ensemble", dict(n_trials=0), "n_trials"),
-        ("ensemble", dict(n_trials=2, horizon=-1, sigma2=0.0), "horizon")],
+        ("ensemble", dict(n_trials=2, horizon=-1, sigma2=0.0), "horizon"),
+        ("ensemble", dict(n_trials=2, record_from=6), "record_from"),
+        ("ensemble", dict(n_trials=2, record_from=-1), "record_from")],
         ids=["learn-length3", "learn-2x1", "no-seeds", "negative-horizon",
-             "noise-free-negative-horizon", "no-trials", "ensemble-negative-horizon"])
+             "noise-free-negative-horizon", "no-trials", "ensemble-negative-horizon",
+             "record-from-past-the-horizon", "negative-record-from"])
     def test_malformed_lanes_raise_dimension_error(self, inspan1, runner, kwargs, name):
         # each once leaked a NumPy broadcasting, stacking or unpacking error
         kwargs = {"horizon": 5, "x0": inspan1.x0, **kwargs}
@@ -716,11 +719,14 @@ def _ensemble(sc: Scenario, plant, cells, n_trials: int, **kwargs):
 
 
 def _assert_blocks_are_solo_runs(sc: Scenario, ens, cells, n_trials: int, **kwargs):
+    """Each block of ``ens`` is its cell's own full-horizon run from ``ens.record_from`` on."""
+    assert ens.e.shape[1] == ens.phi.shape[1] == kwargs["horizon"] + 1 - ens.record_from
     for c, cell in enumerate(cells):
         solo = _ensemble(sc, sc.plant, [cell], n_trials, **kwargs)
+        assert solo.record_from == 0
         block = slice(c * n_trials, (c + 1) * n_trials)
-        np.testing.assert_array_equal(ens.e[block], solo.e)
-        np.testing.assert_array_equal(ens.phi[block], solo.phi)
+        np.testing.assert_array_equal(ens.e[block], solo.e[:, ens.record_from:])
+        np.testing.assert_array_equal(ens.phi[block], solo.phi[:, ens.record_from:])
         np.testing.assert_array_equal(ens.diverged_step[block], solo.diverged_step)
 
 
@@ -742,30 +748,34 @@ class TestCellBlocks:
         kwargs = dict(horizon=data.draw(st.integers(1, 12), label="horizon"),
                       baseline_kind=data.draw(st.sampled_from(BASELINES)),
                       seed=data.draw(st.integers(0, 2 ** 32)), substeps=2)
-        ens = _ensemble(sc, sc.plant, cells, n_trials, **kwargs)
-        assert ens.n_trials == len(cells) * n_trials
+        record_from = data.draw(st.integers(0, kwargs["horizon"]), label="record_from")
+        ens = _ensemble(sc, sc.plant, cells, n_trials, record_from=record_from, **kwargs)
+        assert ens.n_trials == len(cells) * n_trials and ens.record_from == record_from
         _assert_blocks_are_solo_runs(sc, ens, cells, n_trials, **kwargs)
 
     def test_a_cell_failing_at_step_0_stops_advancing_and_leaves_the_others(self, inspan_mc):
         sc, substeps, horizon = inspan_mc, 2, 20
-        lanes_per_call = []
-
-        def counting(x, u):
-            lanes_per_call.append(len(x))
-            return sc.plant.rate(x, u)
-
         # the middle cell's noise throws every trial past STATE_BOUND at once
         cells = [(PolicyConfig(sigma2=0.001, dt=0.01), 0, sc.theta0),
                  (PolicyConfig(sigma2=1e40, dt=0.01), 1, sc.theta0),
                  (PolicyConfig(sigma2=0.0005, dt=0.01), 2, sc.theta_star)]
         kwargs = dict(horizon=horizon, baseline_kind="none", seed=5, substeps=substeps)
-        ens = _ensemble(sc, dataclasses.replace(sc.plant, rate=counting), cells, 3, **kwargs)
-        assert ens.diverged_step.tolist() == [-1] * 3 + [0] * 3 + [-1] * 3
-        # from step 1 on, only the six live lanes are integrated
-        later = (horizon - 1) * substeps * 4
-        assert len(lanes_per_call) > later
-        assert set(lanes_per_call[-later:]) == {6}
-        _assert_blocks_are_solo_runs(sc, ens, cells, 3, **kwargs)
+        # recorded from the start, and only from a node long after the failure
+        for record_from in (0, 15):
+            lanes_per_call = []
+
+            def counting(x, u):
+                lanes_per_call.append(len(x))
+                return sc.plant.rate(x, u)
+
+            ens = _ensemble(sc, dataclasses.replace(sc.plant, rate=counting), cells, 3,
+                            record_from=record_from, **kwargs)
+            assert ens.diverged_step.tolist() == [-1] * 3 + [0] * 3 + [-1] * 3
+            # from step 1 on, only the six live lanes are integrated
+            later = (horizon - 1) * substeps * 4
+            assert len(lanes_per_call) > later
+            assert set(lanes_per_call[-later:]) == {6}
+            _assert_blocks_are_solo_runs(sc, ens, cells, 3, **kwargs)
 
     def test_cells_must_share_dt(self, inspan1):
         cells = [(PolicyConfig(sigma2=0.01, dt=0.05), 0, inspan1.theta0),

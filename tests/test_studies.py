@@ -3,11 +3,12 @@ import pytest
 
 from fblearn import PolicyConfig, run_episode
 from fblearn.errors import DimensionError, DivergenceError
-from fblearn.learning import STATE_BOUND, run_ensemble
+from fblearn import learning, studies
+from fblearn.learning import STATE_BOUND, derive_seed, run_ensemble
 from fblearn.studies import (bias_study, concentration_study, mc_gradient_samples, mc_sweep,
                              measure_disturbances, regressor_series)
 
-from oracles import one_interval_gradient, per_interval_disturbances
+from oracles import full_record_steady_stats, one_interval_gradient, per_interval_disturbances
 
 
 class TestMeasureDisturbances:
@@ -204,6 +205,65 @@ class TestSweep:
             assert cell.quantiles[lam] == float(np.mean(np.quantile(deviations, 1.0 - lam,
                                                                     axis=0)))
         assert cell.mean_offset == float(np.mean(np.linalg.norm(X.mean(axis=0), axis=1)))
+
+    def test_windowed_records_give_the_full_record_statistics(self, inspan_mc, monkeypatch):
+        base = PolicyConfig(sigma2=0.001, dt=0.02)
+        seed, trials, horizon_s = 6, 7, 0.6
+        dt_list, sigma2_list, bias_dts = (0.04, 0.02), (0.0005, 0.001), (0.04, 0.02, 0.01)
+        conc = list(dict.fromkeys([(dt, base.sigma2) for dt in dt_list]
+                                  + [(base.dt, s2) for s2 in sigma2_list]))
+        # in every cell, trial 0 fails before any steady window opens, trial 1
+        # inside a concentration window but before a bias window, trial 2
+        # inside both; the other trials never fail
+        fail_at = (0.1, 0.4, 0.8)
+        poisoned_trial = {derive_seed(seed, key, b): b for b in range(len(fail_at))
+                          for key in [*range(len(conc)), *range(1000, 1000 + len(bias_dts))]}
+        draw = learning.draw_noise_series
+
+        def poisoned(cfg, q, lane_seed, horizon):
+            noise = draw(cfg, q, lane_seed, horizon)
+            if lane_seed in poisoned_trial:
+                noise[int(fail_at[poisoned_trial[lane_seed]] * horizon), 0] = np.nan
+            return noise
+
+        # guard: each dt group records only from its earliest steady step
+        recorded = {}
+
+        def guarded(*args, horizon, record_from=0, **kwargs):
+            ens = run_ensemble(*args, horizon=horizon, record_from=record_from, **kwargs)
+            recorded[args[7].dt] = ens.e.shape[1]
+            return ens
+
+        monkeypatch.setattr(learning, "draw_noise_series", poisoned)
+        monkeypatch.setattr(studies, "run_ensemble", guarded)
+        report, bias = mc_sweep(inspan_mc, base, trials, (0.3, 0.1), dt_list=dt_list,
+                                sigma2_list=sigma2_list, bias_dts=bias_dts,
+                                horizon_s=horizon_s, seed=seed, substeps=2)
+        horizons = {dt: int(round(horizon_s / dt)) for dt in bias_dts}
+        assert recorded == {dt: h + 1 - (h // 4 if dt in dt_list else h // 2)
+                            for dt, h in horizons.items()}
+
+        def oracle(cfg, key, theta0, divisor, lambdas):
+            h = horizons[cfg.dt]
+            ens = run_ensemble(inspan_mc.plant, inspan_mc.nominal, inspan_mc.bases, theta0,
+                               inspan_mc.reference, inspan_mc.ref_model, inspan_mc.gains, cfg,
+                               n_trials=trials, horizon=h, baseline_kind="none", seed=seed,
+                               cell_key=key, x0=inspan_mc.x0,
+                               theta_star=inspan_mc.theta_star, substeps=2)
+            assert ens.e.shape[1] == h + 1
+            assert ens.diverged_step.tolist() == [int(f * h) for f in fail_at] + [-1] * 4
+            return full_record_steady_stats(ens.e, ens.phi, ens.diverged, h // divisor,
+                                            lambdas)
+
+        assert len(report.cells) == len(conc) and bias.dts == bias_dts
+        for key, ((dt, sigma2), cell) in enumerate(zip(conc, report.cells)):
+            quantiles, offset, n_diverged = oracle(PolicyConfig(sigma2=sigma2, dt=dt), key,
+                                                   inspan_mc.theta0, 4, report.lambdas)
+            assert (cell.quantiles, cell.mean_offset, cell.diverged) == (quantiles, offset, 3)
+            assert n_diverged == 3
+        for idx, (dt, offset) in enumerate(zip(bias.dts, bias.offsets)):
+            assert (offset, 3) == oracle(PolicyConfig(sigma2=base.sigma2, dt=dt), 1000 + idx,
+                                         inspan_mc.theta_star, 2, ())[1:]
 
     def test_a_cell_whose_every_trial_diverged_raises_divergence_error(self, inspan_mc):
         import dataclasses
