@@ -2,9 +2,11 @@
 
 Configs are YAML mappings.  Unknown keys anywhere are errors, every
 offending field is reported at once, and a seed is mandatory so no run ever
-depends on ambient entropy.  ``lambda`` is accepted as the sweep key for the
-confidence levels (stored as ``lam`` since ``lambda`` is reserved in
-Python).
+depends on ambient entropy.  ``lambda`` is the sweep key for the confidence
+levels (stored as ``lam``, since ``lambda`` is reserved in Python).
+
+Each key is one dataclass field carrying its default and its rule: a
+predicate and the phrase its error prints.  :func:`_walk` applies them.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import dataclasses
 import re
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import yaml
@@ -32,26 +34,68 @@ _Loader.add_implicit_resolver(
     re.compile(r"^[-+]?[0-9][0-9_]*(?:\.[0-9_]*)?[eE][-+]?[0-9]+$"), list("-+0123456789"))
 
 
+def _number(value) -> bool:
+    """An int or float, not a bool, that converts to a finite float."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def _whole(value, minimum: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
+
+
+def _rule(default, test, what: str):
+    """A field whose given value must pass ``test``; a failure prints ``must {what}``."""
+    return field(default=default, metadata={"rule": (test, what)})
+
+
+def _positive(default: float):
+    return _rule(default, lambda v: _number(v) and v > 0, "be a positive number")
+
+
+def _integer(default: int, minimum: int):
+    return _rule(default, lambda v: _whole(v, minimum), f"be an integer >= {minimum}")
+
+
+def _one_of(default, options: tuple):
+    return _rule(default, lambda v: v in options, f"be one of {options}")
+
+
+def _entries(default, valid, what: str, distinct: bool = False):
+    """A list of entries that each pass ``valid``, no value twice if ``distinct``."""
+    return _rule(default, lambda v: isinstance(v, tuple) and all(map(valid, v))
+                 and (not distinct or len(set(v)) == len(v)),
+                 f"be a list of {'distinct ' if distinct else ''}{what}")
+
+
+def _section(cls, default=MISSING):
+    """A mapping built as ``cls``; it defaults to ``cls()`` unless ``default`` is given."""
+    return field(default=default, default_factory=cls if default is MISSING else MISSING,
+                 metadata={"section": cls, "rule": (lambda v: isinstance(v, dict), "be a mapping")})
+
+
 @dataclass(frozen=True)
 class PendulumSection:
     """True plant parameters and the scale factor for the mismatched nominal."""
 
-    m1: float = 1.0
-    m2: float = 1.0
-    l1: float = 1.0
-    l2: float = 1.0
-    gravity: float = 9.81
-    nominal_scale: float = 1.3
+    m1: float = _positive(1.0)
+    m2: float = _positive(1.0)
+    l1: float = _positive(1.0)
+    l2: float = _positive(1.0)
+    gravity: float = _positive(9.81)
+    nominal_scale: float = _positive(1.3)
 
 
 @dataclass(frozen=True)
 class InspanSection:
     """Shape of the synthetic plant with a representable true controller."""
 
-    gamma: tuple = (2,)
-    theta_star_scale: float = 0.15
-    theta_star_seed: int = 7
-    phi0_scale: float = 0.5
+    gamma: tuple = _rule((2,), lambda v: isinstance(v, tuple) and len(v) > 0
+                         and all(_whole(g, 1) for g in v),
+                         "be a non-empty list of integers >= 1")
+    theta_star_scale: float = _positive(0.15)
+    theta_star_seed: int = _integer(7, 0)
+    phi0_scale: float = _rule(0.5, _number, "be a number")
 
 
 @dataclass(frozen=True)
@@ -63,53 +107,59 @@ class BasisSection:
     parameter moves the controller (the per-block adaptation gains).
     """
 
-    kind: str = "rbf_grid"
-    box: tuple = ()
-    counts: tuple = ()
-    width_rule: float = 1.0
-    degree: int = 1
-    beta_scale: float = 1.0
-    alpha_scale: float = 1.0
+    kind: str = _one_of("rbf_grid", ("rbf_grid", "polynomial"))
+    box: tuple = _entries((), lambda b: isinstance(b, tuple) and len(b) == 2
+                          and all(map(_number, b)) and b[0] < b[1],
+                          "(lo, hi) pairs with lo < hi")
+    counts: tuple = _entries((), lambda c: _whole(c, 1), "integers >= 1")
+    width_rule: float = _positive(1.0)
+    degree: int = _integer(1, 0)
+    beta_scale: float = _positive(1.0)
+    alpha_scale: float = _positive(1.0)
 
 
 @dataclass(frozen=True)
 class SweepSection:
     """Sweep lists for the Monte Carlo subcommand (empty list = no sweep)."""
 
-    dt: tuple = ()
-    sigma2: tuple = ()
-    lam: tuple = (0.3, 0.1, 0.03)
+    dt: tuple = _entries((), lambda v: _number(v) and v > 0, "positive numbers", distinct=True)
+    sigma2: tuple = _entries((), lambda v: _number(v) and v > 0, "positive numbers", distinct=True)
+    lam: tuple = _entries((0.3, 0.1, 0.03), lambda v: _number(v) and 0 < v < 1,
+                          "numbers in (0, 1)")
 
 
 @dataclass(frozen=True)
 class DiagSection:
     """Knobs for the excitation / stability diagnostics."""
 
-    window_s: float = 10.0
-    grid_points: int = 9
-    fit_step: float = 0.02
-    stride: int = 1
+    window_s: float = _positive(10.0)
+    grid_points: int = _integer(9, 3)
+    fit_step: float = _positive(0.02)
+    stride: int = _integer(1, 1)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    scenario: str
-    seed: int
-    dt: float = 0.05
-    sigma2: float = 0.1
-    noise_clip: float = 5.0
-    pole: float = -1.5
-    horizon_s: float = 60.0
-    baseline: str = "mean_of_past"
-    substeps: int = 10
-    trials: int = 200
-    x0: tuple | None = None
-    reference: tuple | None = None
-    pendulum: PendulumSection = field(default_factory=PendulumSection)
-    inspan: InspanSection = field(default_factory=InspanSection)
-    basis: BasisSection | None = None
-    sweep: SweepSection = field(default_factory=SweepSection)
-    diag: DiagSection = field(default_factory=DiagSection)
+    scenario: str = _one_of(MISSING, SCENARIOS)
+    seed: int = _rule(MISSING, lambda v: _whole(v, 0) and v < 2 ** 128,
+                      "be an integer in [0, 2**128)")
+    dt: float = _positive(0.05)
+    sigma2: float = _positive(0.1)
+    noise_clip: float = _positive(5.0)
+    pole: float = _rule(-1.5, lambda v: _number(v) and v < 0, "be a negative number")
+    horizon_s: float = _positive(60.0)
+    baseline: str = _one_of("mean_of_past", BASELINES)
+    substeps: int = _integer(10, 1)
+    trials: int = _integer(200, 2)
+    x0: tuple | None = _entries(None, _number, "numbers")
+    reference: tuple | None = _entries(None, lambda channel: isinstance(channel, tuple) and all(
+        isinstance(term, tuple) and len(term) == 3 and all(map(_number, term))
+        for term in channel), "channels, each a list of (amplitude, frequency, phase) triples")
+    pendulum: PendulumSection = _section(PendulumSection)
+    inspan: InspanSection = _section(InspanSection)
+    basis: BasisSection | None = _section(BasisSection, None)
+    sweep: SweepSection = _section(SweepSection)
+    diag: DiagSection = _section(DiagSection)
 
     def to_dict(self) -> dict:
         """Plain-dict snapshot suitable for YAML round-tripping."""
@@ -123,161 +173,63 @@ class ExperimentConfig:
         return plain(self)
 
 
-_SECTION_TYPES = {
-    "pendulum": PendulumSection,
-    "inspan": InspanSection,
-    "basis": BasisSection,
-    "sweep": SweepSection,
-    "diag": DiagSection,
-}
-
-_TUPLE_KEYS = {"gamma", "box", "counts", "dt", "sigma2", "lam", "x0", "reference"}
-
-
 def _tuplify(value):
     if isinstance(value, (list, tuple)):
         return tuple(_tuplify(v) for v in value)
     return value
 
 
-def _build_section(cls, data: dict, prefix: str, problems: list):
-    known = {f.name for f in fields(cls)}
+def _walk(cls, data: dict, prefix: str, problems: list) -> dict:
+    """The keyword arguments of ``cls`` for one level of a parsed mapping.
+
+    Lists become tuples and ``null`` is taken where the default is ``None``;
+    each unknown key and each value that fails its rule goes to ``problems``.
+    """
+    by_key = {("lambda" if f.name == "lam" else f.name): f for f in fields(cls)}
     kwargs = {}
     for key, value in data.items():
-        name = "lam" if (cls is SweepSection and key == "lambda") else key
-        if name not in known:
+        f, value = by_key.get(key), _tuplify(value)
+        if f is None:
             problems.append(f"{prefix}{key}: unknown key")
-            continue
-        kwargs[name] = _tuplify(value) if name in _TUPLE_KEYS else value
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        problems.append(f"{prefix[:-1] or 'config'}: {exc}")
-        return None
+        elif value is None and f.default is None:
+            kwargs[f.name] = None
+        elif not f.metadata["rule"][0](value):
+            problems.append(f"{prefix}{key}: must {f.metadata['rule'][1]}, got {value!r}")
+        elif "section" in f.metadata:
+            section = f.metadata["section"]
+            kwargs[f.name] = section(**_walk(section, value, f"{prefix}{key}.", problems))
+        else:
+            kwargs[f.name] = value
+    return kwargs
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Build and validate a config from a parsed mapping.
 
-    Raises ``ConfigError`` listing every offending field.
+    Raises ``ConfigError`` listing every offending field.  The rules that
+    relate two fields run once every field has passed its own.
     """
-    problems: list[str] = []
     if not isinstance(data, dict):
         raise ConfigError(["config file must contain a mapping at the top level"])
-    top_fields = {f.name for f in fields(ExperimentConfig)}
-    kwargs = {}
-    for key, value in data.items():
-        if key not in top_fields:
-            problems.append(f"{key}: unknown key")
-            continue
-        if key in _SECTION_TYPES:
-            if not isinstance(value, dict):
-                problems.append(f"{key}: must be a mapping")
-                continue
-            section = _build_section(_SECTION_TYPES[key], value, f"{key}.", problems)
-            if section is not None:
-                kwargs[key] = section
-        else:
-            kwargs[key] = _tuplify(value) if key in _TUPLE_KEYS else value
-
-    if "scenario" not in kwargs:
+    problems: list[str] = []
+    kwargs = _walk(ExperimentConfig, data, "", problems)
+    if "scenario" not in data:
         problems.append("scenario: required")
-    elif kwargs["scenario"] not in SCENARIOS:
-        problems.append(f"scenario: must be one of {SCENARIOS}, got {kwargs['scenario']!r}")
-    if "seed" not in kwargs:
+    if "seed" not in data:
         problems.append("seed: required (runs never draw ambient entropy)")
-    elif not _integer(kwargs["seed"], 0) or kwargs["seed"] >= 2 ** 128:
-        problems.append(f"seed: must be an integer in [0, 2**128), got {kwargs['seed']!r}")
     if problems:
         raise ConfigError(problems)
 
     cfg = ExperimentConfig(**kwargs)
-    _validate(cfg, problems)
+    basis = cfg.basis
+    if basis is not None and basis.kind == "rbf_grid" and len(basis.box) != len(basis.counts):
+        problems.append("basis: box and counts must have matching lengths")
+    # the runners take int(round(horizon_s / dt)) steps: none up to a ratio of 0.5
+    problems += [f"horizon_s: {cfg.horizon_s!r} s is 0 steps at dt {dt!r}"
+                 for dt in (cfg.dt,) + cfg.sweep.dt if cfg.horizon_s / dt <= 0.5]
     if problems:
         raise ConfigError(problems)
     return cfg
-
-
-def _number(value) -> bool:
-    """An int or float, not a bool, that converts to a finite float."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max)
-
-
-def _integer(value, minimum: int) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
-
-
-def _validate(cfg: ExperimentConfig, problems: list) -> None:
-    def positive(name, value):
-        if not _number(value) or value <= 0:
-            problems.append(f"{name}: must be a positive number, got {value!r}")
-
-    def integer(name, value, minimum):
-        if not _integer(value, minimum):
-            problems.append(f"{name}: must be an integer >= {minimum}, got {value!r}")
-
-    def entries(name, value, valid, what) -> bool:
-        ok = isinstance(value, tuple) and all(map(valid, value))
-        if not ok:
-            problems.append(f"{name}: must be a list of {what}, got {value!r}")
-        return ok
-
-    positive("dt", cfg.dt)
-    positive("sigma2", cfg.sigma2)
-    positive("noise_clip", cfg.noise_clip)
-    positive("horizon_s", cfg.horizon_s)
-    if not _number(cfg.pole) or cfg.pole >= 0:
-        problems.append(f"pole: must be a negative number, got {cfg.pole!r}")
-    if cfg.baseline not in BASELINES:
-        problems.append(f"baseline: must be one of {BASELINES}, got {cfg.baseline!r}")
-    integer("substeps", cfg.substeps, 1)
-    integer("trials", cfg.trials, 1)
-    if cfg.x0 is not None:
-        entries("x0", cfg.x0, _number, "numbers")
-    if cfg.reference is not None and not (isinstance(cfg.reference, tuple) and all(
-            isinstance(channel, tuple) and all(
-                isinstance(term, tuple) and len(term) == 3 and all(map(_number, term))
-                for term in channel) for channel in cfg.reference)):
-        problems.append("reference: must list each channel's (amplitude, frequency, phase) "
-                        f"triples of numbers, got {cfg.reference!r}")
-    for name in ("m1", "m2", "l1", "l2", "gravity", "nominal_scale"):
-        positive(f"pendulum.{name}", getattr(cfg.pendulum, name))
-    gamma = cfg.inspan.gamma
-    if not (isinstance(gamma, tuple) and gamma and all(_integer(g, 1) for g in gamma)):
-        problems.append(f"inspan.gamma: must be a non-empty list of integers >= 1, "
-                        f"got {gamma!r}")
-    positive("inspan.theta_star_scale", cfg.inspan.theta_star_scale)
-    integer("inspan.theta_star_seed", cfg.inspan.theta_star_seed, 0)
-    if not _number(cfg.inspan.phi0_scale):
-        problems.append(f"inspan.phi0_scale: must be a number, got {cfg.inspan.phi0_scale!r}")
-    if cfg.basis is not None:
-        if cfg.basis.kind not in ("rbf_grid", "polynomial"):
-            problems.append(f"basis.kind: must be 'rbf_grid' or 'polynomial', "
-                            f"got {cfg.basis.kind!r}")
-        lists_ok = [
-            entries("basis.box", cfg.basis.box, lambda b: isinstance(b, tuple) and len(b) == 2
-                    and all(map(_number, b)) and b[0] < b[1], "(lo, hi) pairs with lo < hi"),
-            entries("basis.counts", cfg.basis.counts, lambda c: _integer(c, 1), "integers >= 1")]
-        if cfg.basis.kind == "rbf_grid":
-            if all(lists_ok) and len(cfg.basis.box) != len(cfg.basis.counts):
-                problems.append("basis: box and counts must have matching lengths")
-            positive("basis.width_rule", cfg.basis.width_rule)
-        integer("basis.degree", cfg.basis.degree, 0)
-        positive("basis.beta_scale", cfg.basis.beta_scale)
-        positive("basis.alpha_scale", cfg.basis.alpha_scale)
-    entries("sweep.dt", cfg.sweep.dt, lambda v: _number(v) and v > 0, "positive numbers")
-    entries("sweep.sigma2", cfg.sweep.sigma2, lambda v: _number(v) and v > 0, "positive numbers")
-    entries("sweep.lambda", cfg.sweep.lam, lambda v: _number(v) and 0 < v < 1,
-            "numbers in (0, 1)")
-    # the runners take int(round(horizon_s / dt)) steps: none up to a ratio of 0.5
-    for dt in (cfg.dt,) + (cfg.sweep.dt if isinstance(cfg.sweep.dt, tuple) else ()):
-        if _number(dt) and dt > 0 and _number(cfg.horizon_s) and 0 < cfg.horizon_s / dt <= 0.5:
-            problems.append(f"horizon_s: {cfg.horizon_s!r} s is 0 steps at dt {dt!r}")
-    positive("diag.window_s", cfg.diag.window_s)
-    positive("diag.fit_step", cfg.diag.fit_step)
-    integer("diag.grid_points", cfg.diag.grid_points, 3)
-    integer("diag.stride", cfg.diag.stride, 1)
 
 
 def apply_overrides(data: dict, overrides) -> dict:

@@ -211,6 +211,7 @@ def bias_study(scenario: Scenario, base_cfg: PolicyConfig, trials: int, dt_list,
     """
     if scenario.theta_star is None:
         raise ValueError("bias study needs a scenario with a true parameter vector")
+    _check_sweep(trials, dt_list=dt_list)
     cells = _bias_cells(scenario, base_cfg, dt_list)
     if not cells:
         raise ValueError("bias study needs at least one dt")
@@ -231,6 +232,7 @@ def mc_sweep(scenario: Scenario, base_cfg: PolicyConfig, trials: int, lambdas,
     """
     if scenario.theta_star is None:
         raise ValueError("concentration study needs a scenario with a true parameter vector")
+    _check_sweep(trials, dt_list=dt_list, sigma2_list=sigma2_list, bias_dts=bias_dts)
     lambdas = tuple(sorted(set(float(l) for l in lambdas) | {0.05}, reverse=True))
     specs = [(float(dt), base_cfg.sigma2) for dt in dt_list]
     specs += [(base_cfg.dt, float(s2)) for s2 in sigma2_list]
@@ -257,6 +259,16 @@ class _Cell:
     theta0: Array
     steady_divisor: int   # the steady window starts at step horizon // steady_divisor
     lambdas: tuple = ()   # deviation quantile levels; none for a bias cell
+
+
+def _check_sweep(trials: int, **lists) -> None:
+    """Refuse one trial a cell (no spread to measure), or a list that repeats a value."""
+    if trials < 2:
+        raise DimensionError(f"trials must be >= 2, got {trials}")
+    for name, values in lists.items():
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:
+            raise ValueError(f"{name} repeats {repeated[0]!r}")
 
 
 def _bias_cells(scenario: Scenario, base_cfg: PolicyConfig, dt_list) -> list:
@@ -320,11 +332,12 @@ def _steady_stats(e: Array, phi: Array, diverged: Array, steady_from: int,
     each averaged over the window.  The per-step values are formed a block
     of steps at a time.
     """
-    if diverged.all():
-        raise DivergenceError(f"all {len(diverged)} trials of a cell diverged; "
-                              "nothing to aggregate")
+    n_diverged = int(np.sum(diverged))
+    if len(diverged) - n_diverged < 2:
+        dead = "all" if n_diverged == len(diverged) else f"{n_diverged} of"
+        raise DivergenceError(f"{dead} {len(diverged)} trials of a cell diverged; too few left")
     # with no trial dropped, rows are sliced as views, not gathered as copies
-    kept = ~diverged if diverged.any() else slice(None)
+    kept = ~diverged if n_diverged else slice(None)
     per_step = {lam: [] for lam in lambdas}
     offsets = []
     for lo in range(steady_from, e.shape[1], _STEADY_BLOCK):
@@ -337,7 +350,7 @@ def _steady_stats(e: Array, phi: Array, diverged: Array, steady_from: int,
             for lam in lambdas:
                 per_step[lam].append(np.quantile(deviations, 1.0 - lam, axis=0))
     quantiles = {lam: float(np.mean(np.concatenate(parts))) for lam, parts in per_step.items()}
-    return quantiles, float(np.mean(np.concatenate(offsets))), int(np.sum(diverged))
+    return quantiles, float(np.mean(np.concatenate(offsets))), n_diverged
 
 
 def _concentration_report(cells: list, stats: list, trials: int, base_cfg: PolicyConfig,

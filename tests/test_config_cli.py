@@ -1,7 +1,9 @@
 import argparse
 import csv
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -14,7 +16,9 @@ import yaml
 import fblearn
 from fblearn.cli import (EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, EXIT_UNSUPPORTED, build_parser,
                          main)
-from fblearn.config import SCENARIOS, apply_overrides, config_from_dict, load_config
+from fblearn.config import (SCENARIOS, BasisSection, DiagSection, ExperimentConfig,
+                            InspanSection, PendulumSection, SweepSection, apply_overrides,
+                            config_from_dict, load_config)
 from fblearn.errors import ConfigError
 from fblearn.learning import BASELINES
 from fblearn.scenarios import build_scenario
@@ -22,10 +26,24 @@ from fblearn.scenarios import build_scenario
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
 
 
+CONFIG_CLASSES = (ExperimentConfig, PendulumSection, InspanSection, BasisSection, SweepSection,
+                  DiagSection)
+
+
 def minimal(**extra):
     data = {"scenario": "inspan_synthetic", "seed": 1}
     data.update(extra)
     return data
+
+
+def leaf_keys(cls=ExperimentConfig, prefix=""):
+    """The dotted key of every non-section field, as a config spells it."""
+    for f in dataclasses.fields(cls):
+        key = prefix + ("lambda" if f.name == "lam" else f.name)
+        if "section" in f.metadata:
+            yield from leaf_keys(f.metadata["section"], key + ".")
+        else:
+            yield key
 
 
 class TestConfigParsing:
@@ -96,9 +114,37 @@ class TestConfigParsing:
             apply_overrides(minimal(), ["sigma2"])
 
     def test_snapshot_roundtrip(self):
-        cfg = load_config(CONFIG_DIR / "pendulum.yaml")
-        again = config_from_dict(yaml.safe_load(yaml.safe_dump(cfg.to_dict())))
-        assert again == cfg
+        # a config with no basis section once wrote basis: null, which the loader refused
+        configs = [load_config(path) for path in sorted(CONFIG_DIR.glob("*.yaml"))]
+        for cfg in configs + [config_from_dict(minimal(seed=5, horizon_s=1.0))]:
+            again = config_from_dict(yaml.safe_load(yaml.safe_dump(cfg.to_dict())))
+            assert again == cfg
+
+    def test_every_config_field_declares_its_rule_or_its_section(self):
+        sections = set()
+        for cls in CONFIG_CLASSES:
+            for f in dataclasses.fields(cls):
+                if "section" in f.metadata:
+                    sections.add(f.metadata["section"])
+                else:
+                    test, what = f.metadata["rule"]
+                    assert callable(test) and what.startswith("be "), f"{cls.__name__}.{f.name}"
+        assert sections == set(CONFIG_CLASSES[1:])
+
+    @pytest.mark.parametrize("key", list(leaf_keys()))
+    def test_a_bool_fails_every_leaf_key(self, key):
+        # a bool passes no rule, so a key added without one fails here
+        with pytest.raises(ConfigError, match=f"(?m)^  - {re.escape(key)}:"):
+            config_from_dict(apply_overrides(minimal(), [f"{key}=true"]))
+
+    def test_unknown_keys_and_bad_values_are_one_error(self):
+        # an unknown key once stopped parsing before any value was checked
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(minimal(typo_key=1, dt=-0.1, sweep={"lam": [0.1], "dt": [0]}))
+        assert err.value.problems == [
+            "typo_key: unknown key", "dt: must be a positive number, got -0.1",
+            "sweep.lam: unknown key",
+            "sweep.dt: must be a list of distinct positive numbers, got (0,)"]
 
 
 class TestScenarios:
@@ -154,6 +200,16 @@ class TestCli:
         a = (tmp_path / "a" / "double_pendulum_42" / "steps.csv").read_bytes()
         b = (tmp_path / "b" / "double_pendulum_42" / "steps.csv").read_bytes()
         assert a == b
+
+    def test_a_snapshot_replays_byte_for_byte(self, tmp_path):
+        config = tmp_path / "minimal.yaml"
+        config.write_text("scenario: inspan_synthetic\nseed: 5\nhorizon_s: 1.0\n")
+        first, again = tmp_path / "a" / "inspan_synthetic_5", tmp_path / "b" / "inspan_synthetic_5"
+        assert main(["run", "--config", str(config), "--out-dir", str(tmp_path / "a")]) == EXIT_OK
+        assert main(["run", "--config", str(first / "config.yaml"),
+                     "--out-dir", str(tmp_path / "b")]) == EXIT_OK
+        for name in ("config.yaml", "steps.csv"):
+            assert (first / name).read_bytes() == (again / name).read_bytes()
 
     def test_no_learning_keeps_noise_stream(self, tmp_path):
         # compare's frozen twin sees the noise stream of run's episode
@@ -346,7 +402,10 @@ class TestCli:
         ("dt=.inf", "dt"), ("noise_clip=.nan", "noise_clip"), ("sigma2=.inf", "sigma2"),
         ("pole=-.inf", "pole"), ("horizon_s=.nan", "horizon_s"),
         ("sweep.sigma2=[.nan]", "sweep.sigma2"), ("seed=1e3", "seed"),
-        ("scenario=linear_test", "scenario"), ("baseline=sum_of_past", "baseline")])
+        ("scenario=linear_test", "scenario"), ("baseline=sum_of_past", "baseline"),
+        ("trials=1", "trials"), ("sweep.dt=[0.02, 0.02]", "sweep.dt"),
+        ("sweep.sigma2=[0.001, 0.002, 0.001]", "sweep.sigma2"),
+        ("sweep.lam=[0.1]", "sweep.lam"), ("basis.width_rule=0", "basis.width_rule")])
     def test_bad_values_exit_with_a_config_error(self, tmp_path, capsys, override, key):
         # each once crashed with a traceback, ran, or (for bools) passed as an integer;
         # the linear_test scenario and the sum_of_past baseline ran until retired

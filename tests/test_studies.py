@@ -265,6 +265,41 @@ class TestSweep:
             assert (offset, 3) == oracle(PolicyConfig(sigma2=base.sigma2, dt=dt), 1000 + idx,
                                          inspan_mc.theta_star, 2, ())[1:]
 
+    def test_a_cell_with_one_surviving_trial_raises_divergence_error(self, inspan_mc,
+                                                                    monkeypatch):
+        # one trial has no spread about its own mean: the dt fit once took
+        # log(0) and the report divided by zero
+        seed, trials = 5, 4
+        survivor = derive_seed(seed, 0, 2)
+        draw = learning.draw_noise_series
+
+        def poisoned(cfg, q, lane_seed, horizon):
+            noise = draw(cfg, q, lane_seed, horizon)
+            if lane_seed != survivor:
+                noise[1, 0] = np.nan
+            return noise
+
+        monkeypatch.setattr(learning, "draw_noise_series", poisoned)
+        with pytest.raises(DivergenceError, match="3 of 4 trials of a cell diverged"):
+            concentration_study(inspan_mc, PolicyConfig(sigma2=0.001, dt=0.01), trials,
+                                (0.1,), horizon_s=0.2, seed=seed, substeps=2)
+
+    def test_one_trial_a_cell_or_a_repeated_sweep_value_is_refused(self, inspan_mc):
+        # a repeated dt once gave a fit through two equal abscissae, with RankWarnings
+        base = PolicyConfig(sigma2=0.001, dt=0.01)
+        kwargs = dict(horizon_s=0.1, substeps=2)
+        with pytest.raises(DimensionError, match="trials must be >= 2, got 1"):
+            mc_sweep(inspan_mc, base, 1, (0.1,), **kwargs)
+        with pytest.raises(DimensionError, match="trials must be >= 2, got 1"):
+            bias_study(inspan_mc, base, 1, (0.02, 0.01), **kwargs)
+        for lists, repeated in ((dict(dt_list=(0.02, 0.01, 0.02)), "dt_list repeats 0.02"),
+                                (dict(sigma2_list=(0.001, 0.001)), "sigma2_list repeats 0.001"),
+                                (dict(bias_dts=(0.02, 0.02)), "bias_dts repeats 0.02")):
+            with pytest.raises(ValueError, match=repeated):
+                mc_sweep(inspan_mc, base, 4, (0.1,), **lists, **kwargs)
+        with pytest.raises(ValueError, match="dt_list repeats 0.01"):
+            bias_study(inspan_mc, base, 4, (0.01, 0.01), **kwargs)
+
     def test_a_cell_whose_every_trial_diverged_raises_divergence_error(self, inspan_mc):
         import dataclasses
         beyond = dataclasses.replace(inspan_mc, x0=inspan_mc.x0 + 2 * STATE_BOUND)
