@@ -20,6 +20,7 @@ is applied matrix-free as ``[(A + B K) e + B (W p); -W.T (W p)]``.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable
@@ -150,6 +151,28 @@ class PEReport:
     n_windows: int
 
 
+# Elements of the ``(samples, p, p)`` running integral that :func:`pe_check`
+# forms at once; a block holds one sample at least, whatever ``p`` is.
+_PE_BLOCK = 1 << 14
+
+
+def _running_integral(times: Array, w_samples: Array, lo: int, hi: int,
+                      last: Array | None) -> Array:
+    """Nodes ``lo .. hi - 1`` of the trapezoid running integral of ``W.T W``.
+
+    ``last`` is node ``lo - 1`` (``None`` at ``lo == 0``, where node 0 is
+    zero).  Every node is the sum a whole-series ``np.cumsum`` forms, in its
+    order, so each equals that sum's node bit for bit.
+    """
+    a = max(lo - 1, 0)
+    wtw = np.einsum("tqi,tqj->tij", w_samples[a:hi], w_samples[a:hi])
+    seg = 0.5 * (wtw[1:] + wtw[:-1]) * (times[a + 1:hi] - times[a:hi - 1])[:, None, None]
+    if last is None:
+        return np.concatenate([np.zeros((1,) + wtw.shape[1:]), np.cumsum(seg, axis=0)])
+    seg[0] += last
+    return np.cumsum(seg, axis=0)
+
+
 def pe_check(times: Array, w_samples: Array, delta: float, stride: int = 1) -> PEReport:
     """Check persistence of excitation over sliding windows of length ``delta``.
 
@@ -159,25 +182,54 @@ def pe_check(times: Array, w_samples: Array, delta: float, stride: int = 1) -> P
     needs ``c2 > 1e-9 * max(1, c1)``: the relative floor makes
     rank-deficient integrals, whose eigenvalues sit at round-off scale,
     count as failures.
+
+    The running integral is formed a block of samples at a time
+    (``_PE_BLOCK`` matrix elements), and a window's start node is held only
+    until the block that holds its end node, where the window's eigenvalues
+    are taken.  Besides the input, memory is O((block + open windows) * p^2)
+    for ``p`` parameters, not O(samples * p^2).  Every node and window
+    integral is the one a whole-series cumulative sum gives, so the report
+    equals that computation bit for bit.
     """
     times = np.asarray(times, dtype=float)
     w_samples = np.asarray(w_samples, dtype=float)
+    if len(w_samples) != len(times):
+        raise ValueError(f"{len(w_samples)} regressor samples for {len(times)} sample times")
     if len(times) < 2:
         raise ValueError("need at least two regressor samples")
+    if not delta > 0:
+        raise ValueError(f"window delta={delta:.6g} s must be positive")
+    if np.any(np.diff(times) < 0):
+        raise ValueError("sample times must not decrease")
     if times[-1] - times[0] < delta * (1.0 - 1e-12):
         raise ValueError(f"series spans {times[-1] - times[0]:.6g} s, shorter than "
                          f"the window delta={delta:.6g} s")
-    wtw = np.einsum("tqi,tqj->tij", w_samples, w_samples)
-    seg = 0.5 * (wtw[1:] + wtw[:-1]) * (times[1:] - times[:-1])[:, None, None]
-    cum = np.concatenate([np.zeros((1,) + wtw.shape[1:]), np.cumsum(seg, axis=0)])
-
+    # with times in order, a window ends after it starts and ends grow with starts
     ends = np.searchsorted(times, times + delta * (1.0 - 1e-12), side="left")
     starts = np.arange(0, len(times), max(1, int(stride)))
     starts = starts[ends[starts] < len(times)]
     if len(starts) == 0:
         raise ValueError("no complete window fits in the sample series")
-    evals = np.linalg.eigvalsh(cum[ends[starts]] - cum[starts])
-    c1, c2 = float(evals[:, -1].max()), float(evals[:, 0].min())
+    stops = ends[starts]
+
+    block = max(1, _PE_BLOCK // w_samples.shape[-1] ** 2)
+    held: deque[Array] = deque()  # the start node of each open window, in window order
+    lows, highs = [], []
+    last = None
+    for lo in range(0, len(times), block):
+        hi = min(lo + block, len(times))
+        cum = _running_integral(times, w_samples, lo, hi, last)
+        last = cum[-1].copy()
+        held.extend(cum[s - lo].copy() for s in starts[(lo <= starts) & (starts < hi)])
+        closing = stops[(lo <= stops) & (stops < hi)] - lo
+        for first in range(0, len(closing), block):
+            integrals = cum[closing[first:first + block]]
+            for integral in integrals:
+                integral -= held.popleft()
+            evals = np.linalg.eigvalsh(integrals)
+            lows.append(evals[:, 0].copy())
+            highs.append(evals[:, -1].copy())
+    c1, c2 = float(np.concatenate(highs).max()), float(np.concatenate(lows).min())
     return PEReport(delta=float(delta), c1=c1, c2=c2,
                     satisfied=bool(c2 > 1e-9 * max(1.0, c1)), n_windows=len(starts))
 

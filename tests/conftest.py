@@ -1,6 +1,7 @@
 """Shared fixtures: plants, gain designs, and the two synthetic scenarios."""
 
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,19 @@ CONFIG_DIR = Path(__file__).parent.parent / "configs"
 # per-example deadline (a kernel call's time varies with the machine)
 settings.register_profile("fblearn", derandomize=True, deadline=None)
 settings.load_profile("fblearn")
+
+
+def peak_traced_mb(fn) -> float:
+    """Peak memory, in MB, that ``tracemalloc`` traces while ``fn()`` runs.
+
+    numpy reports its array buffers to ``tracemalloc``, so they count.
+    """
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

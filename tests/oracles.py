@@ -24,6 +24,10 @@ The steady-window oracle reduces a cell's full-horizon record, node 0 on,
 with the steady window given as an absolute step and the kept trials
 gathered by a boolean mask, as the sweep did before its ensembles recorded
 only their windows.
+The excitation oracle is the persistence-of-excitation check as it was
+before it streamed its window integrals: whole ``(samples, p, p)`` stacks
+of ``W.T W``, its trapezoid segments and their cumulative sum, and one
+batched eigen-solve over every window.
 """
 
 import numpy as np
@@ -287,3 +291,29 @@ def full_record_steady_stats(e, phi, diverged, steady_from, lambdas, block=25):
                 per_step[lam].append(np.quantile(deviations, 1.0 - lam, axis=0))
     quantiles = {lam: float(np.mean(np.concatenate(parts))) for lam, parts in per_step.items()}
     return quantiles, float(np.mean(np.concatenate(offsets))), int(np.sum(diverged))
+
+
+def all_at_once_pe_check(times, w_samples, delta, stride=1):
+    """Persistence-of-excitation report from whole-series stacks and one eigen-solve."""
+    from fblearn import PEReport
+
+    times = np.asarray(times, dtype=float)
+    w_samples = np.asarray(w_samples, dtype=float)
+    if len(times) < 2:
+        raise ValueError("need at least two regressor samples")
+    if times[-1] - times[0] < delta * (1.0 - 1e-12):
+        raise ValueError(f"series spans {times[-1] - times[0]:.6g} s, shorter than "
+                         f"the window delta={delta:.6g} s")
+    wtw = np.einsum("tqi,tqj->tij", w_samples, w_samples)
+    seg = 0.5 * (wtw[1:] + wtw[:-1]) * (times[1:] - times[:-1])[:, None, None]
+    cum = np.concatenate([np.zeros((1,) + wtw.shape[1:]), np.cumsum(seg, axis=0)])
+
+    ends = np.searchsorted(times, times + delta * (1.0 - 1e-12), side="left")
+    starts = np.arange(0, len(times), max(1, int(stride)))
+    starts = starts[ends[starts] < len(times)]
+    if len(starts) == 0:
+        raise ValueError("no complete window fits in the sample series")
+    evals = np.linalg.eigvalsh(cum[ends[starts]] - cum[starts])
+    c1, c2 = float(evals[:, -1].max()), float(evals[:, 0].min())
+    return PEReport(delta=float(delta), c1=c1, c2=c2,
+                    satisfied=bool(c2 > 1e-9 * max(1.0, c1)), n_windows=len(starts))

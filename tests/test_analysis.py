@@ -1,5 +1,10 @@
+import math
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fblearn import (PolicyConfig, assemble_W, build_reference_model, design_gain,
                      eval_learned_controller, fit_exponential_bound, linearizing_terms,
@@ -7,9 +12,33 @@ from fblearn import (PolicyConfig, assemble_W, build_reference_model, design_gai
                      regressor_series, run_episode, sample_reference, simulate_ideal,
                      transition_matrix, transition_norm_grid)
 
+from fblearn.analysis import _PE_BLOCK
 from fblearn.errors import DivergenceError
 
-from oracles import expm, kron_columns, least_squares_cost
+from conftest import peak_traced_mb
+from oracles import all_at_once_pe_check, expm, kron_columns, least_squares_cost
+
+# a regressor width whose W.T W alone overflows pe_check's block budget, so
+# that every block of the running integral holds one sample
+ONE_SAMPLE_P = math.isqrt(_PE_BLOCK) + 1
+
+
+@st.composite
+def pe_inputs(draw):
+    """Sample times, regressor samples, window and stride for ``pe_check``.
+
+    Gaps between sample times vary; ``p`` runs from one block holding every
+    sample (and every window) through a few samples a block to one sample a
+    block.
+    """
+    p = draw(st.sampled_from([1, 2, 3, 5, 8, 40, ONE_SAMPLE_P]), label="p")
+    q = draw(st.integers(1, 3), label="q")
+    n = draw(st.integers(2, 24 if p == ONE_SAMPLE_P else 200), label="samples")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 1.0, n - 1))])
+    w_samples = rng.standard_normal((n, q, p))
+    delta = draw(st.floats(0.01, 1.0), label="window fraction") * times[-1]
+    return times, w_samples, delta, draw(st.integers(1, 5), label="stride")
 
 
 @pytest.fixture(scope="module")
@@ -237,6 +266,40 @@ class TestPECheck:
                      axis=-1)[:, None, :]
         report = pe_check(t, W, delta=10.0, stride=5)
         assert report.c1 >= report.c2 >= 0.0
+
+    def test_sample_count_must_match_times(self):
+        with pytest.raises(ValueError, match="2 regressor samples for 101 sample times"):
+            pe_check(np.linspace(0.0, 10.0, 101), np.ones((2, 1, 2)), delta=2.0)
+
+    def test_decreasing_times_and_empty_window_raise(self):
+        W = np.ones((4, 1, 2))
+        with pytest.raises(ValueError, match="must not decrease"):
+            pe_check(np.array([0.0, 2.0, 1.0, 3.0]), W, delta=1.0)
+        with pytest.raises(ValueError, match="must be positive"):
+            pe_check(np.arange(4.0), W, delta=0.0)
+
+    @settings(max_examples=60)
+    @given(inputs=pe_inputs())
+    def test_streamed_report_equals_all_at_once(self, inputs):
+        # the block-streamed integrals give the whole-series report bit for bit
+        try:
+            want = all_at_once_pe_check(*inputs)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                pe_check(*inputs)
+            return
+        assert repr(pe_check(*inputs)) == repr(want)
+
+    def test_memory_follows_open_windows_not_samples(self):
+        # 1201 samples at p = 64: one (samples, p, p) stack is 39 MB, and the
+        # whole-series check traces 175 MB; 200 open windows hold 6.3 MB, and
+        # the streamed check traces 7.1 MB
+        t = np.linspace(0.0, 60.0, 1201)
+        W = np.random.default_rng(3).standard_normal((1201, 2, 64))
+        reports = []
+        peak = peak_traced_mb(lambda: reports.append(pe_check(t, W, delta=10.0, stride=1)))
+        assert reports[0].n_windows == 1001
+        assert peak <= 32.0, f"pe_check peaked at {peak:.1f} MB traced"
 
 
 class TestExponentialFit:
