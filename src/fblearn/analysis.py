@@ -20,10 +20,10 @@ is applied matrix-free as ``[(A + B K) e + B (W p); -W.T (W p)]``.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate
-from typing import Callable
+from itertools import accumulate, chain, repeat
+from numbers import Integral
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -69,8 +69,8 @@ def ltv_matrix(ref: ReferenceModel, gains: GainMatrix, W: Array) -> Array:
 def interp_matrix_series(times: Array, values: Array) -> Callable[[float | Array], Array]:
     """Entrywise linear interpolant of a matrix time series, clamped at the ends.
 
-    Needs two samples or more.  The interpolant broadcasts over an array of
-    times, bit for bit.
+    Needs two samples or more, at times that do not decrease.  The
+    interpolant broadcasts over an array of times, bit for bit.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -78,6 +78,8 @@ def interp_matrix_series(times: Array, values: Array) -> Callable[[float | Array
         raise ValueError(f"{len(times)} sample times for {len(values)} matrices")
     if len(times) < 2:
         raise ValueError(f"need at least two samples to interpolate, got {len(times)}")
+    if np.any(np.diff(times) < 0):
+        raise ValueError("sample times must not decrease")
 
     def w_of_t(t: float | Array) -> Array:
         t = np.asarray(t, dtype=float)
@@ -151,45 +153,50 @@ class PEReport:
     n_windows: int
 
 
-# Elements of the ``(samples, p, p)`` running integral that :func:`pe_check`
-# forms at once; a block holds one sample at least, whatever ``p`` is.
+# Elements of the ``(samples, p, p)`` running integral that
+# :func:`_running_nodes` forms at once; a block holds one sample at least,
+# whatever ``p`` is.
 _PE_BLOCK = 1 << 14
 
 
-def _running_integral(times: Array, w_samples: Array, lo: int, hi: int,
-                      last: Array | None) -> Array:
-    """Nodes ``lo .. hi - 1`` of the trapezoid running integral of ``W.T W``.
+def _running_nodes(times: Array, w_samples: Array, block: int) -> Iterator[Array]:
+    """Yield the nodes of the trapezoid running integral of ``W.T W``, in order.
 
-    ``last`` is node ``lo - 1`` (``None`` at ``lo == 0``, where node 0 is
-    zero).  Every node is the sum a whole-series ``np.cumsum`` forms, in its
-    order, so each equals that sum's node bit for bit.
+    Node 0 is zero.  The nodes are formed ``block`` samples at a time, each
+    block's ``np.cumsum`` starting from the last node before it, and the first
+    from ``-0.0``, the exact additive identity: every node is the sum a
+    whole-series ``np.cumsum`` forms, in its order, so each equals that sum's
+    node bit for bit.
     """
-    a = max(lo - 1, 0)
-    wtw = np.einsum("tqi,tqj->tij", w_samples[a:hi], w_samples[a:hi])
-    seg = 0.5 * (wtw[1:] + wtw[:-1]) * (times[a + 1:hi] - times[a:hi - 1])[:, None, None]
-    if last is None:
-        return np.concatenate([np.zeros((1,) + wtw.shape[1:]), np.cumsum(seg, axis=0)])
-    seg[0] += last
-    return np.cumsum(seg, axis=0)
+    node = np.full(w_samples.shape[-1:] * 2, -0.0)
+    yield np.zeros_like(node)
+    for lo in range(0, len(times) - 1, block):
+        w, t = w_samples[lo:lo + block + 1], times[lo:lo + block + 1]
+        wtw = np.einsum("tqi,tqj->tij", w, w)
+        seg = 0.5 * (wtw[1:] + wtw[:-1]) * (t[1:] - t[:-1])[:, None, None]
+        seg[0] += node
+        nodes = np.cumsum(seg, axis=0)
+        yield from nodes
+        node = nodes[-1]
 
 
 def pe_check(times: Array, w_samples: Array, delta: float, stride: int = 1) -> PEReport:
     """Check persistence of excitation over sliding windows of length ``delta``.
 
     Integrates ``W.T W`` by the trapezoid rule over every window (start
-    indices advancing by ``stride`` samples); ``c2`` is the smallest minimum
-    eigenvalue over windows, ``c1`` the largest maximum.  ``satisfied``
-    needs ``c2 > 1e-9 * max(1, c1)``: the relative floor makes
+    indices advancing by ``stride`` samples, an integer >= 1); ``c2`` is the
+    smallest minimum eigenvalue over windows, ``c1`` the largest maximum.
+    ``satisfied`` needs ``c2 > 1e-9 * max(1, c1)``: the relative floor makes
     rank-deficient integrals, whose eigenvalues sit at round-off scale,
     count as failures.
 
-    The running integral is formed a block of samples at a time
-    (``_PE_BLOCK`` matrix elements), and a window's start node is held only
-    until the block that holds its end node, where the window's eigenvalues
-    are taken.  Besides the input, memory is O((block + open windows) * p^2)
-    for ``p`` parameters, not O(samples * p^2).  Every node and window
-    integral is the one a whole-series cumulative sum gives, so the report
-    equals that computation bit for bit.
+    A window's integral is its end node less its start node of the running
+    integral.  Two cursors walk :func:`_running_nodes`, one to each window's
+    start node and one to its end node, so each node is formed twice and no
+    node is held past its window: besides the input, memory is
+    O(block * p^2) for ``p`` parameters, whatever the sample and window
+    counts.  Every node and window integral is the one a whole-series
+    cumulative sum gives, so the report equals that computation bit for bit.
     """
     times = np.asarray(times, dtype=float)
     w_samples = np.asarray(w_samples, dtype=float)
@@ -199,6 +206,8 @@ def pe_check(times: Array, w_samples: Array, delta: float, stride: int = 1) -> P
         raise ValueError("need at least two regressor samples")
     if not delta > 0:
         raise ValueError(f"window delta={delta:.6g} s must be positive")
+    if isinstance(stride, bool) or not isinstance(stride, Integral) or stride < 1:
+        raise ValueError(f"stride={stride!r} must be an integer >= 1")
     if np.any(np.diff(times) < 0):
         raise ValueError("sample times must not decrease")
     if times[-1] - times[0] < delta * (1.0 - 1e-12):
@@ -206,30 +215,20 @@ def pe_check(times: Array, w_samples: Array, delta: float, stride: int = 1) -> P
                          f"the window delta={delta:.6g} s")
     # with times in order, a window ends after it starts and ends grow with starts
     ends = np.searchsorted(times, times + delta * (1.0 - 1e-12), side="left")
-    starts = np.arange(0, len(times), max(1, int(stride)))
+    starts = np.arange(0, len(times), stride)
     starts = starts[ends[starts] < len(times)]
     if len(starts) == 0:
         raise ValueError("no complete window fits in the sample series")
-    stops = ends[starts]
 
     block = max(1, _PE_BLOCK // w_samples.shape[-1] ** 2)
-    held: deque[Array] = deque()  # the start node of each open window, in window order
-    lows, highs = [], []
-    last = None
-    for lo in range(0, len(times), block):
-        hi = min(lo + block, len(times))
-        cum = _running_integral(times, w_samples, lo, hi, last)
-        last = cum[-1].copy()
-        held.extend(cum[s - lo].copy() for s in starts[(lo <= starts) & (starts < hi)])
-        closing = stops[(lo <= stops) & (stops < hi)] - lo
-        for first in range(0, len(closing), block):
-            integrals = cum[closing[first:first + block]]
-            for integral in integrals:
-                integral -= held.popleft()
-            evals = np.linalg.eigvalsh(integrals)
-            lows.append(evals[:, 0].copy())
-            highs.append(evals[:, -1].copy())
-    c1, c2 = float(np.concatenate(highs).max()), float(np.concatenate(lows).min())
+    # a cursor yields node i once per window that starts (or ends) there
+    start_nodes, end_nodes = (
+        chain.from_iterable(map(repeat, _running_nodes(times, w_samples, block),
+                                np.bincount(index)))
+        for index in (starts, ends[starts]))
+    bounds = np.array([np.linalg.eigvalsh(end - start)[[0, -1]]
+                       for start, end in zip(start_nodes, end_nodes)])
+    c1, c2 = float(bounds[:, 1].max()), float(bounds[:, 0].min())
     return PEReport(delta=float(delta), c1=c1, c2=c2,
                     satisfied=bool(c2 > 1e-9 * max(1.0, c1)), n_windows=len(starts))
 

@@ -290,16 +290,32 @@ class TestPECheck:
             return
         assert repr(pe_check(*inputs)) == repr(want)
 
+    @pytest.mark.parametrize("stride", [0, -5, 2.9, True])
+    def test_stride_must_be_a_positive_integer(self, stride):
+        t = np.linspace(0.0, 10.0, 101)
+        with pytest.raises(ValueError, match=re.escape(f"stride={stride!r} must be")):
+            pe_check(t, np.ones((101, 1, 2)), delta=2.0, stride=stride)
+
     def test_memory_follows_open_windows_not_samples(self):
         # 1201 samples at p = 64: one (samples, p, p) stack is 39 MB, and the
-        # whole-series check traces 175 MB; 200 open windows hold 6.3 MB, and
-        # the streamed check traces 7.1 MB
+        # whole-series check traces 175 MB; the streamed check holds no
+        # window's start node and traces 1.4 MB
         t = np.linspace(0.0, 60.0, 1201)
         W = np.random.default_rng(3).standard_normal((1201, 2, 64))
         reports = []
         peak = peak_traced_mb(lambda: reports.append(pe_check(t, W, delta=10.0, stride=1)))
         assert reports[0].n_windows == 1001
         assert peak <= 32.0, f"pe_check peaked at {peak:.1f} MB traced"
+
+    def test_memory_does_not_grow_with_open_windows(self):
+        # 1001 windows of 5000 samples are open at once at p = 64: holding
+        # their start nodes would take 31 MB, and the two cursors trace 1.5 MB
+        t = np.linspace(0.0, 60.0, 6001)
+        W = np.random.default_rng(3).standard_normal((6001, 2, 64))
+        reports = []
+        peak = peak_traced_mb(lambda: reports.append(pe_check(t, W, delta=50.0, stride=1)))
+        assert reports[0].n_windows == 1001
+        assert peak <= 4.0, f"pe_check peaked at {peak:.1f} MB traced"
 
 
 class TestExponentialFit:
@@ -343,6 +359,11 @@ class TestInterp:
     def test_fewer_than_two_samples_raise(self, n_samples):
         with pytest.raises(ValueError, match="two samples"):
             interp_matrix_series(np.arange(n_samples, dtype=float), np.ones((n_samples, 1, 2)))
+
+    def test_decreasing_times_raise(self):
+        with pytest.raises(ValueError, match="must not decrease"):
+            interp_matrix_series(np.array([0.0, 2.0, 1.0, 3.0]),
+                                 np.arange(4.0).reshape(4, 1, 1))
 
     def test_array_of_times_is_the_scalar_calls(self, rng):
         times = np.cumsum(rng.uniform(0.05, 0.2, 40))
