@@ -11,7 +11,7 @@ from .errors import (ConfigError, DimensionError, DivergenceError, FblearnError,
 from .learning import (BASELINES, AdaptRunRecord, PolicyConfig, derive_seed,
                        discrete_reward, grad_log_policy, run_episode, run_episodes, step_rng,
                        update_params)
-from .linearize import (GainMatrix, ReferenceModel, build_reference_model, design_gain,
+from .linearize import (ReferenceModel, build_reference_model, design_gain,
                         exact_tracking_control, tracking_error)
 from .plants import (DoublePendulumParams, PlantModel, eval_dynamics, linearizing_terms,
                      make_chain_plant, make_double_pendulum, make_inspan_plant, rk4_step,

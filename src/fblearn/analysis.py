@@ -29,14 +29,14 @@ import numpy as np
 
 from .basis import BasisSet, layout_columns
 from .errors import DivergenceError
-from .linearize import GainMatrix, ReferenceModel
+from .linearize import ReferenceModel
 from .plants import PlantModel, linearizing_terms, rk4_step
 
 Array = np.ndarray
 
 
 def assemble_W(plant: PlantModel, bases: BasisSet, x: Array, y_dgamma: Array, e: Array,
-               gains: GainMatrix) -> Array:
+               gains: Array) -> Array:
     """Regressor ``W`` mapping parameter error to error-rate disturbance.
 
     Satisfies ``W @ phi = A_p(x) (u_hat(theta* + phi) - u_hat(theta*))`` for
@@ -45,7 +45,7 @@ def assemble_W(plant: PlantModel, bases: BasisSet, x: Array, y_dgamma: Array, e:
     """
     A_p = np.linalg.inv(linearizing_terms(plant, x)[1])
     e = np.asarray(e, dtype=float)
-    v = np.asarray(y_dgamma, dtype=float) + (gains.K @ e[..., None])[..., 0]
+    v = np.asarray(y_dgamma, dtype=float) + (gains @ e[..., None])[..., 0]
     return layout_columns(bases, bases.features(x), A_p, v)
 
 
@@ -55,12 +55,12 @@ def least_squares_gradient(W: Array, phi: Array) -> Array:
     return (W.swapaxes(-1, -2) @ (W @ phi[..., None]))[..., 0]
 
 
-def ltv_matrix(ref: ReferenceModel, gains: GainMatrix, W: Array) -> Array:
+def ltv_matrix(ref: ReferenceModel, gains: Array, W: Array) -> Array:
     """System matrix of the stacked ``(e, phi)`` dynamics for one ``W``."""
     W = np.asarray(W)
     n_e, n_phi = ref.total_degree, W.shape[1]
     out = np.zeros((n_e + n_phi, n_e + n_phi))
-    out[:n_e, :n_e] = ref.A + ref.B @ gains.K
+    out[:n_e, :n_e] = ref.A + ref.B @ gains
     out[:n_e, n_e:] = ref.B @ W
     out[n_e:, n_e:] = -W.T @ W
     return out
@@ -92,7 +92,7 @@ def interp_matrix_series(times: Array, values: Array) -> Callable[[float | Array
 
 
 def simulate_ideal(w_of_t: Callable[[float | Array], Array], ref: ReferenceModel,
-                   gains: GainMatrix, X0: Array, horizon: float, step: float,
+                   gains: Array, X0: Array, horizon: float, step: float,
                    t0: float | Array = 0.0) -> Array:
     """Integrate the idealized stacked dynamics ``X' = A(t) X`` by RK4; return the end state.
 
@@ -105,7 +105,7 @@ def simulate_ideal(w_of_t: Callable[[float | Array], Array], ref: ReferenceModel
     X = np.asarray(X0, dtype=float)
     n_steps = max(1, int(np.ceil(horizon / step - 1e-12)))
     h = horizon / n_steps
-    n_e, acl = ref.total_degree, ref.A + ref.B @ gains.K
+    n_e, acl = ref.total_degree, ref.A + ref.B @ gains
 
     def rate(t: Array, X: Array) -> Array:
         W = w_of_t(t)
@@ -123,7 +123,7 @@ def simulate_ideal(w_of_t: Callable[[float | Array], Array], ref: ReferenceModel
 
 
 def transition_matrix(w_of_t: Callable[[float | Array], Array], ref: ReferenceModel,
-                      gains: GainMatrix, t_start: float | Array, t_end: float | Array,
+                      gains: Array, t_start: float | Array, t_end: float | Array,
                       step: float) -> Array:
     """State-transition matrix of the stacked dynamics from ``t_start`` to ``t_end``.
 
@@ -166,14 +166,21 @@ def _running_nodes(times: Array, w_samples: Array, block: int) -> Iterator[Array
     block's ``np.cumsum`` starting from the last node before it, and the first
     from ``-0.0``, the exact additive identity: every node is the sum a
     whole-series ``np.cumsum`` forms, in its order, so each equals that sum's
-    node bit for bit.
+    node bit for bit.  Each sample's ``W.T W`` is formed once: a block starts
+    from the previous block's last one.
     """
     node = np.full(w_samples.shape[-1:] * 2, -0.0)
     yield np.zeros_like(node)
+    wtw = np.einsum("tqi,tqj->tij", w_samples[:1], w_samples[:1])
     for lo in range(0, len(times) - 1, block):
-        w, t = w_samples[lo:lo + block + 1], times[lo:lo + block + 1]
-        wtw = np.einsum("tqi,tqj->tij", w, w)
-        seg = 0.5 * (wtw[1:] + wtw[:-1]) * (t[1:] - t[:-1])[:, None, None]
+        w, t = w_samples[lo + 1:lo + block + 1], times[lo:lo + block + 1]
+        last, wtw = wtw[-1], np.einsum("tqi,tqj->tij", w, w)
+        # each segment is 0.5 * (later + earlier) * gap, formed in place
+        seg = np.empty_like(wtw)
+        np.add(wtw[0], last, out=seg[0])
+        np.add(wtw[1:], wtw[:-1], out=seg[1:])
+        seg *= 0.5
+        seg *= (t[1:] - t[:-1])[:, None, None]
         seg[0] += node
         nodes = np.cumsum(seg, axis=0)
         yield from nodes
@@ -286,7 +293,7 @@ def fit_exponential_bound(gaps: Array, norms: Array) -> StabilityFit:
 
 
 def transition_norm_grid(w_of_t: Callable[[float | Array], Array], ref: ReferenceModel,
-                         gains: GainMatrix, t_grid: Array, step: float) -> tuple[Array, Array]:
+                         gains: Array, t_grid: Array, step: float) -> tuple[Array, Array]:
     """Spectral norms of ``Phi(t1, t2)`` over all ordered grid pairs.
 
     Integrates the propagators of all adjacent intervals of the uniform grid

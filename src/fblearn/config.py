@@ -20,7 +20,7 @@ from pathlib import Path
 import yaml
 
 from .errors import ConfigError
-from .learning import BASELINES
+from .learning import BASELINES, PolicyConfig
 
 SCENARIOS = ("double_pendulum", "inspan_synthetic")
 
@@ -145,7 +145,7 @@ class ExperimentConfig:
                       "be an integer in [0, 2**128)")
     dt: float = _positive(0.05)
     sigma2: float = _positive(0.1)
-    noise_clip: float = _positive(5.0)
+    noise_clip: float = _positive(PolicyConfig.noise_clip)
     pole: float = _rule(-1.5, lambda v: _number(v) and v < 0, "be a negative number")
     horizon_s: float = _positive(60.0)
     baseline: str = _one_of("mean_of_past", BASELINES)

@@ -22,9 +22,10 @@ Randomness discipline: step ``k`` of the run seeded by ``seed`` draws from
 its own substream ``step_rng(seed, k)``, so runs with learning enabled and
 disabled see the identical noise sequence and paired comparisons are exact.
 Replaying a seed reproduces a run bit for bit.  The runners compute the
-whole horizon's substream draws in bulk (``step_normals``), bit for bit
-equal to building each ``step_rng`` in turn; a test pins that mapping.  The
-bulk draw is the only noise path: seeds are integers in ``[0, 2**128)``.
+whole horizon's substream draws in bulk (``step_normals``: NumPy mixes the
+seed once, and only the step index is mixed in by hand), bit for bit equal
+to building each ``step_rng`` in turn; a test pins that mapping.  The bulk
+draw is the only noise path: seeds are integers in ``[0, 2**128)``.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 from .analysis import assemble_W, least_squares_gradient
 from .basis import BasisSet, controller_jacobian, eval_learned_controller
 from .errors import DimensionError, DivergenceError, SingularMatrixError
-from .linearize import GainMatrix, ReferenceModel
+from .linearize import ReferenceModel
 from .plants import PlantModel, rk4_step
 from .reference import SinusoidSum, sample_reference
 
@@ -81,13 +82,13 @@ def step_normals(seed: int, horizon: int, q: int) -> Array:
     """Standard normals of steps ``0 .. horizon - 1`` of the run seeded by ``seed``.
 
     Row ``k`` equals ``step_rng(seed, k).standard_normal(q)`` bit for bit.
-    Instead of building a ``SeedSequence`` per step, NumPy's entropy mixing
-    runs once for all steps: for ``0 <= seed < 2**128`` the entropy is the
-    seed's four 32-bit words followed by the spawn key ``(0, k)``, and only
-    the last word depends on ``k``.  PCG64's seeding step then gives each
-    step's 128-bit state and increment, which are set on one reused
-    generator.  Raises ``ValueError`` for any other seed, and
-    ``DimensionError`` for a horizon outside ``[0, 2**32]``.
+    For ``0 <= seed < 2**128`` the entropy is the seed's four 32-bit words
+    followed by the spawn key ``(0, k)``, and only the last word depends on
+    ``k``: one ``SeedSequence(seed, spawn_key=(0,))`` mixes the rest, and the
+    step words are mixed into its pool for all steps at once.  PCG64's
+    seeding step then gives each step's 128-bit state and increment, which
+    are set on one reused generator.  Raises ``ValueError`` for any other
+    seed, and ``DimensionError`` for a horizon outside ``[0, 2**32]``.
     """
     if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2 ** 128):
         raise ValueError(f"seed must be an integer in [0, 2**128), got {seed!r}")
@@ -95,22 +96,14 @@ def step_normals(seed: int, horizon: int, q: int) -> Array:
         raise DimensionError(f"horizon must lie in [0, 2**32], got {horizon}")
     out = np.empty((horizon, q))
 
-    # SeedSequence.mix_entropy over [seed words, 0, k]: the pool is fixed by
-    # the seed words and the 0; the step index k enters last
-    hash_const = _INIT_A
-    pool = []
-    for i in range(4):
-        value, hash_const = _hash((int(seed) >> (32 * i)) & _MASK32, hash_const, _MULT_A)
-        pool.append(value)
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                value, hash_const = _hash(pool[src], hash_const, _MULT_A)
-                pool[dst] = _mix(pool[dst], value)
-    for word in (0, np.arange(horizon, dtype=np.uint64)):
-        for dst in range(4):
-            value, hash_const = _hash(word, hash_const, _MULT_A)
-            pool[dst] = _mix(pool[dst], value)
+    # SeedSequence.mix_entropy over [seed words, 0, k]: NumPy mixes the seed words
+    # and the 0 in 20 hashing rounds; the step index k enters last, by hand
+    pool = np.random.SeedSequence(int(seed), spawn_key=(0,)).pool.tolist()
+    hash_const = _INIT_A * pow(_MULT_A, 20, 1 << 32) & _MASK32
+    steps = np.arange(horizon, dtype=np.uint64)
+    for dst in range(4):
+        value, hash_const = _hash(steps, hash_const, _MULT_A)
+        pool[dst] = _mix(pool[dst], value)
 
     # SeedSequence.generate_state(4, uint64): eight 32-bit words, little-endian pairs
     hash_const = _INIT_B
@@ -197,7 +190,7 @@ def _scale_and_clip(cfg: PolicyConfig, z: Array) -> Array:
     return np.clip(sigma * z, -bound, bound)
 
 
-def discrete_reward(e: Array, e_next: Array, ref: ReferenceModel, gains: GainMatrix,
+def discrete_reward(e: Array, e_next: Array, ref: ReferenceModel, gains: Array,
                     dt: float) -> float | Array:
     """One-step reward ``0.5 * || (e_next - Abar e) / dt ||^2``.
 
@@ -209,7 +202,7 @@ def discrete_reward(e: Array, e_next: Array, ref: ReferenceModel, gains: GainMat
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    abar = np.eye(ref.total_degree) + dt * (ref.A + ref.B @ gains.K)
+    abar = np.eye(ref.total_degree) + dt * (ref.A + ref.B @ gains)
     e = np.asarray(e, dtype=float)
     resid = (np.asarray(e_next, dtype=float) - (abar @ e[..., None])[..., 0]) / dt
     return 0.5 * (resid[..., None, :] @ resid[..., :, None])[..., 0, 0]
@@ -316,7 +309,7 @@ def _per_lane(name: str, value, dtype, n_lanes: int, row: tuple = ()) -> Array:
 
 
 def _lockstep(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0: Array,
-              reference: SinusoidSum, ref_model: ReferenceModel, gains: GainMatrix,
+              reference: SinusoidSum, ref_model: ReferenceModel, gains: Array,
               dt: float, sigma2: float | Array, baseline_kind: str, noise: Array,
               x0: Array | None, t0: float, learn: bool | Sequence[bool],
               theta_star: Array | None, update_rule: str, substeps: int,
@@ -369,7 +362,7 @@ def _lockstep(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0: A
 
     def advance(k, x, e, theta, w, learn, b_val, sigma2):
         """Interval ``k`` for the given lanes: ``x, xi, e, theta`` at its end, ``u``, reward."""
-        v = y_dg[k] + (gains.K @ e[..., None])[..., 0]
+        v = y_dg[k] + (gains @ e[..., None])[..., 0]
         u_hat = eval_learned_controller(bases, theta, nominal, x, v)
         u = u_hat + w
 
@@ -449,7 +442,7 @@ def _lockstep(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0: A
 
 
 def run_episodes(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0: Array,
-                 reference: SinusoidSum, ref_model: ReferenceModel, gains: GainMatrix,
+                 reference: SinusoidSum, ref_model: ReferenceModel, gains: Array,
                  cfg: PolicyConfig, baseline_kind: str = "none", horizon: int = 1200,
                  seeds: Sequence[int] = (0,), x0: Array | None = None,
                  learn: bool | Sequence[bool] = True,
@@ -490,7 +483,7 @@ def run_episodes(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0
 
 
 def run_episode(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0: Array,
-                reference: SinusoidSum, ref_model: ReferenceModel, gains: GainMatrix,
+                reference: SinusoidSum, ref_model: ReferenceModel, gains: Array,
                 cfg: PolicyConfig, baseline_kind: str = "none", horizon: int = 1200,
                 seed: int = 0, x0: Array | None = None, learn: bool = True,
                 theta_star: Array | None = None, update_rule: str = "policy_gradient",
@@ -526,7 +519,7 @@ def run_episode(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0:
 
 
 def run_ensemble(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0: Array,
-                 reference: SinusoidSum, ref_model: ReferenceModel, gains: GainMatrix,
+                 reference: SinusoidSum, ref_model: ReferenceModel, gains: Array,
                  cfg: PolicyConfig, n_trials: int, horizon: int,
                  baseline_kind: str = "mean_of_past", seed: int = 0, cell_key: int = 0,
                  x0: Array | None = None, theta_star: Array | None = None,

@@ -49,16 +49,6 @@ class ReferenceModel:
         return tuple(int(s) for s in starts)
 
 
-@dataclass(frozen=True)
-class GainMatrix:
-    """Feedback gain ``K`` of the error dynamics ``e' = (A + B K) e``.
-
-    :func:`design_gain` places every eigenvalue of ``A + B K`` at one pole.
-    """
-
-    K: Array
-
-
 def build_reference_model(gamma) -> ReferenceModel:
     """Build the chain-of-integrators reference model for a relative degree.
 
@@ -84,8 +74,8 @@ def build_reference_model(gamma) -> ReferenceModel:
     return ReferenceModel(A=A, B=B, gamma=gamma)
 
 
-def design_gain(ref: ReferenceModel, pole: float) -> GainMatrix:
-    """Place every closed-loop eigenvalue of ``A + B K`` at ``pole``.
+def design_gain(ref: ReferenceModel, pole: float) -> Array:
+    """The ``(q, total_degree)`` gain ``K`` placing every eigenvalue of ``A + B K`` at ``pole``.
 
     Each output block is an integrator chain, so coefficient matching against
     ``(s - pole)^g`` gives the block's gain row directly and ``K`` is block
@@ -99,7 +89,7 @@ def design_gain(ref: ReferenceModel, pole: float) -> GainMatrix:
         # y^(g) = sum_i k_i y^(i) with char poly s^g - sum_i k_i s^i = (s-pole)^g
         for i in range(g):
             K[j, start + i] = -comb(g, i) * (-pole) ** (g - i)
-    return GainMatrix(K=K)
+    return K
 
 
 def tracking_error(xi: Array, xi_d: Array) -> Array:
@@ -112,7 +102,7 @@ def tracking_error(xi: Array, xi_d: Array) -> Array:
 
 
 def exact_tracking_control(model: PlantModel, x: Array, xi_d: Array, y_dgamma: Array,
-                           gains: GainMatrix) -> Array:
+                           gains: Array) -> Array:
     """Exact-model tracking law ``u = beta(x) + alpha(x) (y_d^(g) + K e)``.
 
     Requires the plant's true linearizing controller, so this is the oracle
@@ -123,4 +113,4 @@ def exact_tracking_control(model: PlantModel, x: Array, xi_d: Array, y_dgamma: A
     x = np.asarray(x, dtype=float)
     e = tracking_error(model.output_chain(x), xi_d)
     beta, alpha = linearizing_terms(model, x)
-    return beta + alpha @ (np.asarray(y_dgamma, dtype=float) + gains.K @ e)
+    return beta + alpha @ (np.asarray(y_dgamma, dtype=float) + gains @ e)

@@ -10,7 +10,7 @@ from .basis import BasisSet, build_rbf_grid, polynomial_basis
 from .config import BasisSection, ExperimentConfig
 from .errors import ConfigError
 from .learning import PolicyConfig
-from .linearize import GainMatrix, ReferenceModel, build_reference_model, design_gain
+from .linearize import ReferenceModel, build_reference_model, design_gain
 from .plants import (DoublePendulumParams, PlantModel, make_chain_plant, make_double_pendulum,
                      make_inspan_plant)
 from .reference import SinusoidSum, sample_reference, two_tone_reference
@@ -41,7 +41,7 @@ class Scenario:
     bases: BasisSet
     reference: SinusoidSum
     ref_model: ReferenceModel
-    gains: GainMatrix
+    gains: Array
     theta0: Array
     theta_star: Array | None
     x0: Array

@@ -9,7 +9,7 @@ error across seeded trials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -118,7 +118,7 @@ def mc_gradient_samples(scenario: Scenario, theta: Array, cfg: PolicyConfig,
 
     ref_k = sample_reference(scenario.reference, scenario.ref_model.gamma, t_k)
     e = tracking_error(plant.output_chain(x_k), ref_k.xi_d)
-    v = ref_k.y_dgamma + gains.K @ e
+    v = ref_k.y_dgamma + gains @ e
     u_hat = eval_learned_controller(bases, theta, scenario.nominal, x_k, v)
     W = assemble_W(plant, bases, x_k, ref_k.y_dgamma, e, gains)
     target = least_squares_gradient(W, theta - scenario.theta_star)
@@ -238,8 +238,7 @@ def mc_sweep(scenario: Scenario, base_cfg: PolicyConfig, trials: int, lambdas,
     specs += [(base_cfg.dt, float(s2)) for s2 in sigma2_list]
     if not specs:
         specs = [(base_cfg.dt, base_cfg.sigma2)]
-    cells = [_Cell(PolicyConfig(sigma2=sigma2, dt=dt, noise_clip=base_cfg.noise_clip), idx,
-                   scenario.theta0, 4, lambdas)
+    cells = [_Cell(replace(base_cfg, dt=dt, sigma2=sigma2), idx, scenario.theta0, 4, lambdas)
              for idx, (dt, sigma2) in enumerate(dict.fromkeys(specs))]
     bias_cells = _bias_cells(scenario, base_cfg, bias_dts)
     stats = _run_cells(scenario, cells + bias_cells, trials, horizon_s, seed, substeps,
@@ -273,9 +272,7 @@ def _check_sweep(trials: int, **lists) -> None:
 
 def _bias_cells(scenario: Scenario, base_cfg: PolicyConfig, dt_list) -> list:
     """One bias cell per dt, keyed ``1000 + index``, its trials starting on ``theta_star``."""
-    return [_Cell(PolicyConfig(sigma2=base_cfg.sigma2, dt=float(dt),
-                               noise_clip=base_cfg.noise_clip),
-                  1000 + idx, scenario.theta_star, 2)
+    return [_Cell(replace(base_cfg, dt=float(dt)), 1000 + idx, scenario.theta_star, 2)
             for idx, dt in enumerate(dt_list)]
 
 

@@ -198,7 +198,7 @@ def sequential_episode(plant, nominal, bases, theta0, reference, ref_model, gain
         b = 0.0 if not past or baseline_kind == "none" else sum(past) / len(past)
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                v = ref.y_dgamma[k] + (gains.K @ e[..., None])[..., 0]
+                v = ref.y_dgamma[k] + (gains @ e[..., None])[..., 0]
                 u_hat = eval_learned_controller(bases, theta, nominal, x, v)
                 u = u_hat + w[k]
                 x_next = x
@@ -257,7 +257,7 @@ def one_interval_gradient(scenario, theta, cfg, t_k, x_k, n_draws, seed, substep
     ref_k = sample_reference(scenario.reference, ref_model.gamma, t_k)
     ref_next = sample_reference(scenario.reference, ref_model.gamma, t_k + cfg.dt)
     e = tracking_error(plant.output_chain(x_k), ref_k.xi_d)
-    v = ref_k.y_dgamma + gains.K @ e
+    v = ref_k.y_dgamma + gains @ e
     u_hat = eval_learned_controller(bases, theta, scenario.nominal, x_k, v)
     W = assemble_W(plant, bases, x_k, ref_k.y_dgamma, e, gains)
     target = least_squares_gradient(W, theta - scenario.theta_star)

@@ -38,7 +38,7 @@ def closed_loop_error_gap(plant, control, reference, gamma, ref_model, gains, e0
     xi0 = sample_reference(reference, gamma, 0.0).xi_d + e0
     x0 = xi0 if x0_map is None else x0_map(xi0)
     times, states = simulate_closed_loop(plant, control, x0, t_final, 1e-3)
-    acl = ref_model.A + ref_model.B @ gains.K
+    acl = ref_model.A + ref_model.B @ gains
     worst = 0.0
     for i in range(0, len(times), 100):
         s = sample_reference(reference, gamma, times[i])
@@ -68,7 +68,7 @@ def test_c02_inspan_exactness(inspan1):
 
     def control(x, t):
         s = sample_reference(inspan1.reference, (2,), t)
-        v = s.y_dgamma + inspan1.gains.K @ (x - s.xi_d)
+        v = s.y_dgamma + inspan1.gains @ (x - s.xi_d)
         return eval_learned_controller(inspan1.bases, inspan1.theta_star,
                                        inspan1.nominal, x, v)
 

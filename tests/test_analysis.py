@@ -12,6 +12,7 @@ from fblearn import (PolicyConfig, assemble_W, build_reference_model, design_gai
                      regressor_series, run_episode, sample_reference, simulate_ideal,
                      transition_matrix, transition_norm_grid)
 
+from fblearn import analysis
 from fblearn.analysis import _PE_BLOCK
 from fblearn.errors import DivergenceError
 
@@ -62,7 +63,7 @@ class TestRegressor:
             e = 0.3 * rng.standard_normal(4)
             y_dg = rng.standard_normal(2)
             W = assemble_W(pendulum, bases, x, y_dg, e, gains22)
-            v = y_dg + gains22.K @ e
+            v = y_dg + gains22 @ e
             A_p = np.linalg.inv(linearizing_terms(pendulum, x)[1])
             phi = rng.standard_normal(bases.size)
             delta_u = (eval_learned_controller(bases, theta_star + phi, pendulum, x, v)
@@ -77,7 +78,7 @@ class TestRegressor:
     def test_zero_v_zeroes_the_matrix_block(self, inspan1, rng):
         x = rng.uniform(-1, 1, 2)
         e = rng.standard_normal(2)
-        y_dg = -inspan1.gains.K @ e  # makes v = 0
+        y_dg = -inspan1.gains @ e  # makes v = 0
         W = assemble_W(inspan1.plant, inspan1.bases, x, y_dg, e, inspan1.gains)
         np.testing.assert_array_equal(W[:, inspan1.bases.k1:],
                                       np.zeros((1, inspan1.bases.k2)))
@@ -95,7 +96,7 @@ class TestRegressorLayout:
         W = assemble_W(sc.plant, bases, x, y_dg, e, sc.gains)
         for b in range(40):
             A_p = np.linalg.inv(linearizing_terms(sc.plant, x[b])[1])
-            want = kron_columns(bases, bases.features(x[b]), A_p, y_dg[b] + sc.gains.K @ e[b])
+            want = kron_columns(bases, bases.features(x[b]), A_p, y_dg[b] + sc.gains @ e[b])
             np.testing.assert_array_equal(assemble_W(sc.plant, bases, x[b], y_dg[b], e[b],
                                                      sc.gains), want)
             if bases.io_dim > 1:
@@ -146,7 +147,7 @@ class TestIdealSystem:
         w_of_t = lambda t: np.zeros((1, 2))  # noqa: E731
         X = simulate_ideal(w_of_t, ref1, gains1, X0, 4.0, 0.01)
         np.testing.assert_allclose(X[2:], [0.3, -0.4], atol=1e-12)
-        acl = ref1.A + ref1.B @ gains1.K
+        acl = ref1.A + ref1.B @ gains1
         np.testing.assert_allclose(X[:2], expm(acl * 4.0) @ X0[:2], atol=1e-8)
 
     def test_constant_regressor_matches_matrix_exponential(self, ref1, gains1, rng):
@@ -187,7 +188,7 @@ class TestIdealSystem:
     def test_ltv_block_structure(self, ref1, gains1, rng):
         W = rng.standard_normal((1, 4))
         A = ltv_matrix(ref1, gains1, W)
-        np.testing.assert_array_equal(A[:2, :2], ref1.A + ref1.B @ gains1.K)
+        np.testing.assert_array_equal(A[:2, :2], ref1.A + ref1.B @ gains1)
         np.testing.assert_allclose(A[:2, 2:], ref1.B @ W)
         np.testing.assert_allclose(A[2:, 2:], -W.T @ W)
         np.testing.assert_array_equal(A[2:, :2], np.zeros((4, 2)))
@@ -290,6 +291,20 @@ class TestPECheck:
             return
         assert repr(pe_check(*inputs)) == repr(want)
 
+    def test_each_samples_gram_is_formed_once_per_walk(self, monkeypatch):
+        # a block starts from the previous block's last W.T W, not a fresh one
+        einsum, samples = np.einsum, []
+
+        def counting(subscripts, *operands, **kwargs):
+            samples.append(len(operands[0]))
+            return einsum(subscripts, *operands, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", counting)
+        t = np.linspace(0.0, 1.0, 11)
+        W = np.random.default_rng(2).standard_normal((11, 2, 3))
+        assert len(list(analysis._running_nodes(t, W, block=3))) == 11
+        assert sum(samples) == 11
+
     @pytest.mark.parametrize("stride", [0, -5, 2.9, True])
     def test_stride_must_be_a_positive_integer(self, stride):
         t = np.linspace(0.0, 10.0, 101)
@@ -378,3 +393,17 @@ class TestInterp:
             np.testing.assert_array_equal(bulk[k], w_of_t(float(t)))
         np.testing.assert_array_equal(w_of_t(query.reshape(2, -1)),
                                       bulk.reshape(2, -1, 2, 3))
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("call,message", [
+        (lambda: interp_matrix_series(np.arange(3.0), np.ones((2, 1, 1))),
+         "3 sample times for 2 matrices"),
+        (lambda: pe_check(np.zeros(1), np.ones((1, 1, 2)), delta=1.0),
+         "need at least two regressor samples"),
+        (lambda: fit_exponential_bound(np.arange(4.0), np.ones(3)),
+         "gaps and norms must be 1-d arrays of equal length"),
+    ], ids=["interp_matrix_series", "pe_check", "fit_exponential_bound"])
+    def test_a_bad_input_is_named(self, call, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()

@@ -1,3 +1,4 @@
+import re
 from itertools import product
 
 import numpy as np
@@ -65,6 +66,19 @@ class TestLayout:
         bases = polynomial_basis(2, 1, io_dim=1)
         with pytest.raises(DimensionError):
             bases.split(np.zeros(bases.size + 1))
+
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: polynomial_basis(2, 1, io_dim=1).features(np.zeros(3)),
+         "state must have trailing dimension 2, got shape (3,)"),
+        (lambda: rbf_basis(np.zeros((1, 2)), 1.0, io_dim=1, alpha_scale=0.0),
+         "basis scales must be strictly positive"),
+        (lambda: build_rbf_grid([(-1.0, 1.0)] * 2, (3, 0), 1.0, io_dim=1),
+         "all counts must be >= 1, got [3, 0]"),
+    ], ids=["features", "rbf_basis", "build_rbf_grid"])
+    def test_a_bad_input_is_named(self, call, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
 
 
 class TestLearnedController:

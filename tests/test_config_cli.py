@@ -21,7 +21,8 @@ from fblearn.config import (SCENARIOS, BasisSection, DiagSection, ExperimentConf
                             config_from_dict, load_config)
 from fblearn.errors import ConfigError
 from fblearn.learning import BASELINES
-from fblearn.scenarios import build_scenario
+from fblearn.scenarios import build_scenario, policy_config
+from fblearn.studies import mc_sweep
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
 
@@ -72,6 +73,25 @@ class TestConfigParsing:
     def test_seed_required(self):
         with pytest.raises(ConfigError, match="seed"):
             config_from_dict({"scenario": "inspan_synthetic"})
+
+    @pytest.mark.parametrize("text,overrides,message", [
+        ("", (), "scenario: required"),
+        ("- 1\n", (), "{path}: top level must be a mapping"),
+        ("seed: [1,\n", (), "{path}: YAML parse failure"),
+        ("scenario: inspan_synthetic\nseed: 1\n", ("sigma2=[0.1,",),
+         "override 'sigma2=[0.1,': value does not parse"),
+        ("scenario: inspan_synthetic\nseed: 1\nbasis: {box: [[-1, 1]], counts: [2, 2]}\n", (),
+         "basis: box and counts must have matching lengths"),
+    ], ids=["empty", "a list", "bad YAML", "bad override", "box and counts"])
+    def test_a_bad_file_or_override_is_named(self, tmp_path, text, overrides, message):
+        path = tmp_path / "config.yaml"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(message.format(path=path))):
+            load_config(path, overrides)
+
+    def test_a_parsed_config_must_be_a_mapping(self):
+        with pytest.raises(ConfigError, match="config file must contain a mapping"):
+            config_from_dict([("scenario", "inspan_synthetic"), ("seed", 1)])
 
     def test_value_validation_collects_everything(self):
         with pytest.raises(ConfigError) as err:
@@ -174,6 +194,12 @@ class TestScenarios:
         with pytest.raises(ConfigError, match="x0"):
             build_scenario(config_from_dict(minimal(x0=[0.0, 0.0, 0.0])))
 
+    def test_basis_box_dimension_checked(self):
+        with pytest.raises(ConfigError, match=re.escape(
+                "basis.box: needs 2 intervals for this scenario, got 1")):
+            build_scenario(config_from_dict(minimal(basis={"box": [[-1.0, 1.0]],
+                                                           "counts": [3]})))
+
 
 class TestCli:
     def test_run_writes_complete_artifact(self, tmp_path):
@@ -262,6 +288,29 @@ class TestCli:
         cells = (tmp_path / "inspan_synthetic_77_mc" / "cells.csv").read_text()
         assert cells.startswith("dt,sigma2,trials,diverged,mean_offset")
 
+    def test_mc_bias_csv_is_the_bias_report(self, tmp_path):
+        overrides = ["trials=4", "horizon_s=0.4", "dt=0.01", "sweep.dt=[0.04, 0.02]",
+                     "sweep.sigma2=[]"]
+        code = main(["mc", "--config", str(CONFIG_DIR / "inspan_mc.yaml"),
+                     "--out-dir", str(tmp_path)]
+                    + [arg for item in overrides for arg in ("--override", item)])
+        assert code == EXIT_OK
+        out_dir = tmp_path / "inspan_synthetic_77_mc"
+        with (out_dir / "bias.csv").open() as fh:
+            rows = list(csv.reader(fh))
+        written = json.loads((out_dir / "concentration.json").read_text())["bias"]
+        config = load_config(CONFIG_DIR / "inspan_mc.yaml", overrides)
+        _, bias = mc_sweep(build_scenario(config), policy_config(config), trials=config.trials,
+                           lambdas=config.sweep.lam, dt_list=config.sweep.dt,
+                           bias_dts=config.sweep.dt, horizon_s=config.horizon_s,
+                           seed=config.seed, substeps=config.substeps,
+                           baseline_kind=config.baseline)
+        want = [[f"{dt:.17g}", f"{offset:.17g}"] for dt, offset in zip(bias.dts, bias.offsets)]
+        assert len(want) == 2
+        assert rows == [["dt", "mean_offset"]] + want
+        assert [[f"{dt:.17g}", f"{offset:.17g}"]
+                for dt, offset in zip(written["dts"], written["offsets"])] == want
+
     def test_mc_whose_every_trial_diverged_exits_3(self, tmp_path, capsys):
         # every trial starts past the kernel's state bound (1e9)
         code = main(["mc", "--config", str(CONFIG_DIR / "inspan_mc.yaml"),
@@ -281,6 +330,17 @@ class TestCli:
                      "--override", "diag.window_s=5"])
         assert code == EXIT_DIVERGED
         assert "ideal-system integration diverged" in capsys.readouterr().err
+
+    def test_diag_whose_noise_free_run_diverges_exits_3(self, tmp_path, capsys):
+        # the zero-gain in-span plant of the singular compare below fails at step 0
+        code = main(["diag", "--config", str(CONFIG_DIR / "inspan_diag.yaml"),
+                     "--out-dir", str(tmp_path),
+                     "--override", "basis.degree=0",
+                     "--override", "inspan.theta_star_seed=3",
+                     "--override", "inspan.theta_star_scale=0.3912875857153224",
+                     "--override", "horizon_s=2"])
+        assert code == EXIT_DIVERGED
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_diag_reports_pe_and_stability(self, tmp_path):
         code = main(["diag", "--config", str(CONFIG_DIR / "inspan_diag.yaml"),

@@ -51,7 +51,7 @@ class TestPolicy:
         x = rec.x[0]
         np.testing.assert_array_equal(x, inspan1.x0 + 0.1)
         e = x - ref_s.xi_d
-        v = ref_s.y_dgamma + inspan1.gains.K @ e
+        v = ref_s.y_dgamma + inspan1.gains @ e
         u_hat = eval_learned_controller(inspan1.bases, inspan1.theta_star,
                                         inspan1.nominal, x, v)
         assert np.abs(rec.u[0] - u_hat).max() <= 1e-8
@@ -129,7 +129,7 @@ class TestBulkNoise:
 class TestReward:
     def test_exact_euler_step_scores_zero(self, ref22, gains22, rng):
         e = rng.standard_normal(4)
-        abar = np.eye(4) + 0.05 * (ref22.A + ref22.B @ gains22.K)
+        abar = np.eye(4) + 0.05 * (ref22.A + ref22.B @ gains22)
         assert discrete_reward(e, abar @ e, ref22, gains22, 0.05) == pytest.approx(0.0)
 
     def test_unit_arithmetic(self, ref22, gains22):
@@ -277,7 +277,7 @@ class TestRunEpisode:
                           inspan1.gains, cfg, horizon=2000, seed=0,
                           x0=inspan1.x0 + e0, learn=False,
                           theta_star=inspan1.theta_star, substeps=2)
-        acl = inspan1.ref_model.A + inspan1.ref_model.B @ inspan1.gains.K
+        acl = inspan1.ref_model.A + inspan1.ref_model.B @ inspan1.gains
         for k in (0, 500, 1000, 2000):
             want = expm(acl * rec.t[k]) @ e0
             assert np.linalg.norm(rec.e[k] - want) <= 1e-4 * np.linalg.norm(e0)
@@ -381,7 +381,7 @@ class TestRunEpisode:
         assert rec.steps == 30 and rec.w.shape == (30, 1)
         for k in range(rec.steps):
             v = (sample_reference(inspan1.reference, (2,), rec.t[k]).y_dgamma
-                 + inspan1.gains.K @ rec.e[k])
+                 + inspan1.gains @ rec.e[k])
             u_hat = eval_learned_controller(inspan1.bases, rec.theta[k], inspan1.nominal,
                                             rec.x[k], v)
             np.testing.assert_array_equal(rec.u[k], u_hat + rec.w[k])
@@ -402,7 +402,7 @@ class TestRunEpisode:
             assert rec.rewards[k] == discrete_reward(rec.e[k], rec.e[k + 1], inspan1.ref_model,
                                                      inspan1.gains, cfg.dt)
             v = (sample_reference(inspan1.reference, (2,), rec.t[k]).y_dgamma
-                 + inspan1.gains.K @ rec.e[k])
+                 + inspan1.gains @ rec.e[k])
             u_hat = eval_learned_controller(bases, rec.theta[k], nominal, rec.x[k], v)
             score = grad_log_policy(rec.u[k], u_hat, cfg.sigma2,
                                     controller_jacobian(bases, rec.x[k], v))
@@ -512,6 +512,19 @@ class TestEnsemble:
             assert ens.diverged_step.tolist() == [0] * n_trials
             np.testing.assert_array_equal(ens.e[:, 1:], np.broadcast_to(ens.e[:, :1],
                                                                        (n_trials, 5, 2)))
+
+    def test_a_singular_error_naming_no_lanes_propagates(self, inspan1, monkeypatch):
+        # only an error that names its singular lanes fails them; any other leaves the runner
+        def singular(*args, **kwargs):
+            raise SingularMatrixError("decoupling matrix is singular")
+
+        monkeypatch.setattr("fblearn.learning.eval_learned_controller", singular)
+        with pytest.raises(SingularMatrixError, match="decoupling matrix is singular") as err:
+            run_episodes(inspan1.plant, inspan1.nominal, inspan1.bases, inspan1.theta_star,
+                         inspan1.reference, inspan1.ref_model, inspan1.gains,
+                         PolicyConfig(sigma2=0.01, dt=0.05), horizon=3, seeds=(0, 1),
+                         x0=inspan1.x0, substeps=1)
+        assert err.value.lanes is None
 
     def test_diverging_lanes_are_flagged_and_frozen(self, pendulum, pendulum_nominal,
                                                     ref22, gains22, two_tone2):

@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
@@ -71,6 +74,26 @@ class TestMeasureDisturbances:
                           learn=False, substeps=4)
         W = regressor_series(rec, inspan1)
         assert W.shape == (11, 1, inspan1.bases.size)
+
+
+#: A call of a study with one bad input, keyed by the message that names it.
+STUDY_CHECKS = {
+    "record has no completed steps": lambda sc, cfg: measure_disturbances(run_episode(
+        sc.plant, sc.nominal, sc.bases, sc.theta_star, sc.reference, sc.ref_model, sc.gains,
+        cfg, horizon=0, learn=False, theta_star=sc.theta_star), sc),
+    "bias study needs a scenario with a true parameter vector": lambda sc, cfg: bias_study(
+        dataclasses.replace(sc, theta_star=None), cfg, 4, [0.05]),
+    "bias study needs at least one dt": lambda sc, cfg: bias_study(sc, cfg, 4, []),
+    "concentration study needs a scenario with a true parameter vector": lambda sc, cfg: mc_sweep(
+        dataclasses.replace(sc, theta_star=None), cfg, 4, (0.1,)),
+}
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("message", list(STUDY_CHECKS))
+    def test_a_bad_input_is_named(self, inspan1, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            STUDY_CHECKS[message](inspan1, PolicyConfig(sigma2=0.0, dt=0.05))
 
 
 class TestGradientStudy:
