@@ -69,8 +69,8 @@ def ltv_matrix(ref: ReferenceModel, gains: Array, W: Array) -> Array:
 def interp_matrix_series(times: Array, values: Array) -> Callable[[float | Array], Array]:
     """Entrywise linear interpolant of a matrix time series, clamped at the ends.
 
-    Needs two samples or more, at times that do not decrease.  The
-    interpolant broadcasts over an array of times, bit for bit.
+    Needs two samples or more, at increasing times.  The interpolant
+    broadcasts over an array of times, bit for bit.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -78,8 +78,8 @@ def interp_matrix_series(times: Array, values: Array) -> Callable[[float | Array
         raise ValueError(f"{len(times)} sample times for {len(values)} matrices")
     if len(times) < 2:
         raise ValueError(f"need at least two samples to interpolate, got {len(times)}")
-    if np.any(np.diff(times) < 0):
-        raise ValueError("sample times must not decrease")
+    if not np.all(np.diff(times) > 0):
+        raise ValueError("sample times must not decrease or repeat")
 
     def w_of_t(t: float | Array) -> Array:
         t = np.asarray(t, dtype=float)

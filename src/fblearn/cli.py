@@ -31,7 +31,7 @@ from .analysis import fit_exponential_bound, interp_matrix_series, pe_check, tra
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, DivergenceError, FblearnError, SingularMatrixError
 from .learning import AdaptRunRecord, run_episode, run_episodes
-from .scenarios import Scenario, build_scenario, policy_config
+from .scenarios import build_scenario, policy_config
 from .studies import mc_sweep, regressor_series
 
 try:  # installed distribution, if available
@@ -50,16 +50,9 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _episode_args(config: ExperimentConfig, scenario: Scenario,
-                  sigma2: float | None = None) -> tuple[tuple, dict]:
-    """Positional and keyword arguments of the config's episodes, bar seed and ``learn``."""
-    cfg = policy_config(config, sigma2=sigma2)
-    args = (scenario.plant, scenario.nominal, scenario.bases, scenario.theta0,
-            scenario.reference, scenario.ref_model, scenario.gains, cfg)
-    kwargs = dict(baseline_kind=config.baseline,
-                  horizon=int(round(config.horizon_s / cfg.dt)), x0=scenario.x0,
-                  theta_star=scenario.theta_star, substeps=config.substeps)
-    return args, kwargs
+def _horizon(config: ExperimentConfig) -> int:
+    """The number of sampling intervals in the config's horizon."""
+    return int(round(config.horizon_s / config.dt))
 
 
 def write_steps_csv(path: Path, record: AdaptRunRecord) -> None:
@@ -81,17 +74,16 @@ def write_steps_csv(path: Path, record: AdaptRunRecord) -> None:
             writer.writerow(row)
 
 
+def _mean(values: np.ndarray) -> float | None:
+    """The mean, or ``None`` (JSON ``null``) for no values: JSON has no NaN."""
+    return float(values.mean()) if len(values) else None
+
+
 def _quarter_stats(record: AdaptRunRecord) -> list[dict]:
     norms = record.error_norms()[:record.steps]
-    quarters = []
     bounds = np.linspace(0, record.steps, 5).astype(int)
-    for i in range(4):
-        chunk = norms[bounds[i]:bounds[i + 1]]
-        quarters.append({
-            "mean_e_norm": float(chunk.mean()) if len(chunk) else float("nan"),
-            "max_e_norm": float(chunk.max()) if len(chunk) else float("nan"),
-        })
-    return quarters
+    return [{"mean_e_norm": _mean(chunk), "max_e_norm": float(chunk.max()) if len(chunk) else None}
+            for chunk in (norms[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]))]
 
 
 def summarize_run(record: AdaptRunRecord, wall_time_s: float) -> dict:
@@ -103,8 +95,8 @@ def summarize_run(record: AdaptRunRecord, wall_time_s: float) -> dict:
         "diverged": record.diverged,
         "diverged_step": record.diverged_step,
         "final_e_norm": float(norms[record.steps]),
-        "mean_e_norm": float(norms[:record.steps].mean()) if record.steps else float("nan"),
-        "mean_reward": float(record.rewards.mean()) if record.steps else float("nan"),
+        "mean_e_norm": _mean(norms[:record.steps]),
+        "mean_reward": _mean(record.rewards),
         "final_theta_norm": float(np.linalg.norm(record.theta[record.steps])),
         "quarters": _quarter_stats(record),
         "wall_time_s": wall_time_s,
@@ -138,8 +130,8 @@ def _artifact_dir(args, config: ExperimentConfig, suffix: str) -> Path:
 def cmd_run(config: ExperimentConfig, args) -> int:
     scenario = build_scenario(config)
     start = time.perf_counter()
-    positional, kwargs = _episode_args(config, scenario)
-    record = run_episode(*positional, seed=config.seed, **kwargs)
+    (record,) = run_episodes(scenario, policy_config(config), config.baseline,
+                             _horizon(config), (config.seed,), substeps=config.substeps)
     wall = time.perf_counter() - start
     out_dir = _artifact_dir(args, config, "")
     write_steps_csv(out_dir / "steps.csv", record)
@@ -152,15 +144,17 @@ def cmd_compare(config: ExperimentConfig, args) -> int:
     scenario = build_scenario(config)
     start = time.perf_counter()
     # the twins share one noise draw and run as two lanes of one kernel
-    positional, kwargs = _episode_args(config, scenario)
-    learning, frozen = run_episodes(*positional, seeds=(config.seed, config.seed),
-                                    learn=(True, False), **kwargs)
+    learning, frozen = run_episodes(scenario, policy_config(config), config.baseline,
+                                    _horizon(config), (config.seed, config.seed),
+                                    learn=(True, False), substeps=config.substeps)
     wall = time.perf_counter() - start
     out_dir = _artifact_dir(args, config, "_compare")
     write_steps_csv(out_dir / "learning.csv", learning)
     write_steps_csv(out_dir / "no_learning.csv", frozen)
     q_learn, q_frozen = _quarter_stats(learning), _quarter_stats(frozen)
-    ratios = [ql["mean_e_norm"] / qf["mean_e_norm"] if qf["mean_e_norm"] > 0 else float("nan")
+    # a quarter with no steps, or a frozen mean of 0, has no ratio
+    ratios = [ql["mean_e_norm"] / qf["mean_e_norm"]
+              if ql["mean_e_norm"] is not None and qf["mean_e_norm"] else None
               for ql, qf in zip(q_learn, q_frozen)]
     comparison = {
         "library_version": VERSION,
@@ -173,7 +167,8 @@ def cmd_compare(config: ExperimentConfig, args) -> int:
         "wall_time_s": wall,
     }
     (out_dir / "comparison.json").write_text(json.dumps(comparison, indent=2))
-    print(f"wrote {out_dir} (final-quarter ratio {ratios[-1]:.3f})")
+    final = "undefined" if ratios[-1] is None else f"{ratios[-1]:.3f}"
+    print(f"wrote {out_dir} (final-quarter ratio {final})")
     if learning.diverged or frozen.diverged:
         return EXIT_DIVERGED
     return EXIT_OK
@@ -236,8 +231,12 @@ def cmd_mc(config: ExperimentConfig, args) -> int:
 
 def cmd_diag(config: ExperimentConfig, args) -> int:
     scenario = build_scenario(config)
-    positional, kwargs = _episode_args(config, scenario, sigma2=0.0)
-    record = run_episode(*positional, seed=config.seed, learn=False, **kwargs)
+    # the parts, not the scenario: perfbench traces this episode as run_episode's span
+    record = run_episode(scenario.plant, scenario.nominal, scenario.bases, scenario.theta0,
+                         scenario.reference, scenario.ref_model, scenario.gains,
+                         policy_config(config, sigma2=0.0), baseline_kind=config.baseline,
+                         horizon=_horizon(config), seed=config.seed, x0=scenario.x0,
+                         learn=False, theta_star=scenario.theta_star, substeps=config.substeps)
     if record.diverged:
         print("diagnostic run diverged; no report written", file=sys.stderr)
         return EXIT_DIVERGED

@@ -8,13 +8,15 @@ with the one-step reward, form the score-function gradient estimate
 gradient step on the parameters.
 
 The loop is written once, as a private kernel that advances independent
-lanes in lockstep and records the series its caller keeps.
+lanes of one ``scenarios.Scenario`` in lockstep and records the series its
+caller keeps.  The runners take that ``Scenario``:
 ``run_episodes`` runs episodes with their own seeds and learning flags as
-lanes and records each one in full (``run_episode`` is its one-lane call);
-``run_ensemble`` runs seeded trials as lanes, for one cell or for several
-cells that share a ``dt``, and keeps only the tracking and parameter errors,
-from a given node on;
+lanes and records each one in full;
+``run_ensemble`` runs seeded trials as lanes, for one or more cells that
+share a ``dt``, and keeps only the tracking and parameter errors, from a
+given node on;
 ``studies.mc_gradient_samples`` runs one interval of it with frozen lanes.
+``run_episode`` is the one-lane ``run_episodes`` given the scenario's parts.
 All share one failure rule (see ``STATE_BOUND``): a failed lane keeps its
 last node; no further integration.
 
@@ -31,7 +33,7 @@ draw is the only noise path: seeds are integers in ``[0, 2**128)``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -41,6 +43,9 @@ from .errors import DimensionError, DivergenceError, SingularMatrixError
 from .linearize import ReferenceModel
 from .plants import PlantModel, rk4_step
 from .reference import SinusoidSum, sample_reference
+
+if TYPE_CHECKING:
+    from .scenarios import Scenario
 
 Array = np.ndarray
 
@@ -308,16 +313,15 @@ def _per_lane(name: str, value, dtype, n_lanes: int, row: tuple = ()) -> Array:
     return np.broadcast_to(value, (n_lanes,) + row)
 
 
-def _lockstep(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0: Array,
-              reference: SinusoidSum, ref_model: ReferenceModel, gains: Array,
-              dt: float, sigma2: float | Array, baseline_kind: str, noise: Array,
-              x0: Array | None, t0: float, learn: bool | Sequence[bool],
-              theta_star: Array | None, update_rule: str, substeps: int,
+def _lockstep(scenario: Scenario, theta0: Array, x0: Array | None, t0: float, dt: float,
+              sigma2: float | Array, baseline_kind: str, noise: Array,
+              learn: bool | Sequence[bool], update_rule: str, substeps: int,
               keep: tuple[str, ...], record_from: int = 0) -> tuple[dict, Array]:
     """Run ``len(noise)`` lanes of the sampled-data loop in lockstep; record ``keep``.
 
-    Every lane starts at time ``t0`` from ``x0`` and applies its own row of
-    ``noise`` over intervals of ``dt``.  ``theta0`` (the start parameters),
+    Every lane runs ``scenario``'s loop (its ``theta_star`` is read only by
+    the ideal rule), starts at time ``t0`` from ``x0`` and applies its own
+    row of ``noise`` over intervals of ``dt``.  ``theta0`` (the start parameters),
     ``sigma2`` (the policy variance the score divides by) and ``learn``
     (whether the lane updates its parameters) are each one value for every
     lane or one per lane, made one row per lane at the start; a frozen lane
@@ -338,6 +342,8 @@ def _lockstep(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0: A
         raise ValueError(f"unknown update rule {update_rule!r}")
     if baseline_kind not in BASELINES:
         raise ValueError(f"baseline kind must be one of {BASELINES}, got {baseline_kind!r}")
+    plant, nominal, bases, gains = scenario.plant, scenario.nominal, scenario.bases, scenario.gains
+    ref_model, theta_star = scenario.ref_model, scenario.theta_star
     if update_rule == "ideal" and theta_star is None:
         raise ValueError("the ideal update rule needs theta_star")
     if not isinstance(substeps, (int, np.integer)) or substeps < 1:
@@ -355,7 +361,8 @@ def _lockstep(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0: A
     if x_init.shape != (plant.n,):
         raise DimensionError(f"x0 must have shape ({plant.n},), got {x_init.shape}")
     h = dt / substeps
-    nodes = sample_reference(reference, ref_model.gamma, t0 + np.arange(horizon + 1) * dt)
+    nodes = sample_reference(scenario.reference, ref_model.gamma,
+                             t0 + np.arange(horizon + 1) * dt)
     xi_d, y_dg = nodes.xi_d, nodes.y_dgamma
     d = ref_model.total_degree
     shapes = dict(zip(_SERIES, ((plant.n,), (d,), (d,), (bases.size,), (plant.q,), (), ())))
@@ -441,31 +448,39 @@ def _lockstep(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0: A
     return series, diverged_step
 
 
-def run_episodes(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0: Array,
-                 reference: SinusoidSum, ref_model: ReferenceModel, gains: Array,
-                 cfg: PolicyConfig, baseline_kind: str = "none", horizon: int = 1200,
-                 seeds: Sequence[int] = (0,), x0: Array | None = None,
-                 learn: bool | Sequence[bool] = True,
-                 theta_star: Array | None = None, update_rule: str = "policy_gradient",
+def run_episodes(scenario: Scenario, cfg: PolicyConfig, baseline_kind: str = "none",
+                 horizon: int = 1200, seeds: Sequence[int] = (0,),
+                 learn: bool | Sequence[bool] = True, update_rule: str = "policy_gradient",
                  substeps: int = 10) -> list[AdaptRunRecord]:
-    """Run several sampled-data episodes as lanes of one kernel; record each one.
+    """Run several sampled-data episodes of ``scenario`` as lanes of one kernel.
 
-    Lane ``b`` runs the episode that :func:`run_episode` runs with
-    ``seed=seeds[b]`` and ``learn=learn[b]`` (``learn`` may be one bool for
-    every lane); the other arguments are shared.  Lanes with equal seeds see
-    one noise draw, so ``seeds=(s, s)`` with ``learn=(True, False)`` is the
-    paired learning and frozen comparison.  Each record equals its
-    sequential run bit for bit.  A lane that fails truncates and flags only
-    its own record; the others run on.
+    Every lane starts from ``scenario.theta0`` and ``scenario.x0`` and runs
+    with its own ``seeds[b]`` and ``learn[b]`` (``learn`` may be one bool for
+    every lane).  Lanes with equal seeds see one noise draw, so ``seeds=(s,
+    s)`` with ``learn=(True, False)`` is the paired learning and frozen
+    comparison: a frozen lane runs identically but skips the update.
+    ``baseline_kind`` is one of ``BASELINES``.  The ``"policy_gradient"``
+    ``update_rule`` is the model-free estimator; ``"ideal"`` takes the exact
+    least-squares gradient ``W_k.T W_k phi_k`` instead (it needs
+    ``scenario.theta_star``), the noiseless discretization of the idealized
+    parameter flow.  With a known ``theta_star`` the record keeps ``phi =
+    theta - theta_star`` too.
+
+    Each record equals its sequential run bit for bit.  A failed step
+    (non-finite state, parameters or reward, a state reaching
+    ``STATE_BOUND``, or a decoupling matrix that turns singular) truncates
+    and flags only its own lane's record; the others run on.
     """
     seeds = list(seeds)
     if not seeds:
         raise DimensionError("seeds must name at least one episode")
-    draws = {seed: draw_noise_series(cfg, plant.q, seed, horizon) for seed in set(seeds)}
+    draws = {seed: draw_noise_series(cfg, scenario.plant.q, seed, horizon)
+             for seed in set(seeds)}
     noise = np.stack([draws[seed] for seed in seeds])
-    rec, diverged_step = _lockstep(plant, nominal, bases, theta0, reference, ref_model, gains,
-                                   cfg.dt, cfg.sigma2, baseline_kind, noise, x0, 0.0, learn,
-                                   theta_star, update_rule, substeps, _SERIES)
+    rec, diverged_step = _lockstep(scenario, scenario.theta0, scenario.x0, 0.0, cfg.dt,
+                                   cfg.sigma2, baseline_kind, noise, learn, update_rule,
+                                   substeps, _SERIES)
+    theta_star = scenario.theta_star
     t_nodes = np.arange(horizon + 1) * cfg.dt
     records = []
     for b, seed in enumerate(seeds):
@@ -488,84 +503,66 @@ def run_episode(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0:
                 seed: int = 0, x0: Array | None = None, learn: bool = True,
                 theta_star: Array | None = None, update_rule: str = "policy_gradient",
                 substeps: int = 10) -> AdaptRunRecord:
-    """Run one sampled-data episode and record everything.
+    """One episode of :func:`run_episodes`, given as the parts of its ``Scenario``.
 
-    Parameters beyond the component objects:
-
-    * ``baseline_kind`` - the reward baseline of the policy-gradient step,
-      one of ``BASELINES``.
-    * ``learn`` - with ``False`` the loop runs identically (same noise
-      stream) but skips the parameter update, giving the paired no-learning
-      baseline.
-    * ``update_rule`` - ``"policy_gradient"`` is the model-free estimator;
-      ``"ideal"`` replaces it with the exact least-squares gradient
-      ``W_k.T W_k phi_k`` (requires ``theta_star``), realizing the noiseless
-      discretization of the idealized parameter flow for diagnostics.
-    * ``theta_star`` - when given, the parameter error ``phi = theta -
-      theta_star`` is recorded alongside the parameters.
-
-    At every sample ``xi`` is read exactly from the simulated state.  The
-    episode is the one-lane run of :func:`run_episodes`, on the lockstep
-    kernel that :func:`run_ensemble` runs with many lanes.  A failed step
-    (non-finite state, parameters or reward, a state reaching
-    ``STATE_BOUND``, or a decoupling matrix that turns singular) truncates
-    the record and sets the divergence flag instead of raising.
+    It takes the parts until benchmark v2, which calls it with them; the
+    record is the one-lane ``run_episodes`` of
+    ``Scenario(plant, nominal, bases, reference, ref_model, gains, theta0,
+    theta_star, x0)`` with ``seeds=(seed,)``, bit for bit.
     """
-    (record,) = run_episodes(plant, nominal, bases, theta0, reference, ref_model, gains, cfg,
-                             baseline_kind=baseline_kind, horizon=horizon, seeds=(seed,),
-                             x0=x0, learn=learn, theta_star=theta_star,
-                             update_rule=update_rule, substeps=substeps)
+    from .scenarios import Scenario  # deferred: scenarios imports this module
+
+    scenario = Scenario(plant=plant, nominal=nominal, bases=bases, reference=reference,
+                        ref_model=ref_model, gains=gains, theta0=theta0,
+                        theta_star=theta_star, x0=x0)
+    (record,) = run_episodes(scenario, cfg, baseline_kind=baseline_kind, horizon=horizon,
+                             seeds=(seed,), learn=learn, update_rule=update_rule,
+                             substeps=substeps)
     return record
 
 
-def run_ensemble(plant: PlantModel, nominal: PlantModel, bases: BasisSet, theta0: Array,
-                 reference: SinusoidSum, ref_model: ReferenceModel, gains: Array,
-                 cfg: PolicyConfig, n_trials: int, horizon: int,
-                 baseline_kind: str = "mean_of_past", seed: int = 0, cell_key: int = 0,
-                 x0: Array | None = None, theta_star: Array | None = None,
-                 substeps: int = 8,
-                 more_cells: Sequence[tuple[PolicyConfig, int, Array]] = (),
-                 record_from: int = 0) -> EnsembleRecord:
-    """Run many policy-gradient episodes in lockstep, vectorized over trials.
+def run_ensemble(scenario: Scenario, cells: Sequence[tuple[PolicyConfig, int, Array]],
+                 n_trials: int, horizon: int, baseline_kind: str = "mean_of_past",
+                 seed: int = 0, substeps: int = 8, record_from: int = 0) -> EnsembleRecord:
+    """Run many policy-gradient episodes of ``scenario`` in lockstep, vectorized over trials.
 
-    Trial ``b`` draws exactly the noise that ``run_episode`` would draw with
-    master seed ``derive_seed(seed, cell_key, b)`` and runs the same kernel,
-    with the same failure rule, and its tracking and parameter errors equal
-    that sequential run's bit for bit.  A trial that fails is flagged and
-    keeps its last node; no further integration; the others keep running.
-    Only ``e`` and ``theta`` are kept, and only at nodes ``record_from ..
-    horizon``: the record has ``horizon + 1 - record_from`` nodes per trial,
-    equal to the full run's from that node on.
-
-    ``more_cells`` lists further cells ``(cfg, cell_key, theta0)`` with the
-    same ``cfg.dt``.  Each runs its own ``n_trials`` trials as the next block
-    of lanes, so lane ``c * n_trials + b`` is trial ``b`` of cell ``c`` (cell
-    0 being the one the other arguments name), bit for bit that cell's own
-    run.
+    ``cells`` lists cells ``(cfg, cell_key, theta0)`` that share ``cfg.dt``.
+    Each runs its own ``n_trials`` trials from ``scenario.x0`` as one block
+    of lanes: lane ``c * n_trials + b`` is trial ``b`` of cell ``c``.  That
+    trial draws exactly the noise of the episode with master seed
+    ``derive_seed(seed, cell_key, b)`` and runs the same kernel, with the
+    same failure rule, so its tracking and parameter errors equal that
+    sequential run's bit for bit (and the cell's own ensemble's).  A trial
+    that fails is flagged and keeps its last node; no further integration;
+    the others keep running.  Only ``e`` and ``theta`` are kept, and only at
+    nodes ``record_from .. horizon``: the record has ``horizon + 1 -
+    record_from`` nodes per trial, equal to the full run's from that node
+    on.
     """
     if n_trials < 1:
         raise DimensionError(f"n_trials must be >= 1, got {n_trials}")
     if horizon < 0:
         raise DimensionError(f"horizon must be >= 0, got {horizon}")
-    cells = [(cfg, cell_key, theta0), *more_cells]
-    if any(c.dt != cfg.dt for c, _, _ in cells):
-        raise ValueError(f"the cells of one ensemble must share dt, got "
-                         f"{[c.dt for c, _, _ in cells]}")
+    if not cells:
+        raise DimensionError("cells must name at least one cell")
+    dts = [cfg.dt for cfg, _, _ in cells]
+    if len(set(dts)) > 1:
+        raise ValueError(f"the cells of one ensemble must share dt, got {dts}")
+    q = scenario.plant.q
     # each lane's draw goes straight into its row: no list of rows to stack
-    noise = np.empty((len(cells) * n_trials, horizon, plant.q))
-    for i, (c, key, _) in enumerate(cells):
+    noise = np.empty((len(cells) * n_trials, horizon, q))
+    for i, (cfg, key, _) in enumerate(cells):
         for b in range(n_trials):
-            noise[i * n_trials + b] = draw_noise_series(c, plant.q, derive_seed(seed, key, b),
+            noise[i * n_trials + b] = draw_noise_series(cfg, q, derive_seed(seed, key, b),
                                                         horizon)
     theta0 = np.repeat([np.asarray(t, dtype=float) for _, _, t in cells], n_trials, axis=0)
-    sigma2 = np.repeat([c.sigma2 for c, _, _ in cells], n_trials)
-    rec, diverged_step = _lockstep(plant, nominal, bases, theta0, reference, ref_model, gains,
-                                   cfg.dt, sigma2, baseline_kind, noise, x0, 0.0, True,
-                                   theta_star, "policy_gradient", substeps, ("e", "theta"),
-                                   record_from)
+    sigma2 = np.repeat([cfg.sigma2 for cfg, _, _ in cells], n_trials)
+    rec, diverged_step = _lockstep(scenario, theta0, scenario.x0, 0.0, dts[0], sigma2,
+                                   baseline_kind, noise, True, "policy_gradient", substeps,
+                                   ("e", "theta"), record_from)
     phi = None
-    if theta_star is not None:
+    if scenario.theta_star is not None:
         phi = rec["theta"]  # formed in place: no second copy of the record
-        phi -= np.asarray(theta_star, dtype=float)
+        phi -= np.asarray(scenario.theta_star, dtype=float)
     return EnsembleRecord(e=rec["e"], phi=phi, diverged=diverged_step >= 0,
                           diverged_step=diverged_step, record_from=record_from)

@@ -44,7 +44,7 @@ class Scenario:
     gains: Array
     theta0: Array
     theta_star: Array | None
-    x0: Array
+    x0: Array | None  # None: the origin
 
 
 def _reference_for(config: ExperimentConfig, q: int) -> SinusoidSum:

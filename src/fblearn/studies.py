@@ -125,9 +125,8 @@ def mc_gradient_samples(scenario: Scenario, theta: Array, cfg: PolicyConfig,
 
     w = draw_noise(cfg, (n_draws, plant.q),
                    np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3,))))
-    rec, failed = _lockstep(plant, scenario.nominal, bases, theta, scenario.reference,
-                            scenario.ref_model, gains, cfg.dt, cfg.sigma2, "none", w[:, None],
-                            x_k, t_k, False, None, "policy_gradient", substeps, ("u", "reward"))
+    rec, failed = _lockstep(scenario, theta, x_k, t_k, cfg.dt, cfg.sigma2, "none", w[:, None],
+                            False, "policy_gradient", substeps, ("u", "reward"))
     if np.any(failed >= 0):
         raise DivergenceError(f"{np.sum(failed >= 0)} of {n_draws} gradient draws failed", step=0)
     rewards = rec["reward"][:, 0]
@@ -297,14 +296,10 @@ def _run_cells(scenario: Scenario, cells: list, trials: int, horizon_s: float, s
                      members))
     stats = [None] * len(cells)
     for _, horizon, record_from, members in sorted(runs, key=lambda run: -run[0]):
-        first, *rest = (cells[i] for i in members)
-        ens = run_ensemble(
-            scenario.plant, scenario.nominal, scenario.bases, first.theta0,
-            scenario.reference, scenario.ref_model, scenario.gains, first.cfg,
-            n_trials=trials, horizon=horizon, baseline_kind=baseline_kind,
-            seed=seed, cell_key=first.key, x0=scenario.x0,
-            theta_star=scenario.theta_star, substeps=substeps,
-            more_cells=[(c.cfg, c.key, c.theta0) for c in rest], record_from=record_from)
+        ens = run_ensemble(scenario, [(cells[i].cfg, cells[i].key, cells[i].theta0)
+                                      for i in members],
+                           n_trials=trials, horizon=horizon, baseline_kind=baseline_kind,
+                           seed=seed, substeps=substeps, record_from=record_from)
         for j, i in enumerate(members):
             block = slice(j * trials, (j + 1) * trials)
             steady_from = horizon // cells[i].steady_divisor - ens.record_from

@@ -164,10 +164,9 @@ def generic_inspan_plant(nominal, bases, theta_star):
     return plant
 
 
-def sequential_episode(plant, nominal, bases, theta0, reference, ref_model, gains, cfg,
-                       horizon, seed, x0, learn=True, theta_star=None, substeps=10,
+def sequential_episode(scenario, cfg, horizon, seed, learn=True, substeps=10,
                        baseline_kind="none"):
-    """One policy-gradient episode stepped interval by interval; the record's arrays.
+    """One policy-gradient episode of ``scenario`` stepped interval by interval; its arrays.
 
     Every quantity is formed by the same calls, in the same order, as in the
     lane kernel, so with two or more outputs a lane must match it bit for
@@ -182,13 +181,15 @@ def sequential_episode(plant, nominal, bases, theta0, reference, ref_model, gain
                          grad_log_policy, rk4_step, sample_reference)
     from fblearn.learning import STATE_BOUND, draw_noise_series
 
+    plant, nominal, bases, gains = scenario.plant, scenario.nominal, scenario.bases, scenario.gains
+    ref_model, theta_star = scenario.ref_model, scenario.theta_star
     dt, h = cfg.dt, cfg.dt / substeps
     w = draw_noise_series(cfg, plant.q, seed, horizon)
     t = np.arange(horizon + 1) * dt
-    ref = sample_reference(reference, ref_model.gamma, t)
+    ref = sample_reference(scenario.reference, ref_model.gamma, t)
     past = []
-    x = np.asarray(x0, dtype=float)[None]
-    theta = np.asarray(theta0, dtype=float)[None]
+    x = np.asarray(scenario.x0, dtype=float)[None]
+    theta = np.asarray(scenario.theta0, dtype=float)[None]
     xi = plant.output_chain(x)
     e = xi - ref.xi_d[0]
     nodes = {"x": [x[0]], "xi": [xi[0]], "e": [e[0]], "theta": [theta[0]]}

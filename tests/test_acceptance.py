@@ -198,12 +198,10 @@ def test_c07_disturbance_orders(inspan1, inspan_mc):
     # delta_phi spread against dt / sigma in the score-dominated regime
     def spread(dt, sigma2, key):
         # the 24 trials run as lanes of one kernel, each equal to its own run
-        records = run_episodes(inspan_mc.plant, inspan_mc.nominal, inspan_mc.bases,
-                               inspan_mc.theta0, inspan_mc.reference, inspan_mc.ref_model,
-                               inspan_mc.gains, PolicyConfig(sigma2=sigma2, dt=dt),
+        records = run_episodes(inspan_mc, PolicyConfig(sigma2=sigma2, dt=dt),
                                horizon=int(2.0 / dt),
                                seeds=[derive_seed(50, key, trial) for trial in range(24)],
-                               x0=inspan_mc.x0, theta_star=inspan_mc.theta_star, substeps=4)
+                               substeps=4)
         samples = [measure_disturbances(rec, inspan_mc).delta_phi for rec in records]
         return float(np.mean(np.std(np.stack(samples), axis=0)))
 

@@ -380,6 +380,11 @@ class TestInterp:
             interp_matrix_series(np.array([0.0, 2.0, 1.0, 3.0]),
                                  np.arange(4.0).reshape(4, 1, 1))
 
+    def test_repeated_times_raise(self):
+        # a repeated time once divided 0 by 0 there: a RuntimeWarning and NaN
+        with pytest.raises(ValueError, match="must not decrease or repeat"):
+            interp_matrix_series(np.array([0.0, 1.0, 1.0]), np.ones((3, 2, 2)))
+
     def test_array_of_times_is_the_scalar_calls(self, rng):
         times = np.cumsum(rng.uniform(0.05, 0.2, 40))
         values = rng.standard_normal((40, 2, 3))

@@ -423,6 +423,33 @@ class TestCli:
             with (out_dir / name).open() as fh:
                 assert len(list(csv.reader(fh))) == 1  # the header: no step completed
 
+    def test_json_artifacts_hold_no_nan(self, tmp_path):
+        # a run failing at step 0 and a compare of two steps once wrote bare
+        # NaN, which is not JSON, for empty quarters, means and ratios
+        base = ["--config", str(CONFIG_DIR / "inspan_diag.yaml"), "--out-dir", str(tmp_path),
+                "--override", "horizon_s=0.1"]
+        assert main(["run", *base, "--override", "x0=[3.0e+9, 0]"]) == EXIT_DIVERGED
+        assert main(["compare", *base]) == EXIT_OK
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        artifacts = sorted(tmp_path.rglob("*.json"))
+        assert [path.name for path in artifacts] == ["summary.json", "comparison.json"]
+        summary, comparison = (json.loads(path.read_text(), parse_constant=refuse)
+                               for path in artifacts)
+        assert summary["steps"] == 0
+        assert summary["mean_e_norm"] is None and summary["mean_reward"] is None
+        assert summary["quarters"] == [{"mean_e_norm": None, "max_e_norm": None}] * 4
+        # two steps fill the second and fourth quarters only
+        for twin in ("learning", "no_learning"):
+            assert [q["max_e_norm"] is None for q in comparison[twin]] == [True, False] * 2
+        # the run starts on the reference: the second quarter's frozen mean is 0
+        assert comparison["no_learning"][1]["mean_e_norm"] == 0.0
+        ratios = comparison["mean_e_norm_ratio_per_quarter"]
+        assert [r is None for r in ratios] == [True, True, True, False]
+        assert comparison["final_quarter_ratio"] == ratios[-1]
+
     def test_diverging_run_leaks_no_runtime_warning(self, tmp_path):
         # a run that blows up is flagged before any arithmetic overflows in
         # the open: exit 3 with an artifact, even with warnings as errors

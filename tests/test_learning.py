@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fblearn import (BASELINES, PolicyConfig, build_rbf_grid,
+from fblearn import (BASELINES, AdaptRunRecord, PolicyConfig, build_rbf_grid,
                      build_reference_model, design_gain, discrete_reward, grad_log_policy,
                      make_chain_plant, make_inspan_plant, polynomial_basis, run_episode,
                      run_episodes, two_tone_reference, update_params)
@@ -71,6 +71,11 @@ class TestPolicy:
         draws = draw_noise_series(cfg, 2, 3, 100_000)
         stderr = np.sqrt(0.1 / len(draws))
         assert np.abs(draws.mean(axis=0)).max() <= 4 * stderr
+
+
+def _parts(sc: Scenario) -> tuple:
+    """The seven parts of ``sc`` that ``run_episode`` takes before ``cfg``, in order."""
+    return sc.plant, sc.nominal, sc.bases, sc.theta0, sc.reference, sc.ref_model, sc.gains
 
 
 def _as_bits(a):
@@ -222,13 +227,11 @@ class TestGradientAndUpdate:
 
     def test_baseline_kinds(self, inspan1):
         """Every runner rejects a baseline kind outside ``BASELINES``."""
-        args = (inspan1.plant, inspan1.nominal, inspan1.bases, inspan1.theta_star,
-                inspan1.reference, inspan1.ref_model, inspan1.gains,
-                PolicyConfig(sigma2=0.01, dt=0.05))
-        kwargs = dict(horizon=3, baseline_kind="bogus", x0=inspan1.x0)
-        for call in (lambda: run_episode(*args, **kwargs),
-                     lambda: run_episodes(*args, seeds=(0, 1), **kwargs),
-                     lambda: run_ensemble(*args, n_trials=2, **kwargs)):
+        cfg, kwargs = PolicyConfig(sigma2=0.01, dt=0.05), dict(horizon=3, baseline_kind="bogus")
+        for call in (lambda: run_episode(*_parts(inspan1), cfg, x0=inspan1.x0, **kwargs),
+                     lambda: run_episodes(inspan1, cfg, seeds=(0, 1), **kwargs),
+                     lambda: run_ensemble(inspan1, [(cfg, 0, inspan1.theta0)], n_trials=2,
+                                          **kwargs)):
             with pytest.raises(ValueError, match="bogus"):
                 call()
 
@@ -328,13 +331,11 @@ class TestRunEpisode:
     @pytest.mark.parametrize("x0", [np.zeros(3), np.zeros((2, 2))], ids=["length3", "2x2"])
     def test_wrong_x0_shape_raises_dimension_error(self, inspan1, x0):
         # a (2, 2) x0 would broadcast silently over two lanes
-        args = (inspan1.plant, inspan1.nominal, inspan1.bases, inspan1.theta_star,
-                inspan1.reference, inspan1.ref_model, inspan1.gains,
-                PolicyConfig(sigma2=0.01, dt=0.05))
+        cfg = PolicyConfig(sigma2=0.01, dt=0.05)
         with pytest.raises(DimensionError, match="x0"):
-            run_episode(*args, horizon=5, seed=0, x0=x0)
+            run_episode(*_parts(inspan1), cfg, horizon=5, seed=0, x0=x0)
         with pytest.raises(DimensionError, match="x0"):
-            run_episodes(*args, horizon=5, seeds=(0, 1), x0=x0)
+            run_episodes(dataclasses.replace(inspan1, x0=x0), cfg, horizon=5, seeds=(0, 1))
 
     @pytest.mark.parametrize("runner,kwargs,name", [
         ("episodes", dict(seeds=(1, 2), learn=(True, False, True)), "learn"),
@@ -345,32 +346,31 @@ class TestRunEpisode:
         ("ensemble", dict(n_trials=0), "n_trials"),
         ("ensemble", dict(n_trials=2, horizon=-1, sigma2=0.0), "horizon"),
         ("ensemble", dict(n_trials=2, record_from=6), "record_from"),
-        ("ensemble", dict(n_trials=2, record_from=-1), "record_from")],
+        ("ensemble", dict(n_trials=2, record_from=-1), "record_from"),
+        ("ensemble", dict(n_trials=2, cells=[]), "cells")],
         ids=["learn-length3", "learn-2x1", "no-seeds", "negative-horizon",
              "noise-free-negative-horizon", "no-trials", "ensemble-negative-horizon",
-             "record-from-past-the-horizon", "negative-record-from"])
+             "record-from-past-the-horizon", "negative-record-from", "no-cells"])
     def test_malformed_lanes_raise_dimension_error(self, inspan1, runner, kwargs, name):
-        # each once leaked a NumPy broadcasting, stacking or unpacking error
-        kwargs = {"horizon": 5, "x0": inspan1.x0, **kwargs}
-        args = (inspan1.plant, inspan1.nominal, inspan1.bases, inspan1.theta_star,
-                inspan1.reference, inspan1.ref_model, inspan1.gains,
-                PolicyConfig(sigma2=kwargs.pop("sigma2", 0.01), dt=0.05))
+        # each would leak a NumPy broadcasting, stacking, unpacking or indexing error
+        kwargs = {"horizon": 5, **kwargs}
+        cfg = PolicyConfig(sigma2=kwargs.pop("sigma2", 0.01), dt=0.05)
         with pytest.raises(DimensionError, match=name):
-            (run_episodes if runner == "episodes" else run_ensemble)(*args, **kwargs)
+            if runner == "episodes":
+                run_episodes(inspan1, cfg, **kwargs)
+            else:
+                run_ensemble(inspan1, kwargs.pop("cells", [(cfg, 0, inspan1.theta0)]), **kwargs)
 
     @pytest.mark.parametrize("runner", ["episode", "ensemble"])
     @pytest.mark.parametrize("substeps", [0, -1, 2.5])
     def test_substeps_must_be_an_integer_of_at_least_one(self, inspan1, runner, substeps):
         # -1 once ran to the end with a plant that never moved; 0 divided by zero
-        args = (inspan1.plant, inspan1.nominal, inspan1.bases, inspan1.theta_star,
-                inspan1.reference, inspan1.ref_model, inspan1.gains,
-                PolicyConfig(sigma2=0.01, dt=0.05))
-        kwargs = dict(horizon=5, x0=inspan1.x0, substeps=substeps)
+        cfg, kwargs = PolicyConfig(sigma2=0.01, dt=0.05), dict(horizon=5, substeps=substeps)
         with pytest.raises(ValueError, match="substeps"):
             if runner == "episode":
-                run_episode(*args, seed=0, **kwargs)
+                run_episode(*_parts(inspan1), cfg, seed=0, x0=inspan1.x0, **kwargs)
             else:
-                run_ensemble(*args, n_trials=2, **kwargs)
+                run_ensemble(inspan1, [(cfg, 0, inspan1.theta0)], n_trials=2, **kwargs)
 
     def test_applied_input_is_the_learned_law_plus_noise(self, inspan1):
         # the headline operating point: dt = 0.05 s, sigma^2 = 0.1
@@ -428,27 +428,24 @@ class TestEnsemble:
         """A lane is its sequential run, bit for bit, at q = 2 and at q = 1."""
         for sc, cfg in ((inspan_mc, PolicyConfig(sigma2=0.001, dt=0.01)),
                         (inspan1, PolicyConfig(sigma2=0.01, dt=0.05))):
-            args = (sc.plant, sc.nominal, sc.bases, sc.theta0, sc.reference, sc.ref_model,
-                    sc.gains, cfg)
-            kwargs = dict(baseline_kind="none", horizon=60, x0=sc.x0,
-                          theta_star=sc.theta_star, substeps=4)
-            ens = run_ensemble(*args, n_trials=5, seed=21, cell_key=2, **kwargs)
+            kwargs = dict(baseline_kind="none", horizon=60, substeps=4)
+            ens = run_ensemble(sc, [(cfg, 2, sc.theta0)], n_trials=5, seed=21, **kwargs)
             for trial in (0, 3):
-                rec = run_episode(*args, seed=derive_seed(21, 2, trial), **kwargs)
+                (rec,) = run_episodes(sc, cfg, seeds=(derive_seed(21, 2, trial),), **kwargs)
                 np.testing.assert_array_equal(ens.e[trial], rec.e)
                 np.testing.assert_array_equal(ens.phi[trial], rec.phi)
 
         bases = build_rbf_grid([(-1.2, 1.2)] * 2 + [(-1.5, 1.5)] * 2, (5, 5, 2, 2),
                                0.5, io_dim=2, beta_scale=0.1, alpha_scale=0.1)
-        cfg = PolicyConfig(sigma2=0.1, dt=0.05)
-        x0 = sample_reference(two_tone2, (2, 2), 0.0).xi_d[[0, 2, 1, 3]]
-        kwargs = dict(x0=x0, theta_star=np.zeros(bases.size), substeps=5)
-        ens = run_ensemble(pendulum, pendulum_nominal, bases, np.zeros(bases.size), two_tone2,
-                           ref22, gains22, cfg, n_trials=3, horizon=40,
-                           baseline_kind="mean_of_past", seed=8, cell_key=1, **kwargs)
-        rec = run_episode(pendulum, pendulum_nominal, bases, np.zeros(bases.size), two_tone2,
-                          ref22, gains22, cfg, baseline_kind="mean_of_past",
-                          horizon=40, seed=derive_seed(8, 1, 2), **kwargs)
+        sc = Scenario(plant=pendulum, nominal=pendulum_nominal, bases=bases, reference=two_tone2,
+                      ref_model=ref22, gains=gains22, theta0=np.zeros(bases.size),
+                      theta_star=np.zeros(bases.size),
+                      x0=sample_reference(two_tone2, (2, 2), 0.0).xi_d[[0, 2, 1, 3]])
+        cfg, kwargs = PolicyConfig(sigma2=0.1, dt=0.05), dict(horizon=40, substeps=5)
+        ens = run_ensemble(sc, [(cfg, 1, sc.theta0)], n_trials=3, baseline_kind="mean_of_past",
+                           seed=8, **kwargs)
+        (rec,) = run_episodes(sc, cfg, baseline_kind="mean_of_past",
+                              seeds=(derive_seed(8, 1, 2),), **kwargs)
         assert not rec.diverged
         np.testing.assert_array_equal(ens.e[2], rec.e)
         np.testing.assert_array_equal(ens.phi[2], rec.phi)
@@ -460,16 +457,11 @@ class TestEnsemble:
                                         "basis.alpha_scale=1.0"])
         sc = build_scenario(config)
         cfg = policy_config(config)
-        ens = run_ensemble(sc.plant, sc.nominal, sc.bases, sc.theta0, sc.reference,
-                           sc.ref_model, sc.gains, cfg, n_trials=4, horizon=400,
-                           baseline_kind="none", seed=11, x0=sc.x0,
-                           theta_star=sc.theta_star, substeps=4)
+        kwargs = dict(horizon=400, baseline_kind="none", substeps=4)
+        ens = run_ensemble(sc, [(cfg, 0, sc.theta0)], n_trials=4, seed=11, **kwargs)
         assert ens.diverged.all()
         for b in range(4):
-            rec = run_episode(sc.plant, sc.nominal, sc.bases, sc.theta0, sc.reference,
-                              sc.ref_model, sc.gains, cfg, baseline_kind="none",
-                              horizon=400, seed=derive_seed(11, 0, b), x0=sc.x0,
-                              theta_star=sc.theta_star, substeps=4)
+            (rec,) = run_episodes(sc, cfg, seeds=(derive_seed(11, 0, b),), **kwargs)
             assert rec.diverged_step == ens.diverged_step[b]
             np.testing.assert_array_equal(ens.e[b, :rec.steps + 1], rec.e)
 
@@ -485,11 +477,9 @@ class TestEnsemble:
             calls.append(None)
             return sc.plant.rate(x, u)
 
-        plant = dataclasses.replace(sc.plant, rate=counting)
-        ens = run_ensemble(plant, sc.nominal, sc.bases, sc.theta0, sc.reference,
-                           sc.ref_model, sc.gains, policy_config(config), n_trials=4,
-                           horizon=400, baseline_kind="none", seed=11, x0=sc.x0,
-                           theta_star=sc.theta_star, substeps=4)
+        counted = dataclasses.replace(sc, plant=dataclasses.replace(sc.plant, rate=counting))
+        ens = run_ensemble(counted, [(policy_config(config), 0, sc.theta0)], n_trials=4,
+                           horizon=400, baseline_kind="none", seed=11, substeps=4)
         last = int(ens.diverged_step.max())
         assert ens.diverged.all() and last < 50
         assert 0 < len(calls) <= (last + 1) * 4 * 4  # substeps x RK4 stages per step
@@ -502,13 +492,12 @@ class TestEnsemble:
         # a nominal whose learned gain cancels to zero: singular at every state
         singular = make_inspan_plant((2,), polynomial_basis(2, 0, io_dim=1),
                                      np.array([0.0, -1.0]))
-        cfg = PolicyConfig(sigma2=0.01, dt=0.05)
-        args = (inspan1.plant, singular, inspan1.bases, inspan1.theta_star, inspan1.reference,
-                inspan1.ref_model, inspan1.gains, cfg)
-        rec = run_episode(*args, horizon=5, seed=0, x0=inspan1.x0, substeps=2)
+        sc, cfg = dataclasses.replace(inspan1, nominal=singular), PolicyConfig(sigma2=0.01, dt=0.05)
+        (rec,) = run_episodes(sc, cfg, horizon=5, seeds=(0,), substeps=2)
         assert rec.diverged and rec.diverged_step == 0 and rec.steps == 0
         for n_trials in (1, 2):
-            ens = run_ensemble(*args, n_trials=n_trials, horizon=5, x0=inspan1.x0, substeps=2)
+            ens = run_ensemble(sc, [(cfg, 0, sc.theta0)], n_trials=n_trials, horizon=5,
+                               substeps=2)
             assert ens.diverged_step.tolist() == [0] * n_trials
             np.testing.assert_array_equal(ens.e[:, 1:], np.broadcast_to(ens.e[:, :1],
                                                                        (n_trials, 5, 2)))
@@ -520,22 +509,20 @@ class TestEnsemble:
 
         monkeypatch.setattr("fblearn.learning.eval_learned_controller", singular)
         with pytest.raises(SingularMatrixError, match="decoupling matrix is singular") as err:
-            run_episodes(inspan1.plant, inspan1.nominal, inspan1.bases, inspan1.theta_star,
-                         inspan1.reference, inspan1.ref_model, inspan1.gains,
-                         PolicyConfig(sigma2=0.01, dt=0.05), horizon=3, seeds=(0, 1),
-                         x0=inspan1.x0, substeps=1)
+            run_episodes(inspan1, PolicyConfig(sigma2=0.01, dt=0.05), horizon=3, seeds=(0, 1),
+                         substeps=1)
         assert err.value.lanes is None
 
     def test_diverging_lanes_are_flagged_and_frozen(self, pendulum, pendulum_nominal,
                                                     ref22, gains22, two_tone2):
         bases = build_rbf_grid([(-1.2, 1.2)] * 2 + [(-1.5, 1.5)] * 2, (5, 5, 2, 2),
                                1.0, io_dim=2)
-        cfg = PolicyConfig(sigma2=0.1, dt=0.05)
-        x0 = sample_reference(two_tone2, (2, 2), 0.0).xi_d[[0, 2, 1, 3]]
-        ens = run_ensemble(pendulum, pendulum_nominal, bases, np.zeros(bases.size),
-                           two_tone2, ref22, gains22, cfg, n_trials=4, horizon=120,
-                           baseline_kind="mean_of_past", seed=42, cell_key=0, x0=x0,
-                           substeps=5)
+        sc = Scenario(plant=pendulum, nominal=pendulum_nominal, bases=bases, reference=two_tone2,
+                      ref_model=ref22, gains=gains22, theta0=np.zeros(bases.size),
+                      theta_star=None,
+                      x0=sample_reference(two_tone2, (2, 2), 0.0).xi_d[[0, 2, 1, 3]])
+        ens = run_ensemble(sc, [(PolicyConfig(sigma2=0.1, dt=0.05), 0, sc.theta0)], n_trials=4,
+                           horizon=120, baseline_kind="mean_of_past", seed=42, substeps=5)
         assert ens.diverged.any()
         assert np.all(np.isfinite(ens.e))
         dead = np.where(ens.diverged)[0][0]
@@ -569,22 +556,18 @@ class TestPairedEpisodes:
             sc, cfg, horizon, substeps = inspan_mc, PolicyConfig(0.001, 0.01), 60, 4
         else:
             sc, cfg, horizon, substeps = inspan1, PolicyConfig(0.01, 0.05), 60, 4
-        args = (sc.plant, sc.nominal, sc.bases, sc.theta0, sc.reference, sc.ref_model,
-                sc.gains, cfg)
-        kwargs = dict(horizon=horizon, x0=sc.x0, theta_star=sc.theta_star, substeps=substeps)
+        kwargs = dict(baseline_kind="mean_of_past", horizon=horizon, substeps=substeps)
         lanes = ((5, True), (5, False), (9, True))
-        records = run_episodes(*args, baseline_kind="mean_of_past",
-                               seeds=[seed for seed, _ in lanes],
+        records = run_episodes(sc, cfg, seeds=[seed for seed, _ in lanes],
                                learn=[learn for _, learn in lanes], **kwargs)
         for record, (seed, learn) in zip(records, lanes):
-            want = sequential_episode(*args, seed=seed, learn=learn,
-                                      baseline_kind="mean_of_past", **kwargs)
+            want = sequential_episode(sc, cfg, seed=seed, learn=learn, **kwargs)
             assert want["diverged_step"] is None
             _assert_matches(record, want)
             assert record.seed == seed
-        _assert_matches(run_episode(*args, baseline_kind="mean_of_past", seed=9,
-                                    **kwargs),
-                        sequential_episode(*args, seed=9, baseline_kind="mean_of_past", **kwargs))
+        _assert_matches(run_episode(*_parts(sc), cfg, seed=9, x0=sc.x0,
+                                    theta_star=sc.theta_star, **kwargs),
+                        sequential_episode(sc, cfg, seed=9, **kwargs))
         # the frozen twin keeps theta0 at every node; its learning twin moves
         learning, frozen = records[:2]
         np.testing.assert_array_equal(frozen.theta,
@@ -598,14 +581,12 @@ class TestPairedEpisodes:
                              overrides=["sigma2=0.1", "dt=0.05", "basis.beta_scale=1.0",
                                         "basis.alpha_scale=1.0"])
         sc = build_scenario(config)
-        args = (sc.plant, sc.nominal, sc.bases, sc.theta0, sc.reference, sc.ref_model,
-                sc.gains, policy_config(config))
-        kwargs = dict(horizon=60, x0=sc.x0, theta_star=sc.theta_star, substeps=4)
-        learning, frozen = run_episodes(*args, seeds=(3, 3), learn=(True, False), **kwargs)
+        cfg, kwargs = policy_config(config), dict(horizon=60, substeps=4)
+        learning, frozen = run_episodes(sc, cfg, seeds=(3, 3), learn=(True, False), **kwargs)
         assert learning.diverged and 0 < learning.steps < 60
         assert not frozen.diverged and frozen.steps == 60
-        _assert_matches(learning, sequential_episode(*args, seed=3, learn=True, **kwargs))
-        _assert_matches(frozen, sequential_episode(*args, seed=3, learn=False, **kwargs))
+        _assert_matches(learning, sequential_episode(sc, cfg, seed=3, learn=True, **kwargs))
+        _assert_matches(frozen, sequential_episode(sc, cfg, seed=3, learn=False, **kwargs))
 
     def test_a_lane_singular_in_part_of_the_state_space_fails_alone(self):
         # the nominal's gain vanishes once the first output passes 1.0, which
@@ -621,16 +602,17 @@ class TestPairedEpisodes:
         ref_model = build_reference_model((2, 2))
         reference = two_tone_reference(2)
         bases = polynomial_basis(4, 1, io_dim=2, beta_scale=0.1, alpha_scale=0.1)
-        args = (chain, nominal, bases, np.zeros(bases.size), reference, ref_model,
-                design_gain(ref_model, -1.5), PolicyConfig(sigma2=0.5, dt=0.05))
-        kwargs = dict(horizon=60, x0=sample_reference(reference, (2, 2), 0.0).xi_d,
-                      substeps=2)
-        clean, singular = run_episodes(*args, seeds=(0, 2), **kwargs)
+        sc = Scenario(plant=chain, nominal=nominal, bases=bases, reference=reference,
+                      ref_model=ref_model, gains=design_gain(ref_model, -1.5),
+                      theta0=np.zeros(bases.size), theta_star=None,
+                      x0=sample_reference(reference, (2, 2), 0.0).xi_d)
+        cfg, kwargs = PolicyConfig(sigma2=0.5, dt=0.05), dict(horizon=60, substeps=2)
+        clean, singular = run_episodes(sc, cfg, seeds=(0, 2), **kwargs)
         assert not clean.diverged and clean.steps == 60
         assert singular.diverged and 0 < singular.steps < 60
         assert singular.x[-1, 0] >= 1.0
-        _assert_matches(clean, sequential_episode(*args, seed=0, **kwargs))
-        _assert_matches(singular, sequential_episode(*args, seed=2, **kwargs))
+        _assert_matches(clean, sequential_episode(sc, cfg, seed=0, **kwargs))
+        _assert_matches(singular, sequential_episode(sc, cfg, seed=2, **kwargs))
 
     def test_a_lane_in_the_singular_region_of_a_q1_inspan_plant_fails_alone(self):
         # the in-span plant's gain alpha_p = 1 - [y >= 1] vanishes once the
@@ -654,17 +636,19 @@ class TestPairedEpisodes:
         ref_model = build_reference_model((2,))
         reference = two_tone_reference(1)
         bases = polynomial_basis(2, 1, io_dim=1)
-        args = (plant, nominal, bases, np.zeros(bases.size), reference, ref_model,
-                design_gain(ref_model, -1.5), PolicyConfig(sigma2=1.0, dt=0.05))
-        kwargs = dict(horizon=60, x0=sample_reference(reference, (2,), 0.0).xi_d, substeps=2)
-        records = run_episodes(*args, seeds=(1, 2, 3), **kwargs)
+        sc = Scenario(plant=plant, nominal=nominal, bases=bases, reference=reference,
+                      ref_model=ref_model, gains=design_gain(ref_model, -1.5),
+                      theta0=np.zeros(bases.size), theta_star=None,
+                      x0=sample_reference(reference, (2,), 0.0).xi_d)
+        cfg, kwargs = PolicyConfig(sigma2=1.0, dt=0.05), dict(horizon=60, substeps=2)
+        records = run_episodes(sc, cfg, seeds=(1, 2, 3), **kwargs)
         assert [r.diverged for r in records] == [False, True, False]
         assert [r.steps for r in records[::2]] == [60, 60]
         assert 0 < records[1].steps < 60 and records[1].x[-1, 0] < 1.0
         # the plant's mask named the one lane, and the others ran on alone
         assert singular_lanes == [[False, True, False]]
         for record, seed in zip(records, (1, 2, 3)):
-            alone = run_episode(*args, seed=seed, **kwargs)
+            (alone,) = run_episodes(sc, cfg, seeds=(seed,), **kwargs)
             assert alone.diverged_step == record.diverged_step
             np.testing.assert_array_equal(record.x, alone.x)
 
@@ -673,15 +657,12 @@ class TestOneFormPerLaneInput:
     """The kernel takes a float variance as the row of it that it makes for every lane."""
 
     def _kernel(self, sc, cfg, noise, sigma2, baseline_kind, keep):
-        return _lockstep(sc.plant, sc.nominal, sc.bases, sc.theta0, sc.reference, sc.ref_model,
-                         sc.gains, cfg.dt, sigma2, baseline_kind, noise, sc.x0, 0.0, True,
-                         sc.theta_star, "policy_gradient", 2, keep)
+        return _lockstep(sc, sc.theta0, sc.x0, 0.0, cfg.dt, sigma2, baseline_kind, noise, True,
+                         "policy_gradient", 2, keep)
 
     def test_run_episodes_is_the_kernel_with_a_float_or_a_row(self, inspan1):
         sc, cfg, seeds = inspan1, PolicyConfig(sigma2=0.01, dt=0.05), (3, 4, 3)
-        records = run_episodes(sc.plant, sc.nominal, sc.bases, sc.theta0, sc.reference,
-                               sc.ref_model, sc.gains, cfg, horizon=30, seeds=seeds,
-                               x0=sc.x0, theta_star=sc.theta_star, substeps=2)
+        records = run_episodes(sc, cfg, horizon=30, seeds=seeds, substeps=2)
         noise = np.stack([draw_noise_series(cfg, sc.plant.q, s, 30) for s in seeds])
         for sigma2 in (cfg.sigma2, np.full(len(seeds), cfg.sigma2)):
             rec, failed = self._kernel(sc, cfg, noise, sigma2, "none", ("x", "theta", "reward"))
@@ -693,10 +674,8 @@ class TestOneFormPerLaneInput:
 
     def test_run_ensemble_is_the_kernel_with_a_float_or_a_row(self, inspan_mc):
         sc, cfg, n_trials = inspan_mc, PolicyConfig(sigma2=0.001, dt=0.01), 3
-        ens = run_ensemble(sc.plant, sc.nominal, sc.bases, sc.theta0, sc.reference,
-                           sc.ref_model, sc.gains, cfg, n_trials=n_trials, horizon=40,
-                           baseline_kind="mean_of_past", seed=5, cell_key=2, x0=sc.x0,
-                           theta_star=sc.theta_star, substeps=2)
+        ens = run_ensemble(sc, [(cfg, 2, sc.theta0)], n_trials=n_trials, horizon=40,
+                           baseline_kind="mean_of_past", seed=5, substeps=2)
         noise = np.stack([draw_noise_series(cfg, sc.plant.q, derive_seed(5, 2, b), 40)
                           for b in range(n_trials)])
         for sigma2 in (cfg.sigma2, np.full(n_trials, cfg.sigma2)):
@@ -705,6 +684,48 @@ class TestOneFormPerLaneInput:
             np.testing.assert_array_equal(rec["e"], ens.e)
             np.testing.assert_array_equal(rec["theta"] - sc.theta_star, ens.phi)
 
+
+
+class TestRunEpisodeAdapter:
+    """``run_episode(*parts, cfg, ...)`` is ``run_episodes`` of the ``Scenario`` they make."""
+
+    @staticmethod
+    def _assert_same(record, want):
+        for f in dataclasses.fields(AdaptRunRecord):
+            got, expected = getattr(record, f.name), getattr(want, f.name)
+            if isinstance(expected, np.ndarray):
+                assert got.shape == expected.shape, f.name
+                np.testing.assert_array_equal(_as_bits(got), _as_bits(expected), f.name)
+            else:
+                assert got == expected, f.name
+
+    def test_the_defaults_x0_and_theta_star_none(self, inspan1):
+        cfg = PolicyConfig(sigma2=0.01, dt=0.05)
+        rec = run_episode(*_parts(inspan1), cfg, horizon=30, seed=4, substeps=2)
+        bare = dataclasses.replace(inspan1, x0=None, theta_star=None)
+        (want,) = run_episodes(bare, cfg, horizon=30, seeds=(4,), substeps=2)
+        assert rec.phi is None and not rec.x[0].any() and rec.steps == 30
+        self._assert_same(rec, want)
+
+    def test_the_ideal_update_as_the_disturbance_inputs_call_it(self, inspan_mc):
+        # every argument by keyword after cfg, as perfbench/child.py passes them
+        sc, cfg = inspan_mc, PolicyConfig(sigma2=0.0, dt=0.04)
+        rec = run_episode(*_parts(sc), cfg, horizon=50, seed=3, x0=sc.x0, learn=True,
+                          theta_star=sc.theta_star, update_rule="ideal", substeps=4)
+        (want,) = run_episodes(sc, cfg, horizon=50, seeds=(3,), learn=True,
+                               update_rule="ideal", substeps=4)
+        assert np.any(rec.theta[-1] != rec.theta[0]) and rec.phi is not None
+        self._assert_same(rec, want)
+
+    def test_positional_arguments_and_a_diverging_run(self):
+        config = load_config(CONFIG_DIR / "inspan_mc.yaml",
+                             overrides=["sigma2=0.1", "dt=0.05", "basis.beta_scale=1.0",
+                                        "basis.alpha_scale=1.0"])
+        sc, cfg = build_scenario(config), policy_config(config)
+        rec = run_episode(*_parts(sc), cfg, "mean_of_past", 60, 3, sc.x0, True, sc.theta_star)
+        (want,) = run_episodes(sc, cfg, "mean_of_past", 60, (3,))
+        assert rec.diverged and 0 < rec.steps < 60
+        self._assert_same(rec, want)
 
 def _cell_scenario(kind: str, q: int) -> Scenario:
     """A q-channel double-integrator chain, or the in-span plant on it, with short bases."""
@@ -723,19 +744,11 @@ def _cell_scenario(kind: str, q: int) -> Scenario:
                     theta_star=theta_star, x0=sample_reference(reference, gamma, 0.0).xi_d)
 
 
-def _ensemble(sc: Scenario, plant, cells, n_trials: int, **kwargs):
-    """``run_ensemble`` of ``cells``, a list of ``(cfg, cell_key, theta0)``, on ``sc``."""
-    (cfg, key, theta0), *rest = cells
-    return run_ensemble(plant, sc.nominal, sc.bases, theta0, sc.reference, sc.ref_model,
-                        sc.gains, cfg, n_trials=n_trials, cell_key=key, x0=sc.x0,
-                        theta_star=sc.theta_star, more_cells=rest, **kwargs)
-
-
 def _assert_blocks_are_solo_runs(sc: Scenario, ens, cells, n_trials: int, **kwargs):
     """Each block of ``ens`` is its cell's own full-horizon run from ``ens.record_from`` on."""
     assert ens.e.shape[1] == ens.phi.shape[1] == kwargs["horizon"] + 1 - ens.record_from
     for c, cell in enumerate(cells):
-        solo = _ensemble(sc, sc.plant, [cell], n_trials, **kwargs)
+        solo = run_ensemble(sc, [cell], n_trials, **kwargs)
         assert solo.record_from == 0
         block = slice(c * n_trials, (c + 1) * n_trials)
         np.testing.assert_array_equal(ens.e[block], solo.e[:, ens.record_from:])
@@ -762,7 +775,7 @@ class TestCellBlocks:
                       baseline_kind=data.draw(st.sampled_from(BASELINES)),
                       seed=data.draw(st.integers(0, 2 ** 32)), substeps=2)
         record_from = data.draw(st.integers(0, kwargs["horizon"]), label="record_from")
-        ens = _ensemble(sc, sc.plant, cells, n_trials, record_from=record_from, **kwargs)
+        ens = run_ensemble(sc, cells, n_trials, record_from=record_from, **kwargs)
         assert ens.n_trials == len(cells) * n_trials and ens.record_from == record_from
         _assert_blocks_are_solo_runs(sc, ens, cells, n_trials, **kwargs)
 
@@ -781,8 +794,8 @@ class TestCellBlocks:
                 lanes_per_call.append(len(x))
                 return sc.plant.rate(x, u)
 
-            ens = _ensemble(sc, dataclasses.replace(sc.plant, rate=counting), cells, 3,
-                            record_from=record_from, **kwargs)
+            counted = dataclasses.replace(sc, plant=dataclasses.replace(sc.plant, rate=counting))
+            ens = run_ensemble(counted, cells, 3, record_from=record_from, **kwargs)
             assert ens.diverged_step.tolist() == [-1] * 3 + [0] * 3 + [-1] * 3
             # from step 1 on, only the six live lanes are integrated
             later = (horizon - 1) * substeps * 4
@@ -794,7 +807,7 @@ class TestCellBlocks:
         cells = [(PolicyConfig(sigma2=0.01, dt=0.05), 0, inspan1.theta0),
                  (PolicyConfig(sigma2=0.01, dt=0.1), 1, inspan1.theta0)]
         with pytest.raises(ValueError, match="share dt"):
-            _ensemble(inspan1, inspan1.plant, cells, 2, horizon=3)
+            run_ensemble(inspan1, cells, 2, horizon=3)
 
 
 class TestFailurePath:
@@ -823,17 +836,16 @@ class TestFailurePath:
             rows.append(len(x))
             return sc.plant.rate(x, u)
 
-        def kernel(plant, lanes):
-            return _lockstep(plant, sc.nominal, sc.bases, sc.theta0, sc.reference,
-                             sc.ref_model, sc.gains, 0.05, 0.01, baseline_kind, noise[lanes],
-                             sc.x0, 0.0, learn[lanes], sc.theta_star, "policy_gradient",
-                             substeps, _SERIES)
+        def kernel(scenario, lanes):
+            return _lockstep(scenario, sc.theta0, sc.x0, 0.0, 0.05, 0.01, baseline_kind,
+                             noise[lanes], learn[lanes], "policy_gradient", substeps, _SERIES)
 
-        rec, failed = kernel(dataclasses.replace(sc.plant, rate=counting), slice(None))
+        counted = dataclasses.replace(sc, plant=dataclasses.replace(sc.plant, rate=counting))
+        rec, failed = kernel(counted, slice(None))
         assert failed[bad] == k_bad
         others = np.delete(np.arange(n_lanes), bad)
         if others.size:
-            alone, alone_failed = kernel(sc.plant, others)
+            alone, alone_failed = kernel(sc, others)
             np.testing.assert_array_equal(failed[others], alone_failed)
             for name in _SERIES:
                 np.testing.assert_array_equal(rec[name][others], alone[name])

@@ -6,8 +6,14 @@ sampled-data step or of the idealized flow can come back beside them.
 
 One-kernel guard: ``learning._lockstep`` is named only by the runners in
 ``KERNEL_USERS``, so no study runs lanes outside the ensemble runner that
-the benchmark's hooks count; the episode runners keep the policy config at
-position 7, where the hooks read it.
+the benchmark's hooks count.  ``run_episode``, the one runner whose
+arguments a hook reads, keeps the policy config at position 7; the other
+runners lead with the ``Scenario``.
+
+One-bundle guard: only ``learning.run_episode`` takes a scenario's parts
+(both ``nominal`` and ``reference``) as parameters; every other route into
+the kernel takes the ``scenarios.Scenario`` whole, so the seven parts are
+not spelled out again beside it.
 
 One-rule guard: ``COND_LIMIT`` is named only by the singularity rule
 (``plants.linearizing_terms`` and its helper ``_judge_alpha``, which also
@@ -201,9 +207,22 @@ def test_lockstep_is_named_only_by_the_runners():
     assert _users("_lockstep") <= KERNEL_USERS
 
 
-def test_runners_take_the_policy_config_at_position_7():
+def test_run_episode_keeps_cfg_at_7_the_others_lead_with_the_scenario():
     import inspect
 
     from fblearn.learning import run_ensemble, run_episode, run_episodes
-    for runner in (run_episode, run_episodes, run_ensemble):
-        assert list(inspect.signature(runner).parameters)[7] == "cfg", runner.__name__
+
+    def params(runner):
+        return list(inspect.signature(runner).parameters)
+
+    assert params(run_episode)[7] == "cfg"
+    assert params(run_episodes)[:2] == ["scenario", "cfg"]
+    assert params(run_ensemble)[:2] == ["scenario", "cells"]
+
+
+def test_only_run_episode_takes_the_scenario_as_parts():
+    takers = {f"{module}.{node.name}" for module, tree in _trees().items()
+              for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+              and {"nominal", "reference"} <= {a.arg for a in node.args.args
+                                               + node.args.kwonlyargs}}
+    assert takers == {"learning.run_episode"}

@@ -217,11 +217,8 @@ class TestSweep:
         report = concentration_study(inspan_mc, base, 30, (0.3, 0.1), horizon_s=1.2, seed=8,
                                      substeps=2)
         (cell,) = report.cells
-        ens = run_ensemble(inspan_mc.plant, inspan_mc.nominal, inspan_mc.bases,
-                           inspan_mc.theta0, inspan_mc.reference, inspan_mc.ref_model,
-                           inspan_mc.gains, base, n_trials=30, horizon=120,
-                           baseline_kind="none", seed=8, cell_key=0, x0=inspan_mc.x0,
-                           theta_star=inspan_mc.theta_star, substeps=2)
+        ens = run_ensemble(inspan_mc, [(base, 0, inspan_mc.theta0)], n_trials=30, horizon=120,
+                           baseline_kind="none", seed=8, substeps=2)
         X = np.concatenate([ens.e[:, 30:], ens.phi[:, 30:]], axis=2)
         deviations = np.linalg.norm(X - X.mean(axis=0, keepdims=True), axis=2)
         for lam in (0.3, 0.1, 0.05):
@@ -252,9 +249,10 @@ class TestSweep:
         # guard: each dt group records only from its earliest steady step
         recorded = {}
 
-        def guarded(*args, horizon, record_from=0, **kwargs):
-            ens = run_ensemble(*args, horizon=horizon, record_from=record_from, **kwargs)
-            recorded[args[7].dt] = ens.e.shape[1]
+        def guarded(scenario, cells, *, horizon, record_from=0, **kwargs):
+            ens = run_ensemble(scenario, cells, horizon=horizon, record_from=record_from,
+                               **kwargs)
+            recorded[cells[0][0].dt] = ens.e.shape[1]
             return ens
 
         monkeypatch.setattr(learning, "draw_noise_series", poisoned)
@@ -268,11 +266,8 @@ class TestSweep:
 
         def oracle(cfg, key, theta0, divisor, lambdas):
             h = horizons[cfg.dt]
-            ens = run_ensemble(inspan_mc.plant, inspan_mc.nominal, inspan_mc.bases, theta0,
-                               inspan_mc.reference, inspan_mc.ref_model, inspan_mc.gains, cfg,
-                               n_trials=trials, horizon=h, baseline_kind="none", seed=seed,
-                               cell_key=key, x0=inspan_mc.x0,
-                               theta_star=inspan_mc.theta_star, substeps=2)
+            ens = run_ensemble(inspan_mc, [(cfg, key, theta0)], n_trials=trials, horizon=h,
+                               baseline_kind="none", seed=seed, substeps=2)
             assert ens.e.shape[1] == h + 1
             assert ens.diverged_step.tolist() == [int(f * h) for f in fail_at] + [-1] * 4
             return full_record_steady_stats(ens.e, ens.phi, ens.diverged, h // divisor,
