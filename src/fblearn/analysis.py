@@ -215,8 +215,8 @@ def pe_check(times: Array, w_samples: Array, delta: float, stride: int = 1) -> P
         raise ValueError(f"window delta={delta:.6g} s must be positive")
     if isinstance(stride, bool) or not isinstance(stride, Integral) or stride < 1:
         raise ValueError(f"stride={stride!r} must be an integer >= 1")
-    if np.any(np.diff(times) < 0):
-        raise ValueError("sample times must not decrease")
+    if not np.all(np.diff(times) > 0):
+        raise ValueError("sample times must not decrease or repeat")
     if times[-1] - times[0] < delta * (1.0 - 1e-12):
         raise ValueError(f"series spans {times[-1] - times[0]:.6g} s, shorter than "
                          f"the window delta={delta:.6g} s")

@@ -45,6 +45,11 @@ EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 EXIT_UNSUPPORTED = 4
 
+LAMBDAS = (0.3, 0.1, 0.03)  # mc reports the 1 - lambda quantiles of each cell's deviations
+# diag fits its exponential envelope to transition norms integrated from
+# GRID_POINTS start times spread over the run, at FIT_STEP seconds a step
+GRID_POINTS, FIT_STEP = 9, 0.02
+
 
 def _fmt(value: float) -> str:
     return f"{value:.17g}"
@@ -79,14 +84,15 @@ def _mean(values: np.ndarray) -> float | None:
     return float(values.mean()) if len(values) else None
 
 
-def _quarter_stats(record: AdaptRunRecord) -> list[dict]:
+def _quarter_stats(record: AdaptRunRecord, horizon: int) -> list[dict]:
+    """Each quarter of the requested horizon, over the steps the run completed in it."""
     norms = record.error_norms()[:record.steps]
-    bounds = np.linspace(0, record.steps, 5).astype(int)
+    bounds = np.linspace(0, horizon, 5).astype(int)
     return [{"mean_e_norm": _mean(chunk), "max_e_norm": float(chunk.max()) if len(chunk) else None}
             for chunk in (norms[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]))]
 
 
-def summarize_run(record: AdaptRunRecord, wall_time_s: float) -> dict:
+def summarize_run(record: AdaptRunRecord, horizon: int, wall_time_s: float) -> dict:
     norms = record.error_norms()
     return {
         "library_version": VERSION,
@@ -98,7 +104,7 @@ def summarize_run(record: AdaptRunRecord, wall_time_s: float) -> dict:
         "mean_e_norm": _mean(norms[:record.steps]),
         "mean_reward": _mean(record.rewards),
         "final_theta_norm": float(np.linalg.norm(record.theta[record.steps])),
-        "quarters": _quarter_stats(record),
+        "quarters": _quarter_stats(record, horizon),
         "wall_time_s": wall_time_s,
     }
 
@@ -128,30 +134,31 @@ def _artifact_dir(args, config: ExperimentConfig, suffix: str) -> Path:
 
 
 def cmd_run(config: ExperimentConfig, args) -> int:
-    scenario = build_scenario(config)
+    scenario, horizon = build_scenario(config), _horizon(config)
     start = time.perf_counter()
     (record,) = run_episodes(scenario, policy_config(config), config.baseline,
-                             _horizon(config), (config.seed,), substeps=config.substeps)
+                             horizon, (config.seed,), substeps=config.substeps)
     wall = time.perf_counter() - start
     out_dir = _artifact_dir(args, config, "")
     write_steps_csv(out_dir / "steps.csv", record)
-    (out_dir / "summary.json").write_text(json.dumps(summarize_run(record, wall), indent=2))
+    summary = summarize_run(record, horizon, wall)
+    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2))
     print(f"wrote {out_dir} ({record.steps} steps, diverged={record.diverged})")
     return EXIT_DIVERGED if record.diverged else EXIT_OK
 
 
 def cmd_compare(config: ExperimentConfig, args) -> int:
-    scenario = build_scenario(config)
+    scenario, horizon = build_scenario(config), _horizon(config)
     start = time.perf_counter()
     # the twins share one noise draw and run as two lanes of one kernel
     learning, frozen = run_episodes(scenario, policy_config(config), config.baseline,
-                                    _horizon(config), (config.seed, config.seed),
+                                    horizon, (config.seed, config.seed),
                                     learn=(True, False), substeps=config.substeps)
     wall = time.perf_counter() - start
     out_dir = _artifact_dir(args, config, "_compare")
     write_steps_csv(out_dir / "learning.csv", learning)
     write_steps_csv(out_dir / "no_learning.csv", frozen)
-    q_learn, q_frozen = _quarter_stats(learning), _quarter_stats(frozen)
+    q_learn, q_frozen = _quarter_stats(learning, horizon), _quarter_stats(frozen, horizon)
     # a quarter with no steps, or a frozen mean of 0, has no ratio
     ratios = [ql["mean_e_norm"] / qf["mean_e_norm"]
               if ql["mean_e_norm"] is not None and qf["mean_e_norm"] else None
@@ -183,7 +190,7 @@ def cmd_mc(config: ExperimentConfig, args) -> int:
     start = time.perf_counter()
     # the bias cells run beside the concentration cells of their dt
     report, bias = mc_sweep(
-        scenario, policy_config(config), trials=config.trials, lambdas=config.sweep.lam,
+        scenario, policy_config(config), trials=config.trials, lambdas=LAMBDAS,
         dt_list=config.sweep.dt, sigma2_list=config.sweep.sigma2,
         bias_dts=config.sweep.dt if len(config.sweep.dt) >= 2 else (),
         horizon_s=config.horizon_s, seed=config.seed, substeps=config.substeps,
@@ -246,16 +253,16 @@ def cmd_diag(config: ExperimentConfig, args) -> int:
     except ValueError as exc:
         raise ConfigError([f"diag.window_s: {exc}"])
     w_of_t = interp_matrix_series(record.t, w_samples)
-    t_grid = np.linspace(0.0, float(record.t[-1]), config.diag.grid_points)
+    t_grid = np.linspace(0.0, float(record.t[-1]), GRID_POINTS)
     gaps, norms = transition_norm_grid(w_of_t, scenario.ref_model, scenario.gains,
-                                       t_grid, config.diag.fit_step)
+                                       t_grid, FIT_STEP)
     fit = fit_exponential_bound(gaps, norms)
     out_dir = _artifact_dir(args, config, "_diag")
     payload = {
         "library_version": VERSION,
         "pe": asdict(pe),
         "stability": asdict(fit),
-        "grid_points": config.diag.grid_points,
+        "grid_points": GRID_POINTS,
     }
     (out_dir / "diag.json").write_text(json.dumps(payload, indent=2))
     print(f"wrote {out_dir} (PE satisfied={pe.satisfied}, zeta={fit.zeta:.4f})")

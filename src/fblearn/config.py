@@ -2,8 +2,7 @@
 
 Configs are YAML mappings.  Unknown keys anywhere are errors, every
 offending field is reported at once, and a seed is mandatory so no run ever
-depends on ambient entropy.  ``lambda`` is the sweep key for the confidence
-levels (stored as ``lam``, since ``lambda`` is reserved in Python).
+depends on ambient entropy.
 
 Each key is one dataclass field carrying its default and its rule: a
 predicate and the phrase its error prints.  :func:`_walk` applies them.
@@ -20,7 +19,7 @@ from pathlib import Path
 import yaml
 
 from .errors import ConfigError
-from .learning import BASELINES, PolicyConfig
+from .learning import BASELINES
 
 SCENARIOS = ("double_pendulum", "inspan_synthetic")
 
@@ -76,13 +75,8 @@ def _section(cls, default=MISSING):
 
 @dataclass(frozen=True)
 class PendulumSection:
-    """True plant parameters and the scale factor for the mismatched nominal."""
+    """The scale factor of the mismatched nominal; the true plant is the unit pendulum."""
 
-    m1: float = _positive(1.0)
-    m2: float = _positive(1.0)
-    l1: float = _positive(1.0)
-    l2: float = _positive(1.0)
-    gravity: float = _positive(9.81)
     nominal_scale: float = _positive(1.3)
 
 
@@ -124,8 +118,6 @@ class SweepSection:
 
     dt: tuple = _entries((), lambda v: _number(v) and v > 0, "positive numbers", distinct=True)
     sigma2: tuple = _entries((), lambda v: _number(v) and v > 0, "positive numbers", distinct=True)
-    lam: tuple = _entries((0.3, 0.1, 0.03), lambda v: _number(v) and 0 < v < 1,
-                          "numbers in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -133,8 +125,6 @@ class DiagSection:
     """Knobs for the excitation / stability diagnostics."""
 
     window_s: float = _positive(10.0)
-    grid_points: int = _integer(9, 3)
-    fit_step: float = _positive(0.02)
     stride: int = _integer(1, 1)
 
 
@@ -145,8 +135,6 @@ class ExperimentConfig:
                       "be an integer in [0, 2**128)")
     dt: float = _positive(0.05)
     sigma2: float = _positive(0.1)
-    noise_clip: float = _positive(PolicyConfig.noise_clip)
-    pole: float = _rule(-1.5, lambda v: _number(v) and v < 0, "be a negative number")
     horizon_s: float = _positive(60.0)
     baseline: str = _one_of("mean_of_past", BASELINES)
     substeps: int = _integer(10, 1)
@@ -165,8 +153,7 @@ class ExperimentConfig:
         """Plain-dict snapshot suitable for YAML round-tripping."""
         def plain(value):
             if dataclasses.is_dataclass(value):
-                return {("lambda" if f.name == "lam" else f.name): plain(getattr(value, f.name))
-                        for f in fields(value)}
+                return {f.name: plain(getattr(value, f.name)) for f in fields(value)}
             if isinstance(value, tuple):
                 return [plain(v) for v in value]
             return value
@@ -185,7 +172,7 @@ def _walk(cls, data: dict, prefix: str, problems: list) -> dict:
     Lists become tuples and ``null`` is taken where the default is ``None``;
     each unknown key and each value that fails its rule goes to ``problems``.
     """
-    by_key = {("lambda" if f.name == "lam" else f.name): f for f in fields(cls)}
+    by_key = {f.name: f for f in fields(cls)}
     kwargs = {}
     for key, value in data.items():
         f, value = by_key.get(key), _tuplify(value)

@@ -406,9 +406,13 @@ class TestInputChecks:
          "3 sample times for 2 matrices"),
         (lambda: pe_check(np.zeros(1), np.ones((1, 1, 2)), delta=1.0),
          "need at least two regressor samples"),
+        # a repeated time once counted its node as a window of its own
+        (lambda: pe_check(np.array([0.0, 1.0, 1.0, 2.0, 3.0]), np.ones((5, 1, 2)), delta=1.0),
+         "sample times must not decrease or repeat"),
         (lambda: fit_exponential_bound(np.arange(4.0), np.ones(3)),
          "gaps and norms must be 1-d arrays of equal length"),
-    ], ids=["interp_matrix_series", "pe_check", "fit_exponential_bound"])
+    ], ids=["interp_matrix_series", "pe_check", "pe_check-repeated-times",
+            "fit_exponential_bound"])
     def test_a_bad_input_is_named(self, call, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             call()

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import dataclasses
+import importlib.util
 import json
 import os
 import re
@@ -14,8 +15,8 @@ import pytest
 import yaml
 
 import fblearn
-from fblearn.cli import (EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, EXIT_UNSUPPORTED, build_parser,
-                         main)
+from fblearn.cli import (EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, EXIT_UNSUPPORTED, LAMBDAS,
+                         build_parser, main)
 from fblearn.config import (SCENARIOS, BasisSection, DiagSection, ExperimentConfig,
                             InspanSection, PendulumSection, SweepSection, apply_overrides,
                             config_from_dict, load_config)
@@ -25,6 +26,16 @@ from fblearn.scenarios import build_scenario, policy_config
 from fblearn.studies import mc_sweep
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
+PERFBENCH = Path(__file__).parent.parent / "perfbench"
+
+# dotted key -> why it stays although no shipped run sets it away from its default
+KEPT_KEYS = {
+    "x0": "tests force a failure at step 0 through the CLI",
+    "trials": "ROADMAP item 6 varies the trial count",
+    "pendulum.nominal_scale": "ROADMAP item 4's table varies it",
+    "inspan.theta_star_seed": "tests use seeds 3 and 4 to build singular in-span plants",
+    "basis.degree": "tests build degree-0 features",
+}
 
 
 CONFIG_CLASSES = (ExperimentConfig, PendulumSection, InspanSection, BasisSection, SweepSection,
@@ -40,11 +51,23 @@ def minimal(**extra):
 def leaf_keys(cls=ExperimentConfig, prefix=""):
     """The dotted key of every non-section field, as a config spells it."""
     for f in dataclasses.fields(cls):
-        key = prefix + ("lambda" if f.name == "lam" else f.name)
+        key = prefix + f.name
         if "section" in f.metadata:
             yield from leaf_keys(f.metadata["section"], key + ".")
         else:
             yield key
+
+
+def keys_set_away_from_default(value, cls=ExperimentConfig, prefix=""):
+    """The dotted key of every leaf field whose value in ``value`` is not its default."""
+    for f in dataclasses.fields(cls):
+        field_value = getattr(value, f.name)
+        if "section" in f.metadata:
+            if field_value is not None:
+                yield from keys_set_away_from_default(field_value, f.metadata["section"],
+                                                      f"{prefix}{f.name}.")
+        elif field_value != f.default:
+            yield prefix + f.name
 
 
 class TestConfigParsing:
@@ -57,12 +80,14 @@ class TestConfigParsing:
         cfg = config_from_dict(minimal())
         assert cfg.dt == 0.05 and cfg.sigma2 == 0.1
         assert cfg.baseline == "mean_of_past"
-        assert cfg.sweep.lam == (0.3, 0.1, 0.03)
+        assert cfg.sweep.dt == cfg.sweep.sigma2 == ()
 
     def test_lambda_alias(self):
-        cfg = config_from_dict(minimal(sweep={"lambda": [0.2, 0.1]}))
-        assert cfg.sweep.lam == (0.2, 0.1)
-        assert cfg.to_dict()["sweep"]["lambda"] == [0.2, 0.1]
+        # the confidence levels are fixed (cli.LAMBDAS): sweep.lambda is retired, alias and all
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(minimal(sweep={"lambda": [0.2, 0.1]}))
+        assert err.value.problems == ["sweep.lambda: unknown key"]
+        assert "lambda" not in config_from_dict(minimal()).to_dict()["sweep"]
 
     def test_unknown_keys_all_reported(self):
         with pytest.raises(ConfigError) as err:
@@ -95,9 +120,9 @@ class TestConfigParsing:
 
     def test_value_validation_collects_everything(self):
         with pytest.raises(ConfigError) as err:
-            config_from_dict(minimal(dt=-0.1, pole=2.0, baseline="median"))
+            config_from_dict(minimal(dt=-0.1, substeps=0, baseline="median"))
         text = str(err.value)
-        assert "dt" in text and "pole" in text and "baseline" in text
+        assert "dt" in text and "substeps" in text and "baseline" in text
 
     def test_bad_scenario(self):
         with pytest.raises(ConfigError, match="scenario"):
@@ -128,6 +153,21 @@ class TestConfigParsing:
         # a value that no shipped config selects is a code path that no experiment runs
         selected = {getattr(load_config(path), key) for path in CONFIG_DIR.glob("*.yaml")}
         assert set(values) <= selected
+
+    def test_every_config_key_is_set_by_a_shipped_run_or_kept_for_a_reason(self):
+        # a key that no run sets away from its default is a constant spelt as a setting
+        spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                      PERFBENCH / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        runs = [(path.name, ()) for path in CONFIG_DIR.glob("*.yaml")]
+        runs += [(Path(w["config"]).name, w["overrides"]) for w in workloads.WORKLOADS.values()]
+        set_keys = set().union(*(keys_set_away_from_default(
+            load_config(CONFIG_DIR / name, overrides)) for name, overrides in runs))
+        keys = list(leaf_keys())
+        assert [key for key in keys if key not in set_keys | set(KEPT_KEYS)] == []
+        # a kept key is a key, and one that no shipped run sets
+        assert [key for key in KEPT_KEYS if key not in keys or key in set_keys] == []
 
     def test_bad_override_format(self):
         with pytest.raises(ConfigError, match="KEY=VALUE"):
@@ -269,6 +309,29 @@ class TestCli:
                            "comparison.json").read_text())
         assert 0.5 <= data["final_quarter_ratio"] <= 2.0
 
+    def test_quarters_split_the_requested_horizon(self, tmp_path):
+        # the learning twin fails at step 6 of 60; its quarters once split its
+        # own 6 steps, so the final ratio divided its steps 4-5 by the frozen
+        # twin's steps 45-59 (80.1)
+        base = ["--config", str(CONFIG_DIR / "inspan_mc.yaml"), "--seed", "3",
+                "--out-dir", str(tmp_path)]
+        for item in ("sigma2=0.1", "dt=0.05", "basis.beta_scale=1.0",
+                     "basis.alpha_scale=1.0", "horizon_s=3"):
+            base += ["--override", item]
+        assert main(["compare", *base]) == EXIT_DIVERGED
+        assert main(["run", *base]) == EXIT_DIVERGED
+        data = json.loads((tmp_path / "inspan_synthetic_3_compare" /
+                           "comparison.json").read_text())
+        assert data["diverged"] == {"learning": True, "no_learning": False}
+        assert [q["mean_e_norm"] is None for q in data["learning"]] == [False, True, True, True]
+        assert [q["mean_e_norm"] is None for q in data["no_learning"]] == [False] * 4
+        assert [r is None for r in data["mean_e_norm_ratio_per_quarter"]] \
+            == [False, True, True, True]
+        assert data["final_quarter_ratio"] is None
+        # run's summary splits the same horizon the same way
+        summary = json.loads((tmp_path / "inspan_synthetic_3" / "summary.json").read_text())
+        assert summary["steps"] == 6 and summary["quarters"] == data["learning"]
+
     def test_mc_refuses_the_pendulum(self, tmp_path, capsys):
         code = main(["mc", "--config", str(CONFIG_DIR / "pendulum.yaml"),
                      "--out-dir", str(tmp_path)])
@@ -301,7 +364,7 @@ class TestCli:
         written = json.loads((out_dir / "concentration.json").read_text())["bias"]
         config = load_config(CONFIG_DIR / "inspan_mc.yaml", overrides)
         _, bias = mc_sweep(build_scenario(config), policy_config(config), trials=config.trials,
-                           lambdas=config.sweep.lam, dt_list=config.sweep.dt,
+                           lambdas=LAMBDAS, dt_list=config.sweep.dt,
                            bias_dts=config.sweep.dt, horizon_s=config.horizon_s,
                            seed=config.seed, substeps=config.substeps,
                            baseline_kind=config.baseline)
@@ -492,7 +555,9 @@ class TestCli:
         ("scenario=linear_test", "scenario"), ("baseline=sum_of_past", "baseline"),
         ("trials=1", "trials"), ("sweep.dt=[0.02, 0.02]", "sweep.dt"),
         ("sweep.sigma2=[0.001, 0.002, 0.001]", "sweep.sigma2"),
-        ("sweep.lam=[0.1]", "sweep.lam"), ("basis.width_rule=0", "basis.width_rule")])
+        ("sweep.lam=[0.1]", "sweep.lam"), ("basis.width_rule=0", "basis.width_rule"),
+        ("pendulum.m1=2.0", "pendulum.m1"), ("pendulum.gravity=9.0", "pendulum.gravity"),
+        ("diag.grid_points=5", "diag.grid_points"), ("diag.fit_step=0.01", "diag.fit_step")])
     def test_bad_values_exit_with_a_config_error(self, tmp_path, capsys, override, key):
         # each once crashed with a traceback, ran, or (for bools) passed as an integer;
         # the linear_test scenario and the sum_of_past baseline ran until retired
